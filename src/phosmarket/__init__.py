@@ -8,6 +8,7 @@ from .auction import (
     import_spend,
     local_spend,
     run_english_auction,
+    solve_minimal_markups,
     valuation,
     verify_equilibrium,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "local_spend",
     "run_english_auction",
     "run_experiment",
+    "solve_minimal_markups",
     "valuation",
     "validate_flows",
     "validate_instance",

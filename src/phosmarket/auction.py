@@ -1,4 +1,4 @@
-"""Buyer valuation, demand, and the ascending auction for minimal markups.
+"""Buyer valuation, demand, and the solvers for minimal markups.
 
 Buyers on each market face quadratic spending schedules: the k-th locally
 produced unit costs ``c_oj + a*(2k - 1)`` at the margin and the u-th unit from
@@ -8,18 +8,24 @@ across the local source and all unmasked suppliers.  That assignment is
 computed exactly on the integer cost grid by a waterline search
 (:func:`_min_spend`), which provably matches exhaustive enumeration.
 
-The ascending auction raises markups along steepest-descent directions of the
-aggregate objective ``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the
-value of unsold capacity).  Raising every overdemanded supplier by one tick is
-the generic special case of this rule; near cost ties the naive rule can
-overshoot the minimal equilibrium, so the direction set is chosen as the
-unique minimal minimizer of the one-tick objective change.  The terminal
-markups are certified against :func:`brute_force_equilibrium` in the tests.
+Production computes the componentwise smallest equilibrium markups as the
+minimal optimal dual potentials of a convex-cost min-cost flow
+(:func:`solve_minimal_markups`); its cost depends neither on the money grid
+nor on 2^m.  The paper's ascending auction (:func:`run_english_auction`) is
+kept as the reference mechanism.  It raises markups along steepest-descent
+directions of the aggregate objective ``sum_j V_j(p) + p . s`` (indirect
+buyer surplus plus the value of unsold capacity).  Raising every
+overdemanded supplier by one tick is the generic special case of this rule;
+near cost ties the naive rule can overshoot the minimal equilibrium, so the
+direction set is chosen as the unique minimal minimizer of the one-tick
+objective change.  Both solvers take their flows from :func:`_allocate` and
+are certified against :func:`brute_force_equilibrium` in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -34,7 +40,7 @@ from .core import (
 
 
 class AuctionError(RuntimeError):
-    """Internal inconsistency in the ascending auction (a bug, not a model state)."""
+    """Internal inconsistency in a markup solver (a bug, not a model state)."""
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -233,6 +239,124 @@ def demand_bundle(j: int, markups: Sequence[int], inst: MarketInstance) -> Deman
 def bundle_utility(z: Sequence[int], j: int, markups: Sequence[int], inst: MarketInstance) -> int:
     """Payoff of an arbitrary bundle: valuation minus markup payments."""
     return valuation(z, j, inst) - sum(p * q for p, q in zip(markups, z))
+
+
+# ---------------------------------------------------------------------------
+# Minimal markups as min-cost-flow duals
+
+
+def solve_minimal_markups(
+    inst: MarketInstance, *, trace: list[tuple[int, ...]] | None = None
+) -> Equilibrium:
+    """Compute the equilibrium with the componentwise smallest markup vector.
+
+    The market is a separable convex transportation problem.  Its nodes are
+    the suppliers ``0..m-1``, the markets ``m..m+n-1`` and a source S; its
+    arcs are S -> supplier i (capacity ``s_i``, cost 0), S -> market j
+    (local supply, the u-th unit costs ``c_oj + a(2u-1)``) and supplier i ->
+    market j on open pairs (the u-th unit costs ``t_ij + a(2u-1)``).  Each
+    market drains ``d_j`` units into a sink, left implicit: an augmenting
+    path ends at a market whose demand is not yet met.
+
+    ``sum(d)`` units are pushed one at a time along shortest paths found by
+    Bellman-Ford (SPFA), since a backward residual arc costs minus the
+    marginal cost of the last unit on it.  In the final residual network,
+    with a zero-cost disposal arc from each supplier back to S,
+    ``p_i = -dist(i -> S)`` is the smallest optimal dual potential, which is
+    the minimal Walrasian markup vector that the ascending auction reaches.
+    The flows come from :func:`_allocate` at those markups, as in the
+    auction, never from the flow solution.
+
+    A ``trace`` list, when given, receives the node path of every
+    augmenting path.
+    """
+    require_valid(inst)
+    m, n = inst.m, inst.n
+    source = m + n
+    # Arc k runs tail[k] -> head[k]; its u-th unit costs base[k] + slope[k]*(2u-1).
+    tail: list[int] = []
+    head: list[int] = []
+    base: list[int] = []
+    slope: list[int] = []
+    cap: list[int] = []
+
+    def add_arc(u: int, v: int, cost: int, a: int, units: int) -> None:
+        tail.append(u)
+        head.append(v)
+        base.append(cost)
+        slope.append(a)
+        cap.append(units)
+
+    for i in range(m):
+        add_arc(source, i, 0, 0, inst.s[i])
+    for j in range(n):
+        add_arc(source, m + j, inst.c_o[j], inst.a, inst.d[j])
+        for i in range(m):
+            if inst.mask[i][j]:
+                add_arc(i, m + j, inst.trade_cost(i, j), inst.a, min(inst.s[i], inst.d[j]))
+    flow = [0] * len(tail)
+    touching: list[list[int]] = [[] for _ in range(source + 1)]
+    for k in range(len(tail)):
+        touching[tail[k]].append(k)
+        touching[head[k]].append(k)
+
+    def residual(u: int) -> Iterator[tuple[int, int, int]]:
+        """Residual arcs leaving u as ``(arc, node reached, cost)``."""
+        for k in touching[u]:
+            f = flow[k]
+            if tail[k] == u:
+                if f < cap[k]:
+                    yield k, head[k], base[k] + slope[k] * (2 * f + 1)
+            elif f > 0:
+                yield k, tail[k], -(base[k] + slope[k] * (2 * f - 1))
+
+    unmet = list(inst.d)
+    for _ in range(sum(inst.d)):
+        dist = [math.inf] * (source + 1)
+        via = [-1] * (source + 1)
+        dist[source] = 0
+        queue = deque([source])
+        queued = [False] * (source + 1)
+        queued[source] = True
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            for k, v, cost in residual(u):
+                if dist[u] + cost < dist[v]:
+                    dist[v] = dist[u] + cost
+                    via[v] = k
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+        target = min((m + j for j in range(n) if unmet[j]), key=dist.__getitem__)
+        unmet[target - m] -= 1
+        path = [target]
+        v = target
+        while v != source:
+            k = via[v]
+            if head[k] == v:
+                flow[k] += 1
+                v = tail[k]
+            else:
+                flow[k] -= 1
+                v = head[k]
+            path.append(v)
+        if trace is not None:
+            trace.append(tuple(reversed(path)))
+
+    # Reverse Bellman-Ford: to_source[v] = dist(v -> S); the disposal arcs
+    # give every supplier a zero-cost way back to S, so markups are >= 0.
+    to_source = [0] * m + [math.inf] * n + [0]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(source):
+            for _, v, cost in residual(u):
+                if cost + to_source[v] < to_source[u]:
+                    to_source[u] = cost + to_source[v]
+                    changed = True
+    markups = tuple(-int(to_source[i]) for i in range(m))
+    return Equilibrium(markups, _allocate(inst, markups))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output-dir", type=Path, help="override the output directory")
     p_sim.add_argument("--workers", type=int, help="override the worker count")
 
-    p_ver = sub.add_parser("verify", help="re-check sampled replications against the oracle")
+    p_ver = sub.add_parser(
+        "verify", help="re-check sampled replications against the auction and the oracle"
+    )
     p_ver.add_argument("--config", type=Path, required=True)
     p_ver.add_argument("--sample", type=int, default=20)
     return parser
@@ -111,11 +113,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     outcomes = verify_run(config, sample=args.sample)
     failures = 0
-    for replication, verifier_ok, oracle_match in outcomes:
-        status = "ok" if verifier_ok and oracle_match else "FAIL"
+    for replication, verifier_ok, auction_match, oracle_match in outcomes:
+        status = "ok" if verifier_ok and auction_match and oracle_match else "FAIL"
         if status == "FAIL":
             failures += 1
-        print(f"replication {replication}: verifier={verifier_ok} oracle={oracle_match} {status}")
+        print(
+            f"replication {replication}: verifier={verifier_ok} "
+            f"auction={auction_match} oracle={oracle_match} {status}"
+        )
     if failures:
         print(f"{failures} of {len(outcomes)} sampled replications failed")
         return 2

@@ -1,10 +1,14 @@
-"""End-to-end scenario experiment: sample, auction, verify, aggregate.
+"""End-to-end scenario experiment: sample, solve, verify, aggregate.
 
-Every replication assembles one market instance from bootstrap draws, runs
-the ascending auction, verifies the equilibrium (a verifier failure aborts
-the whole run) and contributes one row of market-structure statistics.
-Replications are independent and may execute in parallel; results are a pure
-function of (inputs, config, seed) regardless of worker count.
+Every replication assembles one market instance from bootstrap draws,
+computes its minimal markups as min-cost-flow duals
+(:func:`~phosmarket.auction.solve_minimal_markups`), verifies the
+equilibrium (a verifier failure aborts the whole run) and contributes one
+row of market-structure statistics.  The paper's tick-by-tick ascending
+auction is the reference mechanism: :func:`verify_run` re-solves sampled
+replications with it and with the brute-force oracle.  Replications are
+independent and may execute in parallel; results are a pure function of
+(inputs, config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,9 +20,14 @@ from pathlib import Path
 
 from . import bootstrap as bs
 from . import metrics
-from .auction import brute_force_equilibrium, run_english_auction, verify_equilibrium
+from .auction import (
+    brute_force_equilibrium,
+    run_english_auction,
+    solve_minimal_markups,
+    verify_equilibrium,
+)
 from .config import ExperimentConfig
-from .core import Equilibrium, FlowMatrix, MarketInstance, quantize, require_valid
+from .core import Equilibrium, FlowMatrix, MarketInstance, quantize
 from .pipeline import file_digest, read_csv, write_csv
 
 
@@ -35,13 +44,15 @@ class BootstrapDraw:
     d: tuple[int, ...]
     s: tuple[int, ...]
     t: tuple[tuple[int | None, ...], ...]
+    mask: tuple[tuple[bool, ...], ...]
     a: int
     c_o: tuple[int, ...]
     rejections: int
 
     def instance(self) -> MarketInstance:
-        mask = tuple(tuple(cost is not None for cost in row) for row in self.t)
-        return MarketInstance(s=self.s, d=self.d, a=self.a, c_o=self.c_o, t=self.t, mask=mask)
+        return MarketInstance(
+            s=self.s, d=self.d, a=self.a, c_o=self.c_o, t=self.t, mask=self.mask
+        )
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,7 @@ class ExperimentContext:
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
     cost_fit: bs.TradeCostFit
     base_costs: tuple[tuple[float | None, ...], ...]
+    mask: tuple[tuple[bool, ...], ...]  # open supplier-market pairs
     ref_shares: tuple[float, ...]
     reference_index: int
     input_digests: tuple[tuple[str, str], ...]
@@ -164,6 +176,9 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
         cost_fit=cost_fit,
         base_costs=inversion.base_costs,
+        mask=tuple(
+            tuple(cost is not None for cost in row) for row in inversion.base_costs
+        ),
         ref_shares=inversion.ref_shares,
         reference_index=regions.index(config.reference_market),
         input_digests=digests,
@@ -204,15 +219,12 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
         (d_units[j] / total_units) / ref_growth - context.ref_shares[j]
         for j in range(n)
     )
-    mask = tuple(
-        tuple(cost is not None for cost in row) for row in context.base_costs
-    )
     costs = bs.sample_trade_costs(
         context.base_costs,
         share_changes,
         context.cost_fit,
         cost_rng,
-        mask,
+        context.mask,
         scale=config.money_scale,
     )
     a, c_o = bs.calibrate_local_costs(
@@ -224,6 +236,7 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
         d=tuple(d_units),
         s=capacities,
         t=costs,
+        mask=context.mask,
         a=a,
         c_o=c_o,
         rejections=rejections,
@@ -247,8 +260,7 @@ class ReplicationResult:
 def run_replication(context: ExperimentContext, replication: int) -> ReplicationResult:
     draw = assemble_draw(context, replication)
     inst = draw.instance()
-    require_valid(inst)
-    equilibrium = run_english_auction(inst)
+    equilibrium = solve_minimal_markups(inst)
     report = verify_equilibrium(inst, equilibrium)
     if not report.ok:
         witnesses = [
@@ -524,13 +536,19 @@ def downscale_instance(
 
 def verify_run(
     config: ExperimentConfig, *, sample: int = 20
-) -> list[tuple[int, bool, bool]]:
-    """Re-check sampled replications: verifier at full scale, oracle downscaled.
+) -> list[tuple[int, bool, bool, bool]]:
+    """Re-check sampled replications against two independent solvers.
+
+    Each sampled replication is re-run (its equilibrium must pass the
+    verifier) and re-solved at full scale by the ascending auction, whose
+    markups and flows must equal the production solver's.  A down-scaled
+    copy of its instance is solved by both solvers and by the brute-force
+    oracle, whose markups must agree.
 
     When the configured output directory holds a run manifest, its input
     digests must match the current input tables (the saved run would not be
     reproducible otherwise).  Returns ``(replication, verifier_ok,
-    oracle_match)`` per sampled index.
+    auction_match, oracle_match)`` per sampled index.
     """
     context = load_context(config)
     manifest = Path(config.output_dir) / "manifest.txt"
@@ -550,18 +568,18 @@ def verify_run(
     outcomes = []
     for b in range(0, config.replications, step):
         result = run_replication(context, b)  # raises on verifier failure
-        small = downscale_instance(result.draw.instance())
-        auction_small = run_english_auction(small)
-        oracle_small = brute_force_equilibrium(small)
-        outcomes.append(
-            (
-                b,
-                True,
-                auction_small.markups == oracle_small.markups
-                and verify_equilibrium(small, auction_small).ok
-                and verify_equilibrium(small, oracle_small).ok,
-            )
+        inst = result.draw.instance()
+        reference = run_english_auction(inst)
+        auction_match = (
+            reference.markups == result.markups and reference.flows.x == result.flows
         )
+        small = downscale_instance(inst)
+        oracle = brute_force_equilibrium(small)
+        oracle_match = verify_equilibrium(small, oracle).ok and all(
+            eq.markups == oracle.markups and verify_equilibrium(small, eq).ok
+            for eq in (solve_minimal_markups(small), run_english_auction(small))
+        )
+        outcomes.append((b, True, auction_match, oracle_match))
     return outcomes
 
 

@@ -24,6 +24,7 @@ from phosmarket.auction import (
     import_spend,
     local_spend,
     run_english_auction,
+    solve_minimal_markups,
     valuation,
     verify_equilibrium,
 )
@@ -92,6 +93,7 @@ def test_criterion_1_oracle_equivalence():
         assert auction.markups == oracle.markups
         assert verify_equilibrium(inst, auction).ok == verify_equilibrium(inst, oracle).ok
         assert verify_equilibrium(inst, auction).ok
+        assert solve_minimal_markups(inst) == auction
     elapsed = time.time() - started
     assert elapsed < 60
     print(f"ACCEPTANCE 1 (oracle equivalence, 200 instances): PASS [{elapsed:.1f}s]")
@@ -148,10 +150,12 @@ def test_criterion_3_minimal_markup_property():
     for _ in range(50):
         inst = random_instance(rng, m_max=3, n_max=3, s_max=3, d_max=4, cost_max=6, a_max=1)
         auction = run_english_auction(inst)
+        dual = solve_minimal_markups(inst)
         equilibria = _grid_equilibria(inst)
         assert equilibria, "grid enumeration found no equilibrium"
         for markups in equilibria:
             assert all(a <= b for a, b in zip(auction.markups, markups))
+            assert all(a <= b for a, b in zip(dual.markups, markups))
     elapsed = time.time() - started
     assert elapsed < 120
     print(f"ACCEPTANCE 3 (componentwise minimality, 50 instances): PASS [{elapsed:.1f}s]")

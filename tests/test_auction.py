@@ -16,9 +16,12 @@ from phosmarket.auction import (
     import_spend,
     local_spend,
     run_english_auction,
+    solve_minimal_markups,
     valuation,
     verify_equilibrium,
 )
+
+SOLVERS = (run_english_auction, solve_minimal_markups)
 
 
 def make(s, d, a, c_o, t):
@@ -204,28 +207,31 @@ def test_demand_bundle_rejects_negative_markups():
 
 def test_auction_two_market_example():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
-    eq = run_english_auction(inst)
-    assert eq.markups == (5,)
-    assert eq.flows.x == ((1, 0),)
-    assert verify_equilibrium(inst, eq).ok
+    for solve in SOLVERS:
+        eq = solve(inst)
+        assert eq.markups == (5,)
+        assert eq.flows.x == ((1, 0),)
+        assert verify_equilibrium(inst, eq).ok
 
 
 def test_auction_no_scarcity_keeps_zero_markups():
     inst = make([5, 5], [2, 2], 1, [20, 20], [[1, 1], [2, 2]])
-    eq = run_english_auction(inst)
-    assert eq.markups == (0, 0)
     bundles = [demand_bundle(j, (0, 0), inst) for j in range(inst.n)]
-    assert eq.flows.x == tuple(
-        tuple(bundles[j].z[i] for j in range(inst.n)) for i in range(inst.m)
-    )
+    for solve in SOLVERS:
+        eq = solve(inst)
+        assert eq.markups == (0, 0)
+        assert eq.flows.x == tuple(
+            tuple(bundles[j].z[i] for j in range(inst.n)) for i in range(inst.m)
+        )
 
 
 def test_auction_masked_supplier_stays_at_zero():
     inst = make([2], [2, 2], 1, [10, 10], [[None, None]])
-    eq = run_english_auction(inst)
-    assert eq.markups == (0,)
-    assert eq.flows.x == ((0, 0),)
-    assert verify_equilibrium(inst, eq).ok
+    for solve in SOLVERS:
+        eq = solve(inst)
+        assert eq.markups == (0,)
+        assert eq.flows.x == ((0, 0),)
+        assert verify_equilibrium(inst, eq).ok
 
 
 def test_auction_markups_never_decrease():
@@ -242,9 +248,10 @@ def test_auction_resolves_demand_ties_without_overshoot():
     # Identical suppliers, capacity exactly equals demand: minimal markups are
     # zero and require splitting tied demand across both suppliers.
     inst = make([1, 1], [1, 1], 0, [10, 10], [[0, 0], [0, 0]])
-    eq = run_english_auction(inst)
-    assert eq.markups == (0, 0)
-    assert verify_equilibrium(inst, eq).ok
+    for solve in SOLVERS:
+        eq = solve(inst)
+        assert eq.markups == (0, 0)
+        assert verify_equilibrium(inst, eq).ok
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +324,4 @@ def test_auction_agrees_with_oracle(seed):
     assert eq.markups == oracle.markups
     assert verify_equilibrium(inst, eq).ok
     assert verify_equilibrium(inst, oracle).ok
+    assert solve_minimal_markups(inst) == eq

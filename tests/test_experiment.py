@@ -1,12 +1,20 @@
 """Configuration parsing, draw assembly, report emission and the CLI."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from phosmarket import experiment
+from phosmarket.auction import (
+    ConditionCheck,
+    VerificationReport,
+    run_english_auction,
+    solve_minimal_markups,
+)
 from phosmarket.cli import main
 from phosmarket.config import ConfigError, ExperimentConfig, load_config
-from phosmarket.core import validate_instance
+from phosmarket.core import Equilibrium, validate_instance
 from phosmarket.experiment import (
     ExperimentError,
     aggregate,
@@ -16,6 +24,7 @@ from phosmarket.experiment import (
     load_context,
     run_experiment,
     run_replication,
+    verify_run,
 )
 from phosmarket.pipeline import read_csv
 
@@ -142,6 +151,16 @@ def test_replication_passes_verifier_and_masks_flows(tmp_path):
     assert sum(result.sold) > 0
 
 
+def test_dual_solver_matches_auction_on_fixture_draws():
+    # Reports stay byte-identical only if the production solver reproduces
+    # the auction's markups and flows on the committed fixture.
+    config = load_config(DATA / "fixture_bau.cfg")
+    context = load_context(dataclasses.replace(config, data_dir=DATA))
+    for b in range(25):
+        inst = assemble_draw(context, b).instance()
+        assert solve_minimal_markups(inst) == run_english_auction(inst), b
+
+
 def test_single_replication_report_has_zero_sd(tmp_path):
     config = fixture_config(tmp_path, replications=1)
     report = run_experiment(config)
@@ -224,10 +243,30 @@ def test_verify_rejects_run_with_changed_inputs(tmp_path):
     import re
 
     manifest.write_text(re.sub(r"digest_flows: \w+", "digest_flows: 0000", text))
-    from phosmarket.experiment import verify_run
-
     with pytest.raises(ExperimentError, match="changed since the saved run"):
         verify_run(config, sample=1)
+
+
+def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, replications=2)
+
+    def wrong_markup(inst, *, trace=None):
+        eq = solve_minimal_markups(inst, trace=trace)
+        return Equilibrium((eq.markups[0] + 1, *eq.markups[1:]), eq.flows)
+
+    monkeypatch.setattr(experiment, "solve_minimal_markups", wrong_markup)
+    assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
+    assert "replication 0" in capsys.readouterr().err
+
+    # With the verifier fooled, the auction cross-check alone still fails.
+    passed = ConditionCheck(True)
+    monkeypatch.setattr(
+        experiment, "verify_equilibrium", lambda inst, eq: VerificationReport(passed, passed, passed)
+    )
+    outcomes = verify_run(load_config(path), sample=2)
+    assert [(b, auction_match) for b, _, auction_match, _ in outcomes] == [(0, False), (1, False)]
+    assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
+    assert "replication 0: verifier=True auction=False" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
