@@ -10,9 +10,11 @@ computed exactly on the integer cost grid by a waterline search
 
 Production computes the componentwise smallest equilibrium markups as the
 minimal optimal dual potentials of a convex-cost min-cost flow
-(:func:`solve_minimal_markups`); its cost depends neither on the money grid
-nor on 2^m.  The paper's ascending auction (:func:`run_english_auction`) is
-kept as the reference mechanism.  It raises markups along steepest-descent
+(:func:`solve_minimal_markups`), solved by capacity scaling with Dijkstra
+on reduced costs; its cost depends neither on the money grid nor on 2^m,
+and grows with the logarithm of the largest demand rather than with the
+total unit count.  The paper's ascending auction
+(:func:`run_english_auction`) is kept as the reference mechanism.  It raises markups along steepest-descent
 directions of the aggregate objective ``sum_j V_j(p) + p . s`` (indirect
 buyer surplus plus the value of unsold capacity).  Raising every
 overdemanded supplier by one tick is the generic special case of this rule;
@@ -24,6 +26,7 @@ are certified against :func:`brute_force_equilibrium` in the tests.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import deque
@@ -254,26 +257,38 @@ def solve_minimal_markups(
     the suppliers ``0..m-1``, the markets ``m..m+n-1`` and a source S; its
     arcs are S -> supplier i (capacity ``s_i``, cost 0), S -> market j
     (local supply, the u-th unit costs ``c_oj + a(2u-1)``) and supplier i ->
-    market j on open pairs (the u-th unit costs ``t_ij + a(2u-1)``).  Each
-    market drains ``d_j`` units into a sink, left implicit: an augmenting
-    path ends at a market whose demand is not yet met.
+    market j on open pairs (the u-th unit costs ``t_ij + a(2u-1)``).  S
+    holds ``sum(d)`` units of excess and market j a deficit of ``d_j``; the
+    sink that drains the markets is left implicit.
 
-    ``sum(d)`` units are pushed one at a time along shortest paths found by
-    Bellman-Ford (SPFA), since a backward residual arc costs minus the
-    marginal cost of the last unit on it.  In the final residual network,
-    with a zero-cost disposal arc from each supplier back to S,
-    ``p_i = -dist(i -> S)`` is the smallest optimal dual potential, which is
-    the minimal Walrasian markup vector that the ascending auction reaches.
-    The flows come from :func:`_allocate` at those markups, as in the
-    auction, never from the flow solution.
+    The flow is found by capacity scaling (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 14): for Delta = the largest power of two <= ``max(d)``
+    down to 1, units move in chunks of Delta.  An arc carrying f units costs
+    ``base*f + slope*f**2``, so a chunk costs ``base + slope*(2f + Delta)``
+    per unit forward and ``-(base + slope*(2f - Delta))`` per unit backward.
+    Each phase first pushes Delta on every Delta-residual arc of negative
+    reduced cost ``c + pi_u - pi_v``, then repeatedly runs a multi-source
+    Dijkstra on reduced costs from the nodes with excess >= Delta to the
+    nearest node with deficit >= Delta, sends Delta along that path and
+    raises the potentials by the distances (capped at the target's).  The
+    last phase, Delta = 1, leaves an optimal integer flow.
+
+    In that flow's residual network, with a zero-cost disposal arc from
+    each supplier back to S, a reverse Bellman-Ford gives ``p_i = -dist(i ->
+    S)``, the smallest optimal dual potential.  Optimal duals do not depend
+    on which optimal flow was found, so this is the minimal Walrasian markup
+    vector that the ascending auction reaches.  The flows come from
+    :func:`_allocate` at those markups, as in the auction, never from the
+    flow solution.
 
     A ``trace`` list, when given, receives the node path of every
-    augmenting path.
+    Delta-augmentation.
     """
     require_valid(inst)
     m, n = inst.m, inst.n
     source = m + n
-    # Arc k runs tail[k] -> head[k]; its u-th unit costs base[k] + slope[k]*(2u-1).
+    nodes = source + 1
+    # Arc k runs tail[k] -> head[k]; f units on it cost base[k]*f + slope[k]*f**2.
     tail: list[int] = []
     head: list[int] = []
     base: list[int] = []
@@ -294,67 +309,112 @@ def solve_minimal_markups(
         for i in range(m):
             if inst.mask[i][j]:
                 add_arc(i, m + j, inst.trade_cost(i, j), inst.a, min(inst.s[i], inst.d[j]))
+    arcs = range(len(tail))
     flow = [0] * len(tail)
-    touching: list[list[int]] = [[] for _ in range(source + 1)]
-    for k in range(len(tail)):
-        touching[tail[k]].append(k)
-        touching[head[k]].append(k)
+    leaving: list[list[int]] = [[] for _ in range(nodes)]
+    entering: list[list[int]] = [[] for _ in range(nodes)]
+    for k in arcs:
+        leaving[tail[k]].append(k)
+        entering[head[k]].append(k)
+    excess = [0] * source + [sum(inst.d)]
+    for j in range(n):
+        excess[m + j] = -inst.d[j]
+    pi = [0] * nodes
 
-    def residual(u: int) -> Iterator[tuple[int, int, int]]:
-        """Residual arcs leaving u as ``(arc, node reached, cost)``."""
-        for k in touching[u]:
-            f = flow[k]
-            if tail[k] == u:
-                if f < cap[k]:
-                    yield k, head[k], base[k] + slope[k] * (2 * f + 1)
-            elif f > 0:
-                yield k, tail[k], -(base[k] + slope[k] * (2 * f - 1))
+    def push(k: int, units: int) -> None:
+        """Move ``units`` along arc k (backward when negative)."""
+        flow[k] += units
+        excess[tail[k]] -= units
+        excess[head[k]] += units
 
-    unmet = list(inst.d)
-    for _ in range(sum(inst.d)):
-        dist = [math.inf] * (source + 1)
-        via = [-1] * (source + 1)
-        dist[source] = 0
-        queue = deque([source])
-        queued = [False] * (source + 1)
-        queued[source] = True
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            for k, v, cost in residual(u):
-                if dist[u] + cost < dist[v]:
-                    dist[v] = dist[u] + cost
-                    via[v] = k
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
-        target = min((m + j for j in range(n) if unmet[j]), key=dist.__getitem__)
-        unmet[target - m] -= 1
-        path = [target]
-        v = target
-        while v != source:
-            k = via[v]
-            if head[k] == v:
-                flow[k] += 1
-                v = tail[k]
-            else:
-                flow[k] -= 1
-                v = head[k]
-            path.append(v)
-        if trace is not None:
-            trace.append(tuple(reversed(path)))
+    delta = 1 << (max(inst.d).bit_length() - 1)
+    while delta:
+        for k in arcs:
+            f, u, v = flow[k], tail[k], head[k]
+            if cap[k] - f >= delta and base[k] + slope[k] * (2 * f + delta) + pi[u] < pi[v]:
+                push(k, delta)
+            elif f >= delta and base[k] + slope[k] * (2 * f - delta) + pi[u] > pi[v]:
+                push(k, -delta)
+        while True:
+            # via[v] encodes the arc that reached v: 2k forward, 2k+1 backward.
+            dist = [math.inf] * nodes
+            via = [-1] * nodes
+            settled = [False] * nodes
+            heap = [(0, u) for u in range(nodes) if excess[u] >= delta]
+            for _, u in heap:
+                dist[u] = 0
+            target = -1
+            while heap:
+                du, u = heapq.heappop(heap)
+                if settled[u]:
+                    continue
+                settled[u] = True
+                if excess[u] <= -delta:
+                    target = u
+                    break
+                for k in leaving[u]:
+                    f, v = flow[k], head[k]
+                    if cap[k] - f >= delta and not settled[v]:
+                        dv = du + base[k] + slope[k] * (2 * f + delta) + pi[u] - pi[v]
+                        if dv < dist[v]:
+                            dist[v] = dv
+                            via[v] = 2 * k
+                            heapq.heappush(heap, (dv, v))
+                for k in entering[u]:
+                    f, v = flow[k], tail[k]
+                    if f >= delta and not settled[v]:
+                        dv = du - base[k] - slope[k] * (2 * f - delta) + pi[u] - pi[v]
+                        if dv < dist[v]:
+                            dist[v] = dv
+                            via[v] = 2 * k + 1
+                            heapq.heappush(heap, (dv, v))
+            if target < 0:
+                break
+            reach = dist[target]
+            for v in range(nodes):
+                pi[v] += dist[v] if settled[v] else reach  # type: ignore[assignment]
+            path = [target]
+            v = target
+            while via[v] >= 0:
+                k, backward = divmod(via[v], 2)
+                if backward:
+                    push(k, -delta)
+                    v = head[k]
+                else:
+                    push(k, delta)
+                    v = tail[k]
+                path.append(v)
+            if trace is not None:
+                trace.append(tuple(reversed(path)))
+        delta >>= 1
+    if any(excess):
+        raise AuctionError("capacity scaling left unmet demand")
+
+    def residual(u: int) -> Iterator[tuple[int, int]]:
+        """Unit residual arcs leaving u as ``(node reached, cost)``."""
+        for k in leaving[u]:
+            if flow[k] < cap[k]:
+                yield head[k], base[k] + slope[k] * (2 * flow[k] + 1)
+        for k in entering[u]:
+            if flow[k] > 0:
+                yield tail[k], -(base[k] + slope[k] * (2 * flow[k] - 1))
 
     # Reverse Bellman-Ford: to_source[v] = dist(v -> S); the disposal arcs
     # give every supplier a zero-cost way back to S, so markups are >= 0.
+    # Distances settle within `nodes` passes unless the flow is not optimal
+    # and its residual network holds a negative cycle.
     to_source = [0] * m + [math.inf] * n + [0]
-    changed = True
-    while changed:
+    for _ in range(nodes + 1):
         changed = False
         for u in range(source):
-            for _, v, cost in residual(u):
+            for v, cost in residual(u):
                 if cost + to_source[v] < to_source[u]:
                     to_source[u] = cost + to_source[v]
                     changed = True
+        if not changed:
+            break
+    else:
+        raise AuctionError("negative residual cycle; the min-cost flow is not optimal")
     markups = tuple(-int(to_source[i]) for i in range(m))
     return Equilibrium(markups, _allocate(inst, markups))
 

@@ -123,6 +123,7 @@ def fit_two_stage(series: RegionSeries) -> TwoStageFit:
 
 def wild_bootstrap_demand(
     series: RegionSeries,
+    fit: TwoStageFit,
     z_scenario: float,
     B: int,
     rng: np.random.Generator,
@@ -132,7 +133,9 @@ def wild_bootstrap_demand(
 ) -> tuple[list[float], int]:
     """Draw ``B`` scenario demand values (Mt) by wild residual bootstrap.
 
-    Each draw simulates both equations with independent Rademacher weights,
+    ``fit`` is ``fit_two_stage(series)``, which depends only on the series,
+    so callers fit once and reuse it across replications.  Each draw
+    simulates both equations with independent Rademacher weights,
     re-estimates the coefficients on the simulated data and predicts demand at
     the scenario value of the instrument.  Draws that are not positive (or
     fall below ``min_value``, the smallest quantizable demand) are rejected
@@ -140,7 +143,6 @@ def wild_bootstrap_demand(
     """
     if B < 1:
         raise ValueError("at least one replication is required")
-    fit = fit_two_stage(series)
     z = np.asarray(series.z)
     u1 = np.asarray(fit.u1)
     u2 = np.asarray(fit.u2)
@@ -457,7 +459,9 @@ def calibrate_local_costs(
     With unit market price equal to one relative unit, the inventory constant
     is ``theta`` over global demand (rounded to the money grid) and each
     market's unit cost absorbs the remainder so that the average local unit
-    cost at full demand is exactly one: ``a * d_j + c_oj == scale``.
+    cost at full demand is exactly one: ``a * d_j + c_oj == scale``.  Only
+    ``theta == 0`` gives flat local marginal costs (``a == 0``); a positive
+    ``theta`` that rounds to ``a == 0`` on the money grid is an error.
     """
     if any(d < 1 for d in demands):
         raise ValueError("demands must be >= 1 unit")
@@ -465,6 +469,12 @@ def calibrate_local_costs(
         raise ValueError("theta must be nonnegative")
     total = sum(demands)
     a = to_minor(theta / total, scale)
+    if theta > 0 and a == 0:
+        raise CalibrationError(
+            f"theta={theta} over {total} demand units rounds the inventory "
+            f"constant to 0 at money_scale {scale} (flat local costs); raise "
+            "money_scale or theta, or coarsen the goods unit"
+        )
     c_o = tuple(scale - a * d for d in demands)
     if any(c <= 0 for c in c_o):
         raise CalibrationError(

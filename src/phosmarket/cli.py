@@ -57,13 +57,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .bootstrap import fit_two_stage
-
     config = load_config(args.config)
     context = load_context(config)
     rows: list[list[object]] = []
-    for series in context.series:
-        fit = fit_two_stage(series)
+    for series, fit in zip(context.series, context.demand_fits):
         rows.append(
             [
                 "demand",

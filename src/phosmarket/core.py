@@ -36,11 +36,6 @@ def to_minor(value: float, scale: int = MONEY_SCALE) -> int:
     return -int(math.floor(-value * scale + 0.5))
 
 
-def to_relative(minor: int, scale: int = MONEY_SCALE) -> float:
-    """Express integer minor units as a relative cost value."""
-    return minor / scale
-
-
 @dataclass(frozen=True)
 class MarketInstance:
     """One fully calibrated auction problem.
@@ -143,11 +138,6 @@ class FlowMatrix:
     @staticmethod
     def from_rows(rows: list[list[int]]) -> FlowMatrix:
         return FlowMatrix(tuple(tuple(row) for row in rows))
-
-
-def local_quantities(flows: FlowMatrix, inst: MarketInstance) -> tuple[int, ...]:
-    """Per-market local supply implied by demand minus imports."""
-    return tuple(inst.d[j] - flows.market_total(j) for j in range(inst.n))
 
 
 def validate_flows(flows: FlowMatrix, inst: MarketInstance) -> list[str]:

@@ -27,7 +27,7 @@ from .auction import (
     verify_equilibrium,
 )
 from .config import ExperimentConfig
-from .core import Equilibrium, FlowMatrix, MarketInstance, quantize
+from .core import MarketInstance, quantize
 from .pipeline import file_digest, read_csv, write_csv
 
 
@@ -63,6 +63,7 @@ class ExperimentContext:
     suppliers: tuple[str, ...]
     regions: tuple[str, ...]
     series: tuple[bs.RegionSeries, ...]
+    demand_fits: tuple[bs.TwoStageFit, ...]  # fit_two_stage of each series
     z_scenario: tuple[float, ...]
     shares: tuple[float, ...]  # supplier share estimates, unitless
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
@@ -171,6 +172,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         suppliers=suppliers,
         regions=regions,
         series=tuple(series_list),
+        demand_fits=tuple(bs.fit_two_stage(series) for series in series_list),
         z_scenario=tuple(z_scenario[region] for region in regions),
         shares=tuple(share_map[supplier] for supplier in suppliers),
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
@@ -199,6 +201,7 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
     for j in range(n):
         draws, rejected = bs.wild_bootstrap_demand(
             context.series[j],
+            context.demand_fits[j],
             context.z_scenario[j],
             1,
             demand_rngs[j],
@@ -581,8 +584,3 @@ def verify_run(
         )
         outcomes.append((b, True, auction_match, oracle_match))
     return outcomes
-
-
-def equilibrium_of(result: ReplicationResult) -> Equilibrium:
-    """Rehydrate the stored equilibrium of a replication result."""
-    return Equilibrium(result.markups, FlowMatrix(result.flows))

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FlowMatrix, MarketInstance, local_quantities
+from .core import FlowMatrix, MarketInstance
 
 
 def concentration(j: int, flows: FlowMatrix, inst: MarketInstance) -> float:
@@ -49,60 +49,6 @@ def local_share(j: int, flows: FlowMatrix, inst: MarketInstance) -> float:
 def global_supplier_share(i: int, flows: FlowMatrix, demands: Sequence[int]) -> float:
     """Supplier i's sales as a share of total demand across all markets."""
     return flows.supplier_total(i) / sum(demands)
-
-
-@dataclass(frozen=True)
-class MarketStructureRow:
-    """Demand-side structure of one market in one equilibrium."""
-
-    market: int
-    concentration: float
-    local_share: float
-    shares: tuple[float, ...]  # local first, then suppliers by index
-
-
-@dataclass(frozen=True)
-class SupplierStructureRow:
-    """Supply-side structure of one supplier in one equilibrium."""
-
-    supplier: int
-    diversification: float | None
-    global_share: float
-    sold: int
-    fully_utilized: bool
-
-
-def market_structure_rows(inst: MarketInstance, flows: FlowMatrix) -> list[MarketStructureRow]:
-    local = local_quantities(flows, inst)
-    rows = []
-    for j in range(inst.n):
-        d = inst.d[j]
-        shares = (local[j] / d, *(flows.x[i][j] / d for i in range(inst.m)))
-        rows.append(
-            MarketStructureRow(
-                market=j,
-                concentration=concentration(j, flows, inst),
-                local_share=local[j] / d,
-                shares=shares,
-            )
-        )
-    return rows
-
-
-def supplier_structure_rows(inst: MarketInstance, flows: FlowMatrix) -> list[SupplierStructureRow]:
-    rows = []
-    for i in range(inst.m):
-        sold = flows.supplier_total(i)
-        rows.append(
-            SupplierStructureRow(
-                supplier=i,
-                diversification=diversification(i, flows, inst) if inst.n > 1 else None,
-                global_share=global_supplier_share(i, flows, inst.d),
-                sold=sold,
-                fully_utilized=sold == inst.s[i],
-            )
-        )
-    return rows
 
 
 def mean_sd(values: Sequence[float]) -> tuple[float, float]:

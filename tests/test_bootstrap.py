@@ -81,7 +81,8 @@ def test_fit_two_stage_degenerate_instrument():
 
 def test_wild_bootstrap_degenerates_to_point_prediction():
     rng = np.random.default_rng(1)
-    draws, rejected = wild_bootstrap_demand(exact_series(), 4.0, 50, rng)
+    series = exact_series()
+    draws, rejected = wild_bootstrap_demand(series, fit_two_stage(series), 4.0, 50, rng)
     assert rejected == 0
     assert all(d == pytest.approx(6.0 * 4.0) for d in draws)
 
@@ -89,12 +90,14 @@ def test_wild_bootstrap_degenerates_to_point_prediction():
 def test_wild_bootstrap_zero_scenario_exhausts_redraws():
     rng = np.random.default_rng(2)
     with pytest.raises(CalibrationError):
-        wild_bootstrap_demand(exact_series(), 0.0, 1, rng)
+        series = exact_series()
+        wild_bootstrap_demand(series, fit_two_stage(series), 0.0, 1, rng)
 
 
 def test_wild_bootstrap_needs_replications():
+    series = exact_series()
     with pytest.raises(ValueError):
-        wild_bootstrap_demand(exact_series(), 1.0, 0, np.random.default_rng(3))
+        wild_bootstrap_demand(series, fit_two_stage(series), 1.0, 0, np.random.default_rng(3))
 
 
 def noisy_series():
@@ -109,7 +112,7 @@ def test_wild_bootstrap_centering():
     series = noisy_series()
     fit = fit_two_stage(series)
     point = fit.beta * fit.alpha * 2.5
-    draws, _ = wild_bootstrap_demand(series, 2.5, 1000, np.random.default_rng(7))
+    draws, _ = wild_bootstrap_demand(series, fit, 2.5, 1000, np.random.default_rng(7))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - point) < 3 * se
@@ -327,6 +330,15 @@ def test_calibrate_flat_costs_when_theta_zero():
     a, c_o = calibrate_local_costs([10, 30], theta=0.0, scale=100)
     assert a == 0
     assert c_o == (100, 100)
+
+
+def test_calibrate_rejects_inventory_constant_rounded_to_zero():
+    # 0.5 / 120 units is 0.42 minor units at scale 100, which rounds to 0:
+    # a positive theta must not silently give flat local costs.
+    with pytest.raises(CalibrationError, match="rounds the inventory constant to 0"):
+        calibrate_local_costs([60, 60], theta=0.5, scale=100)
+    assert calibrate_local_costs([60, 60], theta=0.0, scale=100) == (0, (100, 100))
+    assert calibrate_local_costs([60, 60], theta=0.5, scale=1000) == (4, (760, 760))
 
 
 def test_calibrate_matches_worked_example():

@@ -5,13 +5,12 @@ import pytest
 from phosmarket.core import (
     FlowMatrix,
     MarketInstance,
-    local_quantities,
     quantize,
     to_minor,
-    to_relative,
     validate_flows,
     validate_instance,
 )
+from phosmarket.metrics import local_share
 
 
 def small_instance(**overrides):
@@ -76,7 +75,7 @@ def test_flow_validation_catches_each_violation():
 def test_local_supply_is_derived_from_demand():
     inst = small_instance()
     flows = FlowMatrix.from_rows([[1, 0], [1, 1]])
-    assert local_quantities(flows, inst) == (1, 1)
+    assert [local_share(j, flows, inst) * inst.d[j] for j in range(inst.n)] == [1, 1]
 
 
 def test_quantize_rounds_half_up():
@@ -91,4 +90,4 @@ def test_money_roundtrip():
     assert to_minor(0.07) == 7
     assert to_minor(0.005, 1000) == 5
     assert to_minor(-0.07) == -7
-    assert to_relative(7) == pytest.approx(0.07)
+    assert to_minor(7 / 100) == 7

@@ -316,6 +316,14 @@ def test_cli_reports_validation_errors_with_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_simulate_exits_1_when_inventory_constant_rounds_to_zero(tmp_path, capsys):
+    path = write_config(tmp_path, theta=0.01)
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "rounds the inventory constant to 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, data_dir=tmp_path / "missing")
     assert main(["simulate", "--config", str(path)]) == 2

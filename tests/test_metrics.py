@@ -13,9 +13,7 @@ from phosmarket.metrics import (
     entry_floor_summary,
     global_supplier_share,
     local_share,
-    market_structure_rows,
     mean_sd,
-    supplier_structure_rows,
 )
 
 
@@ -125,13 +123,12 @@ def test_shares_account_for_all_demand():
 def test_structure_rows_are_consistent():
     inst = instance(2, 2, [3, 3], [4, 5])
     flows = FlowMatrix.from_rows([[2, 1], [0, 3]])
-    market_rows = market_structure_rows(inst, flows)
-    for row in market_rows:
-        assert sum(row.shares) == pytest.approx(1.0)
-        assert row.shares[0] == pytest.approx(row.local_share)
-    supplier_rows = supplier_structure_rows(inst, flows)
-    assert supplier_rows[0].sold == 3 and supplier_rows[0].fully_utilized
-    assert supplier_rows[1].sold == 3 and supplier_rows[1].fully_utilized
+    for j in range(inst.n):
+        imported = sum(flows.x[i][j] for i in range(inst.m)) / inst.d[j]
+        assert local_share(j, flows, inst) + imported == pytest.approx(1.0)
+    for i in range(inst.m):
+        assert flows.supplier_total(i) == inst.s[i] == 3
+        assert global_supplier_share(i, flows, inst.d) == pytest.approx(3 / 9)
 
 
 def test_mean_sd_conventions():

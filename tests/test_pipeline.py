@@ -10,12 +10,10 @@ from phosmarket.pipeline import (
     compile_trade_flows,
     convert_to_p2o5,
     derive_application_rates,
-    growth_percent,
     harmonize_local_supply,
     read_csv,
     run_pipeline,
     scenario_fertilizer_use,
-    world_total,
     write_csv,
 )
 
@@ -204,13 +202,6 @@ def test_region_totals_ignore_row_order():
     forward = scenario_fertilizer_use(rates, dict(base), REGIONS)
     backward = scenario_fertilizer_use(rates, dict(reversed(base)), REGIONS)
     assert forward == backward
-
-
-def test_world_total_and_growth():
-    assert world_total({"a": 1.5, "b": 2.5}) == pytest.approx(4.0)
-    assert growth_percent(40.0, 50.0) == pytest.approx(25.0)
-    with pytest.raises(ValueError):
-        growth_percent(0.0, 1.0)
 
 
 def test_run_pipeline_emits_tables_with_provenance(tmp_path):
