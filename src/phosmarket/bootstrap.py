@@ -10,7 +10,10 @@ at unit market price.
 
 All samplers take an explicit, replication-indexed random stream derived from
 the master seed by a counter-based scheme, so replications are independent
-and insensitive to worker scheduling.
+and insensitive to worker scheduling.  The streams are
+:class:`~phosmarket.rng.Stream` objects, pure-Python PCG64 streams that draw
+exactly what NumPy's ``default_rng`` would from the same ``SeedSequence``;
+dot products sum sequentially in index order.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import quantize, to_minor
+from .rng import SeedSequence, Stream
 
 
 class CalibrationError(ValueError):
@@ -29,18 +31,19 @@ class CalibrationError(ValueError):
 
 def replication_streams(
     master_seed: int, replication: int, n_regions: int
-) -> tuple[list[np.random.Generator], np.random.Generator, np.random.Generator]:
+) -> tuple[list[Stream], Stream, Stream]:
     """Independent per-purpose RNG streams for one bootstrap replication."""
-    root = np.random.SeedSequence([master_seed, replication])
-    children = root.spawn(n_regions + 2)
-    demand = [np.random.default_rng(ss) for ss in children[:n_regions]]
-    capacity = np.random.default_rng(children[n_regions])
-    costs = np.random.default_rng(children[n_regions + 1])
-    return demand, capacity, costs
+    children = SeedSequence([master_seed, replication]).spawn(n_regions + 2)
+    demand = [Stream(ss) for ss in children[:n_regions]]
+    return demand, Stream(children[n_regions]), Stream(children[n_regions + 1])
 
 
-def _rademacher(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.integers(0, 2, size=size) * 2 - 1
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Inner product summed in index order."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +105,20 @@ class TwoStageFit:
 
 def fit_two_stage(series: RegionSeries) -> TwoStageFit:
     """Fit ``x = alpha z`` and ``y = beta x`` with instrument ``z``."""
-    z = np.asarray(series.z)
-    x = np.asarray(series.x)
-    y = np.asarray(series.y)
-    zz = float(z @ z)
-    zx = float(z @ x)
+    z, x, y = series.z, series.x, series.y
+    zz = _dot(z, z)
+    zx = _dot(z, x)
     if zz == 0.0:
         raise CalibrationError(f"{series.region}: instrument series is all zero")
     if zx == 0.0:
         raise CalibrationError(f"{series.region}: degenerate first stage (z.x = 0)")
     alpha = zx / zz
-    beta = float(z @ y) / zx
+    beta = _dot(z, y) / zx
     return TwoStageFit(
         alpha=alpha,
         beta=beta,
-        u1=tuple(y - beta * x),
-        u2=tuple(x - alpha * z),
+        u1=tuple(yk - beta * xk for yk, xk in zip(y, x)),
+        u2=tuple(xk - alpha * zk for xk, zk in zip(x, z)),
     )
 
 
@@ -126,7 +127,7 @@ def wild_bootstrap_demand(
     fit: TwoStageFit,
     z_scenario: float,
     B: int,
-    rng: np.random.Generator,
+    rng: Stream,
     *,
     min_value: float = 0.0,
     max_redraws: int = 100,
@@ -143,24 +144,23 @@ def wild_bootstrap_demand(
     """
     if B < 1:
         raise ValueError("at least one replication is required")
-    z = np.asarray(series.z)
-    u1 = np.asarray(fit.u1)
-    u2 = np.asarray(fit.u2)
-    zz = float(z @ z)
+    z, u1, u2 = series.z, fit.u1, fit.u2
+    alpha, beta = fit.alpha, fit.beta
+    zz = _dot(z, z)
     p = len(z)
 
     draws: list[float] = []
     rejected = 0
     for _ in range(B):
         for _attempt in range(max_redraws + 1):
-            w2 = _rademacher(rng, p)
-            w1 = _rademacher(rng, p)
-            x_star = fit.alpha * z + w2 * u2
-            y_star = fit.beta * x_star + w1 * u1
-            zx_star = float(z @ x_star)
+            w2 = rng.signs(p)
+            w1 = rng.signs(p)
+            x_star = [alpha * zk + w * uk for zk, w, uk in zip(z, w2, u2)]
+            y_star = [beta * xk + w * uk for xk, w, uk in zip(x_star, w1, u1)]
+            zx_star = _dot(z, x_star)
             if zx_star != 0.0:
                 alpha_star = zx_star / zz
-                beta_star = float(z @ y_star) / zx_star
+                beta_star = _dot(z, y_star) / zx_star
                 draw = beta_star * alpha_star * z_scenario
                 if draw > 0.0 and draw >= min_value:
                     draws.append(draw)
@@ -211,7 +211,7 @@ def sample_capacity(
     global_demand_draw: float,
     share_estimates: Sequence[float],
     deviation_pool: Sequence[float],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> tuple[int, ...]:
     """One capacity draw per supplier, in goods units (clamped at one unit)."""
     if not deviation_pool:
@@ -220,8 +220,8 @@ def sample_capacity(
         raise ValueError("share estimates must be nonnegative")
     capacities = []
     for share in share_estimates:
-        delta = deviation_pool[int(rng.integers(len(deviation_pool)))]
-        sign = int(rng.integers(0, 2)) * 2 - 1
+        delta = deviation_pool[rng.below(len(deviation_pool))]
+        sign = rng.below(2) * 2 - 1
         value = share * global_demand_draw + sign * delta
         capacities.append(max(1, quantize(value, 1.0) if value > 0 else 0))
     return tuple(capacities)
@@ -389,10 +389,10 @@ def fit_trade_cost_regression(
     """Ordinary least squares of ``w`` on ``v`` through the origin."""
     if len(w) != len(v):
         raise ValueError("w and v must have equal length")
-    vv = sum(x * x for x in v)
+    vv = _dot(v, v)
     if vv == 0.0:
         raise CalibrationError("degenerate share-change regressor (v.v = 0)")
-    gamma = sum(a * b for a, b in zip(v, w)) / vv
+    gamma = _dot(v, w) / vv
     residuals = tuple(a - gamma * b for a, b in zip(w, v))
     return TradeCostFit(
         gamma=gamma,
@@ -407,7 +407,7 @@ def sample_trade_costs(
     base_costs: Sequence[Sequence[float | None]],
     scenario_share_changes: Sequence[float],
     fit: TradeCostFit,
-    rng: np.random.Generator,
+    rng: Stream,
     mask: Sequence[Sequence[bool]],
     *,
     scale: int,
@@ -419,12 +419,10 @@ def sample_trade_costs(
     market's scenario share change plus a sign-flipped resampled residual,
     clamped at zero cost.
     """
-    v = np.asarray(fit.v)
-    residuals = np.asarray(fit.residuals)
-    vv = float(v @ v)
-    signs = _rademacher(rng, len(residuals))
-    w_star = fit.gamma * v + signs * residuals
-    gamma_star = float(v @ w_star) / vv
+    v, residuals = fit.v, fit.residuals
+    signs = rng.signs(len(residuals))
+    w_star = [fit.gamma * vk + sign * r for vk, sign, r in zip(v, signs, residuals)]
+    gamma_star = _dot(v, w_star) / _dot(v, v)
 
     rows: list[tuple[int | None, ...]] = []
     for i, base_row in enumerate(base_costs):
@@ -439,8 +437,8 @@ def sample_trade_costs(
                 raise ValueError(f"missing base cost on open pair ({i}, {j})")
             noise = 0.0
             if len(residuals):
-                eps = float(residuals[int(rng.integers(len(residuals)))])
-                noise = float(int(rng.integers(0, 2)) * 2 - 1) * eps
+                eps = residuals[rng.below(len(residuals))]
+                noise = (rng.below(2) * 2 - 1) * eps
             value = base + gamma_star * scenario_share_changes[j] + noise
             row.append(max(0, to_minor(value, scale)))
         rows.append(tuple(row))

@@ -28,6 +28,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.money_scale < 1:

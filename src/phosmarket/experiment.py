@@ -319,9 +319,7 @@ def run_experiment(config: ExperimentConfig) -> ScenarioReport:
     indices = range(config.replications)
     if config.workers > 1:
         with get_context("spawn").Pool(config.workers) as pool:
-            results = pool.map(
-                _replicate, [(context, b) for b in indices], chunksize=8
-            )
+            results = pool.map(_replicate, [(context, b) for b in indices])
     else:
         results = [run_replication(context, b) for b in indices]
     return aggregate(context, results)

@@ -39,6 +39,7 @@ from phosmarket.experiment import (
 )
 from phosmarket.metrics import concentration, diversification
 from phosmarket.pipeline import convert_to_p2o5, read_csv
+from phosmarket.rng import Stream
 
 DATA = Path(__file__).parent / "data"
 
@@ -263,7 +264,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
         "exact", y=tuple(6.0 * v for v in z), x=tuple(3.0 * v for v in z), z=z
     )
     draws, rejected = wild_bootstrap_demand(
-        exact, fit_two_stage(exact), 5.0, 200, np.random.default_rng(1)
+        exact, fit_two_stage(exact), 5.0, 200, Stream.from_seed(1)
     )
     assert rejected == 0
     assert len(set(draws)) == 1  # zero residuals: zero-variance report
@@ -276,7 +277,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     noisy = RegionSeries("noisy", y=tuple(ys), x=tuple(xs), z=tuple(zs))
     fit = fit_two_stage(noisy)
     point = fit.beta * fit.alpha * 3.0
-    draws, _ = wild_bootstrap_demand(noisy, fit, 3.0, 1000, np.random.default_rng(5))
+    draws, _ = wild_bootstrap_demand(noisy, fit, 3.0, 1000, Stream.from_seed(5))
     sample = np.asarray(draws)
     se = sample.std(ddof=1) / math.sqrt(len(sample))
     assert abs(sample.mean() - point) < 3 * se

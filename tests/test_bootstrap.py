@@ -17,6 +17,7 @@ from phosmarket.bootstrap import (
     smooth_cma3,
     wild_bootstrap_demand,
 )
+from phosmarket.rng import Stream
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_fit_two_stage_degenerate_instrument():
 
 
 def test_wild_bootstrap_degenerates_to_point_prediction():
-    rng = np.random.default_rng(1)
+    rng = Stream.from_seed(1)
     series = exact_series()
     draws, rejected = wild_bootstrap_demand(series, fit_two_stage(series), 4.0, 50, rng)
     assert rejected == 0
@@ -88,7 +89,7 @@ def test_wild_bootstrap_degenerates_to_point_prediction():
 
 
 def test_wild_bootstrap_zero_scenario_exhausts_redraws():
-    rng = np.random.default_rng(2)
+    rng = Stream.from_seed(2)
     with pytest.raises(CalibrationError):
         series = exact_series()
         wild_bootstrap_demand(series, fit_two_stage(series), 0.0, 1, rng)
@@ -97,7 +98,7 @@ def test_wild_bootstrap_zero_scenario_exhausts_redraws():
 def test_wild_bootstrap_needs_replications():
     series = exact_series()
     with pytest.raises(ValueError):
-        wild_bootstrap_demand(series, fit_two_stage(series), 1.0, 0, np.random.default_rng(3))
+        wild_bootstrap_demand(series, fit_two_stage(series), 1.0, 0, Stream.from_seed(3))
 
 
 def noisy_series():
@@ -112,20 +113,49 @@ def test_wild_bootstrap_centering():
     series = noisy_series()
     fit = fit_two_stage(series)
     point = fit.beta * fit.alpha * 2.5
-    draws, _ = wild_bootstrap_demand(series, fit, 2.5, 1000, np.random.default_rng(7))
+    draws, _ = wild_bootstrap_demand(series, fit, 2.5, 1000, Stream.from_seed(7))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - point) < 3 * se
 
 
+def numpy_wild_bootstrap(series, z_scenario, B, rng):
+    """The wild bootstrap on NumPy arrays, drawing from a NumPy generator."""
+    z, x, y = (np.asarray(v) for v in (series.z, series.x, series.y))
+    alpha = (z @ x) / (z @ z)
+    beta = (z @ y) / (z @ x)
+    u1, u2 = y - beta * x, x - alpha * z
+    draws = []
+    for _ in range(B):
+        w2 = rng.integers(0, 2, size=len(z)) * 2 - 1
+        w1 = rng.integers(0, 2, size=len(z)) * 2 - 1
+        x_star = alpha * z + w2 * u2
+        y_star = beta * x_star + w1 * u1
+        zx_star = z @ x_star
+        draws.append((z @ y_star) / zx_star * (zx_star / (z @ z)) * z_scenario)
+    return alpha, beta, draws
+
+
+def test_wild_bootstrap_matches_numpy_reference():
+    # Sequential dot products may sum in another order than BLAS, so the
+    # floats agree to a few ulps, not bit for bit; the signs must be equal.
+    series = noisy_series()
+    fit = fit_two_stage(series)
+    alpha, beta, expected = numpy_wild_bootstrap(series, 2.5, 200, np.random.default_rng(11))
+    draws, rejected = wild_bootstrap_demand(series, fit, 2.5, 200, Stream.from_seed(11))
+    assert rejected == 0
+    assert (fit.alpha, fit.beta) == pytest.approx((alpha, beta), rel=1e-14, abs=0)
+    assert draws == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 def test_replication_streams_are_deterministic_and_distinct():
     d1, c1, t1 = replication_streams(99, 5, 3)
     d2, c2, t2 = replication_streams(99, 5, 3)
-    assert [g.integers(1000) for g in d1] == [g.integers(1000) for g in d2]
-    assert c1.integers(1000) == c2.integers(1000)
+    assert [g.below(1000) for g in d1] == [g.below(1000) for g in d2]
+    assert c1.below(1000) == c2.below(1000)
     d3, _, _ = replication_streams(99, 6, 3)
-    seq1 = [int(g.integers(10_000)) for g in replication_streams(99, 5, 3)[0]]
-    seq3 = [int(g.integers(10_000)) for g in d3]
+    seq1 = [g.below(10_000) for g in replication_streams(99, 5, 3)[0]]
+    seq3 = [g.below(10_000) for g in d3]
     assert seq1 != seq3
 
 
@@ -146,17 +176,17 @@ def test_capacity_inputs_shares_and_pool():
 
 def test_sample_capacity_requires_pool():
     with pytest.raises(CalibrationError):
-        sample_capacity(100.0, [0.1], [], np.random.default_rng(0))
+        sample_capacity(100.0, [0.1], [], Stream.from_seed(0))
 
 
 def test_sample_capacity_zero_variance_pool():
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     caps = sample_capacity(1000.0, [0.10, 0.25], [0.0], rng)
     assert caps == (100, 250)
 
 
 def test_sample_capacity_two_sided_range():
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     values = {
         sample_capacity(1000.0, [0.10], [20.0], rng)[0] for _ in range(50)
     }
@@ -164,7 +194,7 @@ def test_sample_capacity_two_sided_range():
 
 
 def test_sample_capacity_clamps_to_one_unit():
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     caps = {sample_capacity(10.0, [0.1], [50.0], rng)[0] for _ in range(20)}
     assert min(caps) == 1
 
@@ -301,7 +331,7 @@ def test_sample_trade_costs_identity_and_mask():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])  # zero residuals
     base = ((0.10, None), (0.05, 0.08))
     mask = ((True, False), (True, True))
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     draw = sample_trade_costs(base, (0.0, 0.0), fit, rng, mask, scale=100)
     assert draw == ((10, None), (5, 8))
 
@@ -310,14 +340,14 @@ def test_sample_trade_costs_negative_slope_cuts_costs():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
     base = ((0.10,),)
     mask = ((True,),)
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     draw = sample_trade_costs(base, (0.02,), fit, rng, mask, scale=100)
     assert draw[0][0] == 6  # 0.10 - 2.0 * 0.02
 
 
 def test_sample_trade_costs_clamps_at_zero():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
-    rng = np.random.default_rng(0)
+    rng = Stream.from_seed(0)
     draw = sample_trade_costs(((0.01,),), (0.05,), fit, rng, ((True,),), scale=100)
     assert draw[0][0] == 0
 

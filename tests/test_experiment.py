@@ -1,6 +1,10 @@
 """Configuration parsing, draw assembly, report emission and the CLI."""
 
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,23 @@ from phosmarket.experiment import (
 )
 from phosmarket.pipeline import read_csv
 
-DATA = Path(__file__).parent / "data" / "fixture_small"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data" / "fixture_small"
+
+# sha256 of every report file of fixture_bau.cfg (200 replications), as
+# produced when the samplers drew from NumPy generators.  Stream or
+# summation drift in the bootstrap changes at least one of them.
+FIXTURE_REPORT_SHA256 = {
+    "concentration.csv": "99317eb2b301ec661d2c83184543f701e607737c5588ec8480a7383322dcd72b",
+    "demand.csv": "4d856d86103b991566579607bafc424142a345c3e667965e87fc393ad61c65a9",
+    "diversification.csv": "3e433138bfd49b5ee44619bf0f433275984e10428714e8d5b607a06f7b8ed2d6",
+    "entry_floor.csv": "4a079b7d5d0aedbe9ebcc53f031887323b748e451e047777073d93a414647d88",
+    "global_share.csv": "edfa18cd9415f43a2daa59dbab88f6e9ff3affa73ac7f455188a78432d13cac2",
+    "local_share.csv": "1e7397cd61152e4cd2052e61e9941ddb4f74f3853be8ae18da7f093b86ffab4e",
+    "manifest.txt": "c1b509adc6e8799606dff80184821ed02fe664c88600842df1c369a1d8b44cb8",
+    "replications.csv": "a4dc782d2109e975ffc229d3601f1a923adc8fb8c29a81b763f15682bfa8843f",
+    "trade_costs.csv": "3ef97651928a0018cbb22dce210c1be92140453f3cf16815ce686c0b0483141a",
+}
 
 
 def fixture_config(tmp_path, **overrides):
@@ -105,6 +125,8 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
 
 
 def test_config_rejects_bad_values(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        fixture_config(tmp_path, seed=-1)
     with pytest.raises(ConfigError):
         fixture_config(tmp_path, replications=0)
     with pytest.raises(ConfigError):
@@ -175,6 +197,18 @@ def test_emit_tables_rerun_is_byte_identical(tmp_path):
     second = emit_tables(report, tmp_path / "b")
     for name in first:
         assert first[name].read_bytes() == second[name].read_bytes()
+
+
+def test_fixture_report_matches_pinned_digests(tmp_path):
+    config = dataclasses.replace(
+        load_config(DATA / "fixture_bau.cfg"), data_dir=DATA, output_dir=tmp_path
+    )
+    emit_tables(run_experiment(config), tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == FIXTURE_REPORT_SHA256
 
 
 def test_emit_tables_blanks_masked_trade_cost_cells(tmp_path):
@@ -314,6 +348,36 @@ def test_cli_reports_validation_errors_with_exit_1(tmp_path, capsys):
     path.write_text("scenario = BAU\nbogus = 1\n")
     assert main(["simulate", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_negative_seed_with_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, replications=2)
+    assert main(["simulate", "--config", str(path), "--seed", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "seed must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_does_not_import_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "from phosmarket.cli import main\n"
+        f"assert main(['simulate', '--config', {str(DATA / 'fixture_bau.cfg')!r}, "
+        f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'simulate imported numpy'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "manifest.txt").exists()
 
 
 def test_cli_simulate_exits_1_when_inventory_constant_rounds_to_zero(tmp_path, capsys):
