@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="re-check sampled replications against the auction and the oracle"
     )
     p_ver.add_argument("--config", type=Path, required=True)
-    p_ver.add_argument("--sample", type=int, default=20)
+    p_ver.add_argument(
+        "--sample", type=int, default=20, help="evenly spaced replications to check (>= 1)"
+    )
     return parser
 
 

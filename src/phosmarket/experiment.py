@@ -7,7 +7,9 @@ equilibrium (a verifier failure aborts the whole run) and contributes one
 row of market-structure statistics.  The paper's tick-by-tick ascending
 auction is the reference mechanism: :func:`verify_run` re-solves sampled
 replications with it and with the brute-force oracle.  Replications are
-independent and may execute in parallel; results are a pure function of
+independent; with ``workers > 1`` they run in a pool of forked worker
+processes (POSIX only), which inherit the imported package and receive the
+loaded context with each task.  Results are a pure function of
 (inputs, config, seed) regardless of worker count.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 
 from . import bootstrap as bs
@@ -26,7 +27,7 @@ from .auction import (
     solve_minimal_markups,
     verify_equilibrium,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .core import MarketInstance, quantize
 from .pipeline import file_digest, read_csv, write_csv
 
@@ -314,11 +315,21 @@ class ScenarioReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ScenarioReport:
-    """Execute all replications and aggregate mean/SD statistics."""
+    """Execute all replications and aggregate mean/SD statistics.
+
+    With ``workers > 1`` the replications run in a pool of forked processes,
+    one per worker but never more than there are replications.  Forking is
+    safe because nothing on this path starts a thread.
+    """
     context = load_context(config)
     indices = range(config.replications)
     if config.workers > 1:
-        with get_context("spawn").Pool(config.workers) as pool:
+        import multiprocessing  # a 1-worker run does not pay for this import
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError("workers > 1 needs the fork start method; set workers = 1")
+        processes = min(config.workers, config.replications)
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             results = pool.map(_replicate, [(context, b) for b in indices])
     else:
         results = [run_replication(context, b) for b in indices]
@@ -535,14 +546,23 @@ def downscale_instance(
     return MarketInstance(s=s, d=d, a=a, c_o=c_o, t=t, mask=inst.mask)
 
 
+def sampled_replications(replications: int, sample: int) -> list[int]:
+    """``min(sample, replications)`` evenly spaced indices, starting at 0."""
+    if sample < 1:
+        raise ConfigError("sample must be >= 1")
+    count = min(sample, replications)
+    return [k * replications // count for k in range(count)]
+
+
 def verify_run(
     config: ExperimentConfig, *, sample: int = 20
 ) -> list[tuple[int, bool, bool, bool]]:
     """Re-check sampled replications against two independent solvers.
 
-    Each sampled replication is re-run (its equilibrium must pass the
-    verifier) and re-solved at full scale by the ascending auction, whose
-    markups and flows must equal the production solver's.  A down-scaled
+    ``min(sample, replications)`` evenly spaced replications are sampled
+    (see :func:`sampled_replications`).  Each is re-run (its equilibrium
+    must pass the verifier) and re-solved at full scale by the ascending
+    auction, whose markups and flows must equal the production solver's.  A down-scaled
     copy of its instance is solved by both solvers and by the brute-force
     oracle, whose markups must agree.
 
@@ -551,6 +571,7 @@ def verify_run(
     reproducible otherwise).  Returns ``(replication, verifier_ok,
     auction_match, oracle_match)`` per sampled index.
     """
+    indices = sampled_replications(config.replications, sample)
     context = load_context(config)
     manifest = Path(config.output_dir) / "manifest.txt"
     if manifest.exists():
@@ -565,9 +586,8 @@ def verify_run(
                     f"input table {name!r} changed since the saved run "
                     f"(digest {digest} != recorded {recorded[name]})"
                 )
-    step = max(1, config.replications // max(1, sample))
     outcomes = []
-    for b in range(0, config.replications, step):
+    for b in indices:
         result = run_replication(context, b)  # raises on verifier failure
         inst = result.draw.instance()
         reference = run_english_auction(inst)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from phosmarket.experiment import (
     load_context,
     run_experiment,
     run_replication,
+    sampled_replications,
     verify_run,
 )
 from phosmarket.pipeline import read_csv
@@ -190,6 +192,43 @@ def test_single_replication_report_has_zero_sd(tmp_path):
     assert all(sd == 0.0 for _, sd in report.concentration)
 
 
+def record_pools(monkeypatch):
+    """Record ``(start method, processes)`` for every pool the experiment makes."""
+    made = []
+    real_get_context = multiprocessing.get_context
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.method = method
+            self.real = real_get_context(method)
+
+        def Pool(self, processes):
+            made.append((self.method, processes))
+            return self.real.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+    return made
+
+
+def test_parallel_run_forks_workers_and_equals_serial_run(tmp_path, monkeypatch):
+    config = fixture_config(tmp_path, replications=20)
+    serial = run_experiment(config)
+    made = record_pools(monkeypatch)
+    parallel = run_experiment(dataclasses.replace(config, workers=2))
+    assert made == [("fork", 2)]
+    assert parallel.context == dataclasses.replace(serial.context, config=parallel.context.config)
+    for field in dataclasses.fields(serial):
+        if field.name != "context":
+            assert getattr(parallel, field.name) == getattr(serial, field.name), field.name
+
+
+def test_pool_starts_no_more_processes_than_replications(tmp_path, monkeypatch):
+    made = record_pools(monkeypatch)
+    report = run_experiment(fixture_config(tmp_path, replications=1, workers=2))
+    assert made == [("fork", 1)]
+    assert [r.draw.replication for r in report.replications] == [0]
+
+
 def test_emit_tables_rerun_is_byte_identical(tmp_path):
     config = fixture_config(tmp_path)
     report = run_experiment(config)
@@ -303,6 +342,25 @@ def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, 
     assert "replication 0: verifier=True auction=False" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    ("replications", "sample"),
+    [(200, 30), (25, 20), (200, 20), (8, 3), (7, 7), (5, 20), (1, 1), (1, 5), (1000, 1)],
+)
+def test_verify_samples_exactly_min_of_sample_and_replications(replications, sample):
+    indices = sampled_replications(replications, sample)
+    assert len(indices) == min(sample, replications)
+    assert indices[0] == 0 and indices[-1] < replications
+    # Evenly spaced: consecutive gaps differ by at most one replication.
+    gaps = [b - a for a, b in zip(indices, indices[1:])]
+    assert all(gap >= 1 for gap in gaps)
+    assert not gaps or max(gaps) - min(gaps) <= 1
+
+
+def test_verify_run_checks_the_sampled_replications(tmp_path):
+    outcomes = verify_run(fixture_config(tmp_path, replications=3), sample=2)
+    assert [b for b, *_ in outcomes] == sampled_replications(3, 2) == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -358,13 +416,32 @@ def test_cli_simulate_rejects_negative_seed_with_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_simulate_does_not_import_numpy(tmp_path):
+def test_cli_verify_rejects_sample_below_1_with_exit_1(tmp_path, capsys):
+    path = write_config(tmp_path, replications=2)
+    for sample in ("0", "-3"):
+        assert main(["verify", "--config", str(path), "--sample", sample]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "sample must be >= 1" in err
+
+
+def test_cli_simulate_exits_1_when_fork_is_unavailable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    path = write_config(tmp_path, replications=4)
+    assert main(["simulate", "--config", str(path), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "workers" in err
+    assert not (tmp_path / "out").exists()
+
+
+def simulate_in_fresh_interpreter(tmp_path, absent_module):
+    """Run a 1-worker fixture ``simulate`` in a new interpreter and assert
+    that it never imported ``absent_module``."""
     code = (
         "import sys\n"
         "from phosmarket.cli import main\n"
         f"assert main(['simulate', '--config', {str(DATA / 'fixture_bau.cfg')!r}, "
         f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'simulate imported numpy'\n"
+        f"assert {absent_module!r} not in sys.modules, 'simulate imported {absent_module}'\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -378,6 +455,14 @@ def test_cli_simulate_does_not_import_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "manifest.txt").exists()
+
+
+def test_cli_simulate_does_not_import_numpy(tmp_path):
+    simulate_in_fresh_interpreter(tmp_path, "numpy")
+
+
+def test_cli_simulate_on_one_worker_does_not_import_multiprocessing(tmp_path):
+    simulate_in_fresh_interpreter(tmp_path, "multiprocessing")
 
 
 def test_cli_simulate_exits_1_when_inventory_constant_rounds_to_zero(tmp_path, capsys):
