@@ -30,8 +30,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Equilibrium,
@@ -135,8 +134,7 @@ def _min_spend(sources: Sequence[_Source], a: int, d: int, mu_hint: int | None =
     return spend, mu
 
 
-@dataclass(frozen=True)
-class _MarketDemand:
+class _MarketDemand(NamedTuple):
     """Tie-aware structure of one market's cheapest-units basket."""
 
     mu: int
@@ -219,8 +217,7 @@ def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
     return local_spend(inst.d[j], j, inst) - spend
 
 
-@dataclass(frozen=True)
-class DemandBundle:
+class DemandBundle(NamedTuple):
     """A payoff-maximizing import bundle for one market at given markups."""
 
     z: tuple[int, ...]
@@ -623,14 +620,12 @@ class _FlowNetwork:
 # Verification
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     passed: bool
     witnesses: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-condition result of checking an equilibrium candidate."""
 
     capacity: ConditionCheck

@@ -19,7 +19,7 @@ dot products sum sequentially in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import quantize, to_minor
 from .rng import SeedSequence, Stream
@@ -93,8 +93,7 @@ class RegionSeries:
         )
 
 
-@dataclass(frozen=True)
-class TwoStageFit:
+class TwoStageFit(NamedTuple):
     """Instrumental-variables fit of the two demand equations (no intercepts)."""
 
     alpha: float
@@ -231,8 +230,7 @@ def sample_capacity(
 # Trade and production costs
 
 
-@dataclass(frozen=True)
-class TradeCostInversion:
+class TradeCostInversion(NamedTuple):
     """Relative-cost regression inputs recovered from observed flows.
 
     ``w`` pools changes in relative trade costs against the reference year and
@@ -368,8 +366,7 @@ def infer_relative_trade_costs(
     )
 
 
-@dataclass(frozen=True)
-class TradeCostFit:
+class TradeCostFit(NamedTuple):
     """Regression of trade-cost changes on real market-share changes."""
 
     gamma: float

@@ -6,9 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .auction import AuctionError
-from .bootstrap import CalibrationError
-from .config import ConfigError, load_config
+from .auction import AuctionError, EnumerationBudgetError
+from .config import load_config
 from .experiment import (
     ExperimentError,
     emit_tables,
@@ -16,7 +15,7 @@ from .experiment import (
     run_experiment,
     verify_run,
 )
-from .pipeline import PipelineError, run_pipeline, write_csv
+from .tables import write_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,6 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline  # only this command reads raw data
+
     outputs = run_pipeline(args.raw_dir, args.out_dir)
     for name, path in sorted(outputs.items()):
         print(f"{name}: {path}")
@@ -137,10 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, PipelineError, CalibrationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, PipelineError, CalibrationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ExperimentError, AuctionError, OSError) as exc:
+    except (ExperimentError, AuctionError, EnumerationBudgetError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,17 @@ Money values are integers in minor cost units, a fixed-point representation
 of the relative cost unit (``MONEY_SCALE`` minor units equal 1.00).  Every
 spending, valuation and utility value downstream is computed on these integer
 grids and never rounds.
+
+Records are ``typing.NamedTuple`` classes: immutable, hashable, comparable
+and picklable, and much cheaper to define at import time than dataclasses.
+Only records that validate on construction or that callers rebuild with
+``dataclasses.replace`` stay dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Minor cost units per relative cost unit (2-decimal precision by default).
 MONEY_SCALE = 100
@@ -36,8 +41,7 @@ def to_minor(value: float, scale: int = MONEY_SCALE) -> int:
     return -int(math.floor(-value * scale + 0.5))
 
 
-@dataclass(frozen=True)
-class MarketInstance:
+class MarketInstance(NamedTuple):
     """One fully calibrated auction problem.
 
     Attributes:
@@ -120,8 +124,7 @@ def require_valid(inst: MarketInstance) -> None:
         raise ValueError("invalid market instance: " + "; ".join(issues))
 
 
-@dataclass(frozen=True)
-class FlowMatrix:
+class FlowMatrix(NamedTuple):
     """Integer goods flows from each international supplier to each market.
 
     Local supply is derived, never stored: ``x_o[j] = d[j] - imports into j``.
@@ -161,8 +164,7 @@ def validate_flows(flows: FlowMatrix, inst: MarketInstance) -> list[str]:
     return issues
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """Markups and flows jointly satisfying the three market conditions."""
 
     markups: MarkupVector

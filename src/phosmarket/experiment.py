@@ -16,8 +16,8 @@ loaded context with each task.  Results are a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bootstrap as bs
 from . import metrics
@@ -29,15 +29,14 @@ from .auction import (
 )
 from .config import ConfigError, ExperimentConfig
 from .core import MarketInstance, quantize
-from .pipeline import file_digest, read_csv, write_csv
+from .tables import file_digest, read_csv, write_csv
 
 
 class ExperimentError(RuntimeError):
     """A replication failed verification or a sampler hard-errored."""
 
 
-@dataclass(frozen=True)
-class BootstrapDraw:
+class BootstrapDraw(NamedTuple):
     """One replication of all exogenous auction inputs."""
 
     replication: int
@@ -56,8 +55,7 @@ class BootstrapDraw:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentContext:
+class ExperimentContext(NamedTuple):
     """Immutable, picklable state shared by all replications of one run."""
 
     config: ExperimentConfig
@@ -247,8 +245,7 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
     )
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
+class ReplicationResult(NamedTuple):
     """Inputs, equilibrium and structure statistics of one replication."""
 
     draw: BootstrapDraw
@@ -299,8 +296,7 @@ def _replicate(payload: tuple[ExperimentContext, int]) -> ReplicationResult:
     return run_replication(context, replication)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Replication statistics in the shape of the published scenario tables."""
 
     context: ExperimentContext

@@ -7,8 +7,7 @@ flows themselves never leave integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FlowMatrix, MarketInstance
 
@@ -63,8 +62,7 @@ def mean_sd(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class TradeCostSummary:
+class TradeCostSummary(NamedTuple):
     """Replication statistics of sampled trade costs, in relative units.
 
     Masked supplier-market cells are ``None`` in both tables.  The entry

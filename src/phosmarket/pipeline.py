@@ -8,11 +8,11 @@ compilation time.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from .tables import file_digest, read_csv, write_csv
 
 PIPELINE_VERSION = "1"
 
@@ -249,37 +249,6 @@ def scenario_fertilizer_use(
         parts.setdefault(region, []).append(rate.rate * prod_kt / 1e6)
     # summing in sorted order keeps totals independent of input row order
     return {region: sum(sorted(values)) for region, values in parts.items()}
-
-
-# ---------------------------------------------------------------------------
-# CSV plumbing with provenance headers
-
-
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
-def read_csv(path: Path) -> list[dict[str, str]]:
-    """Read a CSV file, skipping ``#`` provenance/comment lines."""
-    with path.open(newline="", encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    return list(csv.DictReader(lines))
-
-
-def write_csv(
-    path: Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    provenance: Mapping[str, str] | None = None,
-) -> None:
-    """Write a CSV file with optional ``#``-prefixed provenance lines."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        for key, value in (provenance or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:

@@ -1,0 +1,40 @@
+"""CSV table plumbing shared by the pipeline and the experiment.
+
+Tables are flat UTF-8 CSV files with "." decimals.  Lines starting with
+``#`` carry provenance (input digests, the pipeline version) and are
+skipped on reading.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
+
+
+def file_digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    """Read a CSV file, skipping ``#`` provenance/comment lines."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        lines = [line for line in handle if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def write_csv(
+    path: Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    provenance: Mapping[str, str] | None = None,
+) -> None:
+    """Write a CSV file with optional ``#``-prefixed provenance lines."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        for key, value in (provenance or {}).items():
+            handle.write(f"# {key}: {value}\n")
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)

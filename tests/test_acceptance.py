@@ -38,8 +38,9 @@ from phosmarket.experiment import (
     run_experiment,
 )
 from phosmarket.metrics import concentration, diversification
-from phosmarket.pipeline import convert_to_p2o5, read_csv
+from phosmarket.pipeline import convert_to_p2o5
 from phosmarket.rng import Stream
+from phosmarket.tables import read_csv
 
 DATA = Path(__file__).parent / "data"
 

@@ -4,18 +4,20 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from phosmarket import experiment
+from phosmarket import auction, bootstrap, experiment
 from phosmarket.auction import (
     ConditionCheck,
     VerificationReport,
     run_english_auction,
     solve_minimal_markups,
+    verify_equilibrium,
 )
 from phosmarket.cli import main
 from phosmarket.config import ConfigError, ExperimentConfig, load_config
@@ -32,7 +34,7 @@ from phosmarket.experiment import (
     sampled_replications,
     verify_run,
 )
-from phosmarket.pipeline import read_csv
+from phosmarket.tables import read_csv
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data" / "fixture_small"
@@ -216,10 +218,10 @@ def test_parallel_run_forks_workers_and_equals_serial_run(tmp_path, monkeypatch)
     made = record_pools(monkeypatch)
     parallel = run_experiment(dataclasses.replace(config, workers=2))
     assert made == [("fork", 2)]
-    assert parallel.context == dataclasses.replace(serial.context, config=parallel.context.config)
-    for field in dataclasses.fields(serial):
-        if field.name != "context":
-            assert getattr(parallel, field.name) == getattr(serial, field.name), field.name
+    assert parallel.context == serial.context._replace(config=parallel.context.config)
+    for name in serial._fields:
+        if name != "context":
+            assert getattr(parallel, name) == getattr(serial, name), name
 
 
 def test_pool_starts_no_more_processes_than_replications(tmp_path, monkeypatch):
@@ -227,6 +229,76 @@ def test_pool_starts_no_more_processes_than_replications(tmp_path, monkeypatch):
     report = run_experiment(fixture_config(tmp_path, replications=1, workers=2))
     assert made == [("fork", 1)]
     assert [r.draw.replication for r in report.replications] == [0]
+
+
+@pytest.fixture(scope="module")
+def fixture_records(tmp_path_factory):
+    """One record of each immutable record type, built from a fixture run."""
+    inversions = []
+    real_inversion = bootstrap.infer_relative_trade_costs
+
+    def recording_inversion(*args, **kwargs):
+        inversions.append(real_inversion(*args, **kwargs))
+        return inversions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bootstrap, "infer_relative_trade_costs", recording_inversion)
+        report = run_experiment(
+            fixture_config(tmp_path_factory.mktemp("records"), replications=2)
+        )
+    result = report.replications[0]
+    inst = result.draw.instance()
+    equilibrium = solve_minimal_markups(inst)
+    verification = verify_equilibrium(inst, equilibrium)
+    return {
+        "MarketInstance": inst,
+        "FlowMatrix": equilibrium.flows,
+        "Equilibrium": equilibrium,
+        "_MarketDemand": auction._demand_structure(inst, 0, equilibrium.markups),
+        "DemandBundle": auction.demand_bundle(0, equilibrium.markups, inst),
+        "ConditionCheck": verification.capacity,
+        "VerificationReport": verification,
+        "TwoStageFit": report.context.demand_fits[0],
+        "TradeCostInversion": inversions[0],
+        "TradeCostFit": report.context.cost_fit,
+        "BootstrapDraw": result.draw,
+        "ExperimentContext": report.context,
+        "ReplicationResult": result,
+        "ScenarioReport": report,
+        "TradeCostSummary": report.trade_costs,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "MarketInstance",
+        "FlowMatrix",
+        "Equilibrium",
+        "_MarketDemand",
+        "DemandBundle",
+        "ConditionCheck",
+        "VerificationReport",
+        "TwoStageFit",
+        "TradeCostInversion",
+        "TradeCostFit",
+        "BootstrapDraw",
+        "ExperimentContext",
+        "ReplicationResult",
+        "ScenarioReport",
+        "TradeCostSummary",
+    ],
+)
+def test_records_are_immutable_and_survive_pickling(fixture_records, name):
+    # Contexts, draws and results cross the fork boundary by pickle.
+    record = fixture_records[name]
+    assert type(record).__name__ == name
+    for attr in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, None)
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record)
+    assert restored == record
 
 
 def test_emit_tables_rerun_is_byte_identical(tmp_path):
@@ -465,6 +537,10 @@ def test_cli_simulate_on_one_worker_does_not_import_multiprocessing(tmp_path):
     simulate_in_fresh_interpreter(tmp_path, "multiprocessing")
 
 
+def test_cli_simulate_does_not_import_the_raw_pipeline(tmp_path):
+    simulate_in_fresh_interpreter(tmp_path, "phosmarket.pipeline")
+
+
 def test_cli_simulate_exits_1_when_inventory_constant_rounds_to_zero(tmp_path, capsys):
     path = write_config(tmp_path, theta=0.01)
     assert main(["simulate", "--config", str(path)]) == 1
@@ -477,3 +553,17 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, data_dir=tmp_path / "missing")
     assert main(["simulate", "--config", str(path)]) == 2
     assert "failure:" in capsys.readouterr().err
+
+
+def test_cli_verify_reports_exhausted_oracle_budget_with_exit_2(tmp_path, monkeypatch, capsys):
+    # At paper scale the down-scaled instance outgrows the oracle's budget;
+    # a zero budget raises the same error at once.
+    monkeypatch.setattr(
+        experiment,
+        "brute_force_equilibrium",
+        lambda inst: auction.brute_force_equilibrium(inst, budget=0),
+    )
+    path = write_config(tmp_path, replications=2)
+    assert main(["verify", "--config", str(path), "--sample", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure:") and "enumeration budget exhausted" in err

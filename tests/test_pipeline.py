@@ -11,11 +11,10 @@ from phosmarket.pipeline import (
     convert_to_p2o5,
     derive_application_rates,
     harmonize_local_supply,
-    read_csv,
     run_pipeline,
     scenario_fertilizer_use,
-    write_csv,
 )
+from phosmarket.tables import read_csv, write_csv
 
 RAW = Path(__file__).parent / "data" / "raw_small"
 
