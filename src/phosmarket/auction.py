@@ -21,7 +21,10 @@ overdemanded supplier by one tick is the generic special case of this rule;
 near cost ties the naive rule can overshoot the minimal equilibrium, so the
 direction set is chosen as the unique minimal minimizer of the one-tick
 objective change.  Both solvers take their flows from :func:`_allocate` and
-are certified against :func:`brute_force_equilibrium` in the tests.
+are certified against :func:`brute_force_equilibrium` in the tests.  The
+flow's market potentials are the waterlines at the minimal markups and seed
+:func:`_allocate`.  :func:`verify_equilibrium` accepts a market's purchase
+by an exchange certificate on the instance alone before comparing utilities.
 """
 
 from __future__ import annotations
@@ -91,10 +94,11 @@ def _units_at_or_below(base: int, a: int, cap: int, mu: int) -> int:
 def _min_spend(sources: Sequence[_Source], a: int, d: int, mu_hint: int | None = None) -> tuple[int, int]:
     """Exact minimum spend for ``d`` units across sources and its waterline.
 
-    ``sources`` must be able to supply at least ``d`` units in total.  With a
-    hint from a previous call whose per-source bases have each moved up by at
-    most one minor unit, the waterline can only be the hint or the hint plus
-    one; otherwise a binary search over the integer cost grid is used.
+    ``sources`` must be able to supply at least ``d`` units in total.  A hint
+    is the waterline itself or one below it (a previous call's waterline
+    after each base moved up by at most one minor unit), so only those two
+    values are tried and anything else raises; without a hint a binary search
+    over the integer cost grid is used.
     """
     if d <= 0:
         return 0, 0
@@ -109,7 +113,7 @@ def _min_spend(sources: Sequence[_Source], a: int, d: int, mu_hint: int | None =
 
     if mu_hint is not None:
         mu = mu_hint if supply(mu_hint) >= d else mu_hint + 1
-        if supply(mu) < d:
+        if mu > mu_hint and supply(mu) < d:
             raise AuctionError("stale waterline hint; price moved by more than one tick")
     else:
         lo = min(base + a for base, cap in sources if cap > 0)
@@ -158,7 +162,9 @@ class _MarketDemand(NamedTuple):
         return tuple(z)
 
 
-def _demand_structure(inst: MarketInstance, j: int, markups: Sequence[int]) -> _MarketDemand:
+def _demand_structure(
+    inst: MarketInstance, j: int, markups: Sequence[int], mu_hint: int | None = None
+) -> _MarketDemand:
     a, d = inst.a, inst.d[j]
     sources: list[_Source] = [(inst.c_o[j], d)]
     idx: list[int] = []
@@ -166,7 +172,7 @@ def _demand_structure(inst: MarketInstance, j: int, markups: Sequence[int]) -> _
         if inst.mask[i][j]:
             sources.append((inst.t[i][j] + markups[i], inst.s[i]))  # type: ignore[operator]
             idx.append(i)
-    spend, mu = _min_spend(sources, a, d)
+    spend, mu = _min_spend(sources, a, d, mu_hint)
     forced = [0] * inst.m
     tie = [0] * inst.m
     forced_local = tie_local = 0
@@ -308,15 +314,17 @@ def solve_minimal_markups(
                 add_arc(i, m + j, inst.trade_cost(i, j), inst.a, min(inst.s[i], inst.d[j]))
     arcs = range(len(tail))
     flow = [0] * len(tail)
-    leaving: list[list[int]] = [[] for _ in range(nodes)]
-    entering: list[list[int]] = [[] for _ in range(nodes)]
+    # Per node, (arc, other end) for the arcs leaving it and entering it.
+    leaving: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    entering: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
     for k in arcs:
-        leaving[tail[k]].append(k)
-        entering[head[k]].append(k)
+        leaving[tail[k]].append((k, head[k]))
+        entering[head[k]].append((k, tail[k]))
     excess = [0] * source + [sum(inst.d)]
     for j in range(n):
         excess[m + j] = -inst.d[j]
     pi = [0] * nodes
+    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
 
     def push(k: int, units: int) -> None:
         """Move ``units`` along arc k (backward when negative)."""
@@ -334,7 +342,7 @@ def solve_minimal_markups(
                 push(k, -delta)
         while True:
             # via[v] encodes the arc that reached v: 2k forward, 2k+1 backward.
-            dist = [math.inf] * nodes
+            dist = [inf] * nodes
             via = [-1] * nodes
             settled = [False] * nodes
             heap = [(0, u) for u in range(nodes) if excess[u] >= delta]
@@ -342,78 +350,86 @@ def solve_minimal_markups(
                 dist[u] = 0
             target = -1
             while heap:
-                du, u = heapq.heappop(heap)
+                du, u = heappop(heap)
                 if settled[u]:
                     continue
                 settled[u] = True
                 if excess[u] <= -delta:
                     target = u
                     break
-                for k in leaving[u]:
-                    f, v = flow[k], head[k]
+                du += pi[u]
+                for k, v in leaving[u]:
+                    f = flow[k]
                     if cap[k] - f >= delta and not settled[v]:
-                        dv = du + base[k] + slope[k] * (2 * f + delta) + pi[u] - pi[v]
+                        dv = du + base[k] + slope[k] * (2 * f + delta) - pi[v]
                         if dv < dist[v]:
                             dist[v] = dv
                             via[v] = 2 * k
-                            heapq.heappush(heap, (dv, v))
-                for k in entering[u]:
-                    f, v = flow[k], tail[k]
+                            heappush(heap, (dv, v))
+                for k, v in entering[u]:
+                    f = flow[k]
                     if f >= delta and not settled[v]:
-                        dv = du - base[k] - slope[k] * (2 * f - delta) + pi[u] - pi[v]
+                        dv = du - base[k] - slope[k] * (2 * f - delta) - pi[v]
                         if dv < dist[v]:
                             dist[v] = dv
                             via[v] = 2 * k + 1
-                            heapq.heappush(heap, (dv, v))
+                            heappush(heap, (dv, v))
             if target < 0:
                 break
             reach = dist[target]
             for v in range(nodes):
                 pi[v] += dist[v] if settled[v] else reach  # type: ignore[assignment]
+            excess[target] += delta  # the path's inner nodes keep their excess
             path = [target]
             v = target
             while via[v] >= 0:
                 k, backward = divmod(via[v], 2)
                 if backward:
-                    push(k, -delta)
+                    flow[k] -= delta
                     v = head[k]
                 else:
-                    push(k, delta)
+                    flow[k] += delta
                     v = tail[k]
                 path.append(v)
+            excess[v] -= delta
             if trace is not None:
                 trace.append(tuple(reversed(path)))
         delta >>= 1
     if any(excess):
         raise AuctionError("capacity scaling left unmet demand")
 
-    def residual(u: int) -> Iterator[tuple[int, int]]:
-        """Unit residual arcs leaving u as ``(node reached, cost)``."""
-        for k in leaving[u]:
-            if flow[k] < cap[k]:
-                yield head[k], base[k] + slope[k] * (2 * flow[k] + 1)
-        for k in entering[u]:
-            if flow[k] > 0:
-                yield tail[k], -(base[k] + slope[k] * (2 * flow[k] - 1))
-
-    # Reverse Bellman-Ford: to_source[v] = dist(v -> S); the disposal arcs
-    # give every supplier a zero-cost way back to S, so markups are >= 0.
-    # Distances settle within `nodes` passes unless the flow is not optimal
-    # and its residual network holds a negative cycle.
-    to_source = [0] * m + [math.inf] * n + [0]
+    # Reverse Bellman-Ford over the unit residual arcs: to_source[v] =
+    # dist(v -> S); the disposal arcs give every supplier a zero-cost way
+    # back to S, so markups are >= 0.  Distances settle within `nodes`
+    # passes unless the flow is not optimal and its residual network holds
+    # a negative cycle.
+    to_source = [0] * m + [inf] * n + [0]
     for _ in range(nodes + 1):
         changed = False
         for u in range(source):
-            for v, cost in residual(u):
-                if cost + to_source[v] < to_source[u]:
-                    to_source[u] = cost + to_source[v]
-                    changed = True
+            best = to_source[u]
+            for k, v in leaving[u]:
+                if flow[k] < cap[k]:
+                    dv = base[k] + slope[k] * (2 * flow[k] + 1) + to_source[v]
+                    if dv < best:
+                        best = dv
+            for k, v in entering[u]:
+                if flow[k] > 0:
+                    dv = to_source[v] - base[k] - slope[k] * (2 * flow[k] - 1)
+                    if dv < best:
+                        best = dv
+            if best < to_source[u]:
+                to_source[u] = best
+                changed = True
         if not changed:
             break
     else:
         raise AuctionError("negative residual cycle; the min-cost flow is not optimal")
     markups = tuple(-int(to_source[i]) for i in range(m))
-    return Equilibrium(markups, _allocate(inst, markups))
+    # The residual arcs leaving market j undo its bought units, so -dist(j -> S)
+    # is its dearest bought unit's marginal cost, markup included: its waterline.
+    waterlines = [-to_source[m + j] for j in range(n)]
+    return Equilibrium(markups, _allocate(inst, markups, waterlines))
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +503,18 @@ def run_english_auction(
     raise AuctionError("tick budget exhausted without reaching an equilibrium")
 
 
-def _allocate(inst: MarketInstance, markups: Sequence[int]) -> FlowMatrix:
-    """Select per-market optimal bundles that jointly satisfy all conditions."""
+def _allocate(
+    inst: MarketInstance, markups: Sequence[int], waterlines: Sequence[int] | None = None
+) -> FlowMatrix:
+    """Select per-market optimal bundles that jointly satisfy all conditions.
+
+    Given ``waterlines``, each is a market's :func:`_min_spend` hint.
+    """
     m, n = inst.m, inst.n
-    structures = [_demand_structure(inst, j, markups) for j in range(n)]
+    structures = [
+        _demand_structure(inst, j, markups, None if waterlines is None else waterlines[j])
+        for j in range(n)
+    ]
 
     # Fast path: the minimal demanded bundles already clear everything.
     minimal = [structure.minimal_imports() for structure in structures]
@@ -514,6 +538,7 @@ def _allocate(inst: MarketInstance, markups: Sequence[int]) -> FlowMatrix:
     ssource, ssink = n + m + 2, n + m + 3
     net = _FlowNetwork(n + m + 4)
     excess = [0] * (n + m + 4)
+    take_edges: dict[tuple[int, int], int] = {}
     for j in range(n):
         r = structures[j].remainder
         excess[1 + j] += r  # source -> market arc with equal lower/upper bound
@@ -521,14 +546,7 @@ def _allocate(inst: MarketInstance, markups: Sequence[int]) -> FlowMatrix:
         net.add(1 + j, sink, structures[j].tie_local)
         for i in range(m):
             if structures[j].tie[i] > 0:
-                net.add(1 + j, 1 + n + i, structures[j].tie[i])
-    take_edges: dict[tuple[int, int], int] = {
-        (j, i): e
-        for j in range(n)
-        for i in range(m)
-        for e in [net.edge_id(1 + j, 1 + n + i)]
-        if e is not None
-    }
+                take_edges[(j, i)] = net.add(1 + j, 1 + n + i, structures[j].tie[i])
     for i in range(m):
         spare = inst.s[i] - forced_total[i]
         if needs[i] > spare:
@@ -574,12 +592,6 @@ class _FlowNetwork:
         self.to.append(u)
         self.cap.append(0)
         return e
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        for e in self.adj[u]:
-            if e % 2 == 0 and self.to[e] == v:
-                return e
-        return None
 
     def flow(self, e: int) -> int:
         return self.cap[e + 1]
@@ -637,8 +649,54 @@ class VerificationReport(NamedTuple):
         return self.capacity.passed and self.utility.passed and self.clearance.passed
 
 
+def _buys_cheapest_units(
+    inst: MarketInstance, j: int, markups: Sequence[int], z: Sequence[int]
+) -> bool:
+    """Exchange certificate that market j's purchase is a cheapest-units basket.
+
+    Market j buys ``z_i`` units from supplier i and ``d_j - sum(z)`` locally.
+    The certificate holds when no unbought next unit (local, or imported on an
+    open pair below capacity, markup included) is cheaper than the dearest
+    bought unit.  For ``markups >= 0`` it proves ``bundle_utility(z, ...) ==
+    demand_bundle(...).utility``:
+
+    - Marginal costs rise within each source (``a >= 0``), so any other basket
+      of ``d_j`` units swaps some bought units, each no dearer than the
+      dearest, for as many unbought ones, each no cheaper than its source's
+      next unit.  So the spend is the minimum ``E`` (separable convex costs
+      with a fixed total: Ibaraki & Katoh 1988, *Resource Allocation
+      Problems*, ch. 4), and the demanded utility is ``e_oj(d_j) - E``.
+    - ``bundle_utility(z)`` is ``e_oj(d_j)`` minus the cheapest markup-free
+      spend of any ``w <= z`` topped up locally, minus ``p.z``.  Taking
+      ``w = z`` bounds it below by ``e_oj(d_j) - E``.  For the cheapest ``w``,
+      ``p >= 0`` gives ``p.z >= p.w``, so it is at most ``e_oj(d_j)`` minus
+      the spend of ``w`` with markups, and that spend is at least ``E``.
+
+    It reads only the instance, sharing no code with the solvers.  When it
+    fails the basket may still be optimal (imports disposed of at zero
+    markup), so the caller then decides exactly.
+    """
+    a, d, c = inst.a, inst.d[j], inst.c_o[j]
+    local = d - sum(z)
+    # Marginal costs of each source's last bought unit and of its next one.
+    last = [c + a * (2 * local - 1)] if local else []
+    following = [c + a * (2 * local + 1)] if local < d else []
+    for i, q in enumerate(z):
+        if inst.mask[i][j]:
+            cost = inst.t[i][j] + markups[i]  # type: ignore[operator]
+            if q:
+                last.append(cost + a * (2 * q - 1))
+            if q < inst.s[i]:
+                following.append(cost + a * (2 * q + 1))
+    return bool(last) and (not following or max(last) <= min(following))
+
+
 def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> VerificationReport:
-    """Check capacity, payoff maximization and clearance, with witnesses."""
+    """Check capacity, payoff maximization and clearance, with witnesses.
+
+    A market whose purchase passes :func:`_buys_cheapest_units` maximizes
+    its payoff; any other is checked exactly against :func:`demand_bundle`.
+    """
     structural = validate_flows(eq.flows, inst)
     if len(eq.markups) != inst.m or any(p < 0 for p in eq.markups):
         structural.append("malformed markup vector")
@@ -654,6 +712,8 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> VerificationRep
     utility_witnesses = []
     for j in range(inst.n):
         bundle = tuple(eq.flows.x[i][j] for i in range(inst.m))
+        if _buys_cheapest_units(inst, j, eq.markups, bundle):
+            continue
         attained = bundle_utility(bundle, j, eq.markups, inst)
         best = demand_bundle(j, eq.markups, inst).utility
         if attained != best:

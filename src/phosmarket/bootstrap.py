@@ -100,6 +100,7 @@ class TwoStageFit(NamedTuple):
     beta: float
     u1: tuple[float, ...]
     u2: tuple[float, ...]
+    zz: float  # z . z, reused by every bootstrap draw
 
 
 def fit_two_stage(series: RegionSeries) -> TwoStageFit:
@@ -118,6 +119,7 @@ def fit_two_stage(series: RegionSeries) -> TwoStageFit:
         beta=beta,
         u1=tuple(yk - beta * xk for yk, xk in zip(y, x)),
         u2=tuple(xk - alpha * zk for xk, zk in zip(x, z)),
+        zz=zz,
     )
 
 
@@ -144,8 +146,7 @@ def wild_bootstrap_demand(
     if B < 1:
         raise ValueError("at least one replication is required")
     z, u1, u2 = series.z, fit.u1, fit.u2
-    alpha, beta = fit.alpha, fit.beta
-    zz = _dot(z, z)
+    alpha, beta, zz = fit.alpha, fit.beta, fit.zz
     p = len(z)
 
     draws: list[float] = []
@@ -154,12 +155,15 @@ def wild_bootstrap_demand(
         for _attempt in range(max_redraws + 1):
             w2 = rng.signs(p)
             w1 = rng.signs(p)
-            x_star = [alpha * zk + w * uk for zk, w, uk in zip(z, w2, u2)]
-            y_star = [beta * xk + w * uk for xk, w, uk in zip(x_star, w1, u1)]
-            zx_star = _dot(z, x_star)
+            # z . x* and z . y* of the simulated series, each summed in index order.
+            zx_star = zy_star = 0.0
+            for zk, s2, u2k, s1, u1k in zip(z, w2, u2, w1, u1):
+                xk = alpha * zk + s2 * u2k
+                zx_star += zk * xk
+                zy_star += zk * (beta * xk + s1 * u1k)
             if zx_star != 0.0:
                 alpha_star = zx_star / zz
-                beta_star = _dot(z, y_star) / zx_star
+                beta_star = zy_star / zx_star
                 draw = beta_star * alpha_star * z_scenario
                 if draw > 0.0 and draw >= min_value:
                     draws.append(draw)
@@ -243,8 +247,6 @@ class TradeCostInversion(NamedTuple):
     v: tuple[float, ...]
     base_costs: tuple[tuple[float | None, ...], ...]
     ref_shares: tuple[float, ...]
-    reference_market: str
-    reference_year: int
 
 
 def infer_relative_trade_costs(
@@ -361,8 +363,6 @@ def infer_relative_trade_costs(
         v=tuple(v),
         base_costs=base_rows,
         ref_shares=tuple(share[(region, reference_year)] for region in regions),
-        reference_market=reference_market,
-        reference_year=reference_year,
     )
 
 
@@ -372,17 +372,10 @@ class TradeCostFit(NamedTuple):
     gamma: float
     residuals: tuple[float, ...]
     v: tuple[float, ...]
-    reference_market: str = ""
-    reference_year: int = 0
+    vv: float  # v . v, reused by every bootstrap draw
 
 
-def fit_trade_cost_regression(
-    w: Sequence[float],
-    v: Sequence[float],
-    *,
-    reference_market: str = "",
-    reference_year: int = 0,
-) -> TradeCostFit:
+def fit_trade_cost_regression(w: Sequence[float], v: Sequence[float]) -> TradeCostFit:
     """Ordinary least squares of ``w`` on ``v`` through the origin."""
     if len(w) != len(v):
         raise ValueError("w and v must have equal length")
@@ -391,13 +384,7 @@ def fit_trade_cost_regression(
         raise CalibrationError("degenerate share-change regressor (v.v = 0)")
     gamma = _dot(v, w) / vv
     residuals = tuple(a - gamma * b for a, b in zip(w, v))
-    return TradeCostFit(
-        gamma=gamma,
-        residuals=residuals,
-        v=tuple(v),
-        reference_market=reference_market,
-        reference_year=reference_year,
-    )
+    return TradeCostFit(gamma=gamma, residuals=residuals, v=tuple(v), vv=vv)
 
 
 def sample_trade_costs(
@@ -419,7 +406,7 @@ def sample_trade_costs(
     v, residuals = fit.v, fit.residuals
     signs = rng.signs(len(residuals))
     w_star = [fit.gamma * vk + sign * r for vk, sign, r in zip(v, signs, residuals)]
-    gamma_star = _dot(v, w_star) / _dot(v, v)
+    gamma_star = _dot(v, w_star) / fit.vv
 
     rows: list[tuple[int | None, ...]] = []
     for i, base_row in enumerate(base_costs):

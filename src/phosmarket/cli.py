@@ -76,7 +76,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     rows.append(
         [
             "trade_cost",
-            context.cost_fit.reference_market,
+            config.reference_market,
             f"{context.cost_fit.gamma:.6f}",
             "",
             len(context.cost_fit.residuals),

@@ -156,12 +156,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         config.reference_year,
         theta=config.theta,
     )
-    cost_fit = bs.fit_trade_cost_regression(
-        inversion.w,
-        inversion.v,
-        reference_market=config.reference_market,
-        reference_year=config.reference_year,
-    )
+    cost_fit = bs.fit_trade_cost_regression(inversion.w, inversion.v)
 
     digests = tuple(
         (name, file_digest(path)) for name, path in sorted(paths.items())

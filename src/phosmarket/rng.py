@@ -3,18 +3,19 @@
 :class:`SeedSequence` reproduces NumPy's ``np.random.SeedSequence``: the
 entropy words are hashed into a four-word pool, children are spawned by
 appending their index to the spawn key, and ``generate_state`` hashes the
-pool out into seed words.  :class:`Stream` is NumPy's PCG64 bit generator
-(XSL-RR 128/64, O'Neill 2014) seeded from such a sequence.  Its 32-bit
-outputs are the low then the high half of each 64-bit output, as in NumPy.
-The stream draws the bounded integers of ``Generator.integers``: 32-bit
-Lemire multiplication with rejection.  So ``Stream.from_seed(s)`` gives the
+pool out into seed words.  A replication's streams are seeded in one pass:
+each child copies its parent's pool and absorbs one index word.
+:class:`Stream` is NumPy's PCG64 bit generator (XSL-RR 128/64, O'Neill
+2014) seeded from such a sequence.  Its 32-bit outputs are the low then the
+high half of each 64-bit output, as in NumPy.  The stream draws the bounded
+integers of ``Generator.integers``: 32-bit Lemire multiplication with
+rejection.  So ``Stream.from_seed(s)`` gives the
 draws of ``np.random.default_rng(s)``, and ``Stream(SeedSequence(e))`` those
 of ``np.random.default_rng(np.random.SeedSequence(e))``, without NumPy.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Sequence
 
 _MASK32 = (1 << 32) - 1
@@ -42,9 +43,19 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
+def _absorb(pool: list[int], words: Sequence[int], const: int, skip: int = -1) -> int:
+    """Hash each word into every pool word but ``skip``; return the next hash constant.
+
+    NumPy's ``hashmix`` of the word, which advances the hash constant, then
+    ``mix`` into the pool word, both written out in one loop.
+    """
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            if dst != skip:
+                value = (word ^ const) * (const := const * _MULT_A & _MASK32) & _MASK32
+                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+                pool[dst] = value ^ value >> 16
+    return const
 
 
 class SeedSequence:
@@ -55,54 +66,44 @@ class SeedSequence:
     rehashes a child's entropy, padded to four words, and its whole spawn
     key.  The padding repeats the zeros hashed in for a short entropy, so a
     child equals its parent's pool with its own index absorbed, which is how
-    :meth:`spawn` builds it.
+    :meth:`spawn` builds it: a copy of the pool and one :func:`_absorb` call
+    per child, in a single pass over the children.
     """
 
     def __init__(self, entropy: int | Sequence[int]):
         self.n_children_spawned = 0
         values = [entropy] if isinstance(entropy, int) else entropy
         words = [word for value in values for word in _words(value)]
-        self._hash_const = _INIT_A
-        pool = [self._hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+        # Each of the first four words (zero padded) is hashed alone into the
+        # pool; then every pool word is hashed into the three others.
+        const = _INIT_A
+        self.pool = pool = []
+        for word in (words + [0] * _POOL_SIZE)[:_POOL_SIZE]:
+            value = (word ^ const) * (const := const * _MULT_A & _MASK32) & _MASK32
+            pool.append(value ^ value >> 16)
         for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], self._hashmix(pool[src]))
-        self.pool = pool
-        self._absorb(words[_POOL_SIZE:])
-
-    def _hashmix(self, value: int) -> int:
-        value ^= self._hash_const
-        self._hash_const = (self._hash_const * _MULT_A) & _MASK32
-        value = (value * self._hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def _absorb(self, words: list[int]) -> None:
-        for word in words:
-            for dst in range(_POOL_SIZE):
-                self.pool[dst] = _mix(self.pool[dst], self._hashmix(word))
+            const = _absorb(pool, [pool[src]], const, skip=src)
+        self._hash_const = _absorb(pool, words[_POOL_SIZE:], const)
 
     def spawn(self, n_children: int) -> list[SeedSequence]:
         start = self.n_children_spawned
         self.n_children_spawned += n_children
         children = []
         for i in range(start, start + n_children):
-            child = copy.copy(self)
-            child.pool = list(self.pool)
+            child = SeedSequence.__new__(SeedSequence)
             child.n_children_spawned = 0
-            child._absorb(_words(i))
+            child.pool = list(self.pool)
+            child._hash_const = _absorb(child.pool, _words(i), self._hash_const)
             children.append(child)
         return children
 
     def generate_state(self, n_words: int) -> list[int]:
         """``n_words`` 32-bit seed words hashed out of the pool."""
-        const = _INIT_B
+        pool, const = self.pool, _INIT_B
         out = []
         for i in range(n_words):
-            value = self.pool[i % _POOL_SIZE] ^ const
-            const = (const * _MULT_B) & _MASK32
-            value = (value * const) & _MASK32
-            out.append(value ^ (value >> 16))
+            value = (pool[i % _POOL_SIZE] ^ const) * (const := const * _MULT_B & _MASK32) & _MASK32
+            out.append(value ^ value >> 16)
         return out
 
 
@@ -139,8 +140,19 @@ class Stream:
         return value & _MASK32
 
     def signs(self, p: int) -> list[int]:
-        """``p`` Rademacher signs: ``integers(0, 2, size=p) * 2 - 1``."""
-        return [(self._next32() >> 31) * 2 - 1 for _ in range(p)]
+        """``p`` Rademacher signs: ``integers(0, 2, size=p) * 2 - 1``.
+
+        A sign is the top bit of a 32-bit half, so a 64-bit output gives two:
+        bits 31 and 63.  Any buffered half goes first; an odd count leaves one.
+        """
+        out = [(self._next32() >> 31) * 2 - 1] if p and self._high is not None else []
+        next64 = self._next64
+        for _ in range((p - len(out)) >> 1):
+            value = next64()
+            out += ((value >> 30 & 2) - 1, (value >> 62 & 2) - 1)
+        if len(out) < p:
+            out.append((self._next32() >> 31) * 2 - 1)
+        return out
 
     def below(self, k: int) -> int:
         """A uniform integer in ``[0, k)``: ``integers(k)`` for ``1 <= k < 2**32``."""

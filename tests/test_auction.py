@@ -1,12 +1,15 @@
 """Valuation, demand, auction and oracle behavior on small instances."""
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from phosmarket import auction
 from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
 from phosmarket.auction import (
     EnumerationBudgetError,
@@ -20,6 +23,8 @@ from phosmarket.auction import (
     valuation,
     verify_equilibrium,
 )
+from phosmarket.config import load_config
+from phosmarket.experiment import assemble_draw, load_context
 
 SOLVERS = (run_english_auction, solve_minimal_markups)
 
@@ -281,6 +286,40 @@ def test_verifier_flags_capacity_breach():
     assert not report.capacity.passed
 
 
+def random_bundle(rng, inst, j):
+    """A feasible import bundle for market j: open pairs, capacities, at most d_j units."""
+    z, left = [], inst.d[j]
+    for i in range(inst.m):
+        q = int(rng.integers(0, min(inst.s[i], left) + 1)) if inst.mask[i][j] else 0
+        z.append(q)
+        left -= q
+    return tuple(z)
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_cheapest_units_certificate_proves_maximal_utility(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, s_max=6, d_max=6)
+    markups = [int(rng.integers(0, 15)) for _ in range(inst.m)]
+    for j in range(inst.n):
+        best = demand_bundle(j, markups, inst)
+        # The minimal demanded bundle is a cheapest-units basket, so it passes.
+        assert auction._buys_cheapest_units(inst, j, markups, best.z)
+        for z in [random_bundle(rng, inst, j) for _ in range(4)]:
+            if auction._buys_cheapest_units(inst, j, markups, z):
+                assert bundle_utility(z, j, markups, inst) == best.utility
+
+
+def test_certificate_defers_free_disposal_to_the_exact_check():
+    # At zero markup, an imported unit the market leaves unused costs it
+    # nothing: the basket is not a cheapest one, but its utility is maximal.
+    inst = make([2], [1], 0, [5], [[9]])
+    assert not auction._buys_cheapest_units(inst, 0, (0,), (1,))
+    assert bundle_utility((1,), 0, (0,), inst) == demand_bundle(0, (0,), inst).utility
+    assert verify_equilibrium(inst, Equilibrium((0,), FlowMatrix.from_rows([[1]]))).ok
+
+
 def test_verifier_flags_suboptimal_bundle():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
     # at zero markups, market 0 strictly prefers importing
@@ -356,3 +395,38 @@ def test_dual_solver_terminates_on_flat_costs_instance():
     assert eq == run_english_auction(inst)
     assert eq.markups == (0, 0, 0)
     assert verify_equilibrium(inst, eq).ok
+
+
+def seeded_and_searched_waterlines(inst):
+    """The waterlines the solver passes ``_allocate``, and ``_min_spend``'s searched ones."""
+    seeded = []
+    allocate = auction._allocate
+
+    def recording(inst, markups, waterlines=None):
+        seeded.append(waterlines)
+        return allocate(inst, markups, waterlines)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auction, "_allocate", recording)
+        markups = solve_minimal_markups(inst).markups
+    [waterlines] = seeded  # one _allocate call per solve
+    return waterlines, [auction._demand_structure(inst, j, markups).mu for j in range(inst.n)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_dual_waterlines_equal_searched_ones_on_generated_draws(seed):
+    inst = random_instance(
+        np.random.default_rng(seed), m_max=5, n_max=5, s_max=40, d_max=60, cost_max=60, a_max=3
+    )
+    seeded, searched = seeded_and_searched_waterlines(inst)
+    assert seeded == searched
+
+
+def test_dual_waterlines_equal_searched_ones_on_fixture_draws():
+    data = Path(__file__).parent / "data" / "fixture_small"
+    config = load_config(data / "fixture_bau.cfg")
+    context = load_context(dataclasses.replace(config, data_dir=data))
+    for b in range(100):
+        seeded, searched = seeded_and_searched_waterlines(assemble_draw(context, b).instance())
+        assert seeded == searched, b

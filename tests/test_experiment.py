@@ -5,6 +5,7 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from phosmarket.auction import (
 )
 from phosmarket.cli import main
 from phosmarket.config import ConfigError, ExperimentConfig, load_config
-from phosmarket.core import Equilibrium, validate_instance
+from phosmarket.core import Equilibrium, FlowMatrix, validate_instance
 from phosmarket.experiment import (
     ExperimentError,
     aggregate,
@@ -185,6 +186,19 @@ def test_dual_solver_matches_auction_on_fixture_draws():
     for b in range(25):
         inst = assemble_draw(context, b).instance()
         assert solve_minimal_markups(inst) == run_english_auction(inst), b
+
+
+def test_fixture_replications_pass_the_cheapest_units_certificate():
+    # Every market of a production replication is settled by the certificate,
+    # without the exact utility comparison.
+    config = load_config(DATA / "fixture_bau.cfg")
+    context = load_context(dataclasses.replace(config, data_dir=DATA))
+    for b in range(60):
+        inst = assemble_draw(context, b).instance()
+        eq = solve_minimal_markups(inst)
+        for j in range(inst.n):
+            bundle = tuple(row[j] for row in eq.flows.x)
+            assert auction._buys_cheapest_units(inst, j, eq.markups, bundle), (b, j)
 
 
 def test_single_replication_report_has_zero_sd(tmp_path):
@@ -385,8 +399,6 @@ def test_verify_rejects_run_with_changed_inputs(tmp_path):
     manifest = config.output_dir / "manifest.txt"
     text = manifest.read_text()
     assert "digest_flows" in text
-    import re
-
     manifest.write_text(re.sub(r"digest_flows: \w+", "digest_flows: 0000", text))
     with pytest.raises(ExperimentError, match="changed since the saved run"):
         verify_run(config, sample=1)
@@ -412,6 +424,48 @@ def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, 
     assert [(b, auction_match) for b, _, auction_match, _ in outcomes] == [(0, False), (1, False)]
     assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
     assert "replication 0: verifier=True auction=False" in capsys.readouterr().out
+
+
+def raise_first_markup(inst, eq):
+    return Equilibrium((eq.markups[0] + 1, *eq.markups[1:]), eq.flows)
+
+
+def move_a_unit_to_a_dearer_supplier(inst, eq):
+    """Move one imported unit to another open supplier with spare capacity
+    whose next unit, markup included, costs more; unchanged if none exists."""
+    x = [list(row) for row in eq.flows.x]
+    p, a = eq.markups, inst.a
+    for j in range(inst.n):
+        for i in range(inst.m):
+            if not x[i][j]:
+                continue
+            last = inst.t[i][j] + p[i] + a * (2 * x[i][j] - 1)
+            for k in range(inst.m):
+                if (
+                    k != i
+                    and inst.mask[k][j]
+                    and sum(x[k]) < inst.s[k]
+                    and inst.t[k][j] + p[k] + a * (2 * x[k][j] + 1) > last
+                ):
+                    x[i][j] -= 1
+                    x[k][j] += 1
+                    return Equilibrium(p, FlowMatrix.from_rows(x))
+    return eq
+
+
+@pytest.mark.parametrize("corrupt", [raise_first_markup, move_a_unit_to_a_dearer_supplier])
+def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypatch, capsys, corrupt):
+    # The certificate fails on the corrupted equilibrium; the exact utility
+    # check behind it must still reject the run.
+    path = write_config(tmp_path)
+    monkeypatch.setattr(
+        experiment, "solve_minimal_markups", lambda inst: corrupt(inst, solve_minimal_markups(inst))
+    )
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "failed verification" in err
+    assert re.search(r"market \d+ gets utility -?\d+, maximum is -?\d+", err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
