@@ -14,17 +14,22 @@ minimal optimal dual potentials of a convex-cost min-cost flow
 on reduced costs; its cost depends neither on the money grid nor on 2^m,
 and grows with the logarithm of the largest demand rather than with the
 total unit count.  The paper's ascending auction
-(:func:`run_english_auction`) is kept as the reference mechanism.  It raises markups along steepest-descent
-directions of the aggregate objective ``sum_j V_j(p) + p . s`` (indirect
-buyer surplus plus the value of unsold capacity).  Raising every
-overdemanded supplier by one tick is the generic special case of this rule;
-near cost ties the naive rule can overshoot the minimal equilibrium, so the
-direction set is chosen as the unique minimal minimizer of the one-tick
-objective change.  Both solvers take their flows from :func:`_allocate` and
-are certified against :func:`brute_force_equilibrium` in the tests.  The
-flow's market potentials are the waterlines at the minimal markups and seed
-:func:`_allocate`.  :func:`verify_equilibrium` accepts a market's purchase
-by an exchange certificate on the instance alone before comparing utilities.
+(:func:`run_english_auction`) is kept as the reference mechanism.  It
+raises markups along steepest-descent directions of the aggregate objective
+``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the value of unsold
+capacity).  Raising every overdemanded supplier by one tick is the generic
+special case of this rule; near cost ties the naive rule can overshoot the
+minimal equilibrium, so the direction set is chosen as the unique minimal
+minimizer of the one-tick objective change.  Both solvers take their flows
+from :func:`_allocate`.  The flow's market potentials are the waterlines at
+the minimal markups and seed :func:`_allocate`.
+
+:func:`verify_equilibrium` accepts a market's purchase by an exchange
+certificate on the instance alone before comparing utilities.
+:func:`certify_minimal_markups` proves markups minimal at full scale by
+one-tick steps of the auction's objective, which is L-natural-convex
+(Murota 2003, *Discrete Convex Analysis*, ch. 7).  The exhaustive
+:func:`brute_force_equilibrium` is a test oracle for small instances.
 """
 
 from __future__ import annotations
@@ -91,17 +96,21 @@ def _units_at_or_below(base: int, a: int, cap: int, mu: int) -> int:
     return k if k < cap else cap
 
 
-def _min_spend(sources: Sequence[_Source], a: int, d: int, mu_hint: int | None = None) -> tuple[int, int]:
-    """Exact minimum spend for ``d`` units across sources and its waterline.
+def _min_spend(
+    sources: Sequence[_Source], a: int, d: int, mu_hint: int | None = None
+) -> tuple[int, int, list[int]]:
+    """Exact minimum spend for ``d`` units across sources, its waterline and counts.
 
+    The counts are each source's units strictly below the waterline.
     ``sources`` must be able to supply at least ``d`` units in total.  A hint
     is the waterline itself or one below it (a previous call's waterline
-    after each base moved up by at most one minor unit), so only those two
-    values are tried and anything else raises; without a hint a binary search
-    over the integer cost grid is used.
+    after each base rose by at most one minor unit, or that waterline minus
+    one after each fell by at most one), so only those two values are tried
+    and anything else raises; without a hint a binary search over the
+    integer cost grid is used.
     """
     if d <= 0:
-        return 0, 0
+        return 0, 0, [0] * len(sources)
 
     def supply(mu: int) -> int:
         total = 0
@@ -127,15 +136,25 @@ def _min_spend(sources: Sequence[_Source], a: int, d: int, mu_hint: int | None =
         mu = lo
 
     spend = 0
-    below = 0
+    below = []
     for base, cap in sources:
         k = _units_at_or_below(base, a, cap, mu - 1)
         spend += base * k + a * k * k
-        below += k
-    if below >= d:
+        below.append(k)
+    remainder = d - sum(below)
+    if remainder <= 0:
         raise AuctionError("waterline search produced an inconsistent basket")
-    spend += (d - below) * mu
-    return spend, mu
+    spend += remainder * mu
+    return spend, mu, below
+
+
+def _market_sources(inst: MarketInstance, j: int, markups: Sequence[int]) -> list[_Source]:
+    """Market j's sources: local supply, then each open supplier with its markup."""
+    sources: list[_Source] = [(inst.c_o[j], inst.d[j])]
+    for open_row, cost_row, p, cap in zip(inst.mask, inst.t, markups, inst.s):
+        if open_row[j]:
+            sources.append((cost_row[j] + p, cap))  # type: ignore[operator]
+    return sources
 
 
 class _MarketDemand(NamedTuple):
@@ -166,34 +185,22 @@ def _demand_structure(
     inst: MarketInstance, j: int, markups: Sequence[int], mu_hint: int | None = None
 ) -> _MarketDemand:
     a, d = inst.a, inst.d[j]
-    sources: list[_Source] = [(inst.c_o[j], d)]
-    idx: list[int] = []
-    for i in range(inst.m):
-        if inst.mask[i][j]:
-            sources.append((inst.t[i][j] + markups[i], inst.s[i]))  # type: ignore[operator]
-            idx.append(i)
-    spend, mu = _min_spend(sources, a, d, mu_hint)
+    sources = _market_sources(inst, j, markups)
+    spend, mu, below = _min_spend(sources, a, d, mu_hint)
     forced = [0] * inst.m
     tie = [0] * inst.m
-    forced_local = tie_local = 0
-    below_total = 0
-    for pos, (base, cap) in enumerate(sources):
-        k_below = _units_at_or_below(base, a, cap, mu - 1)
-        k_at = _units_at_or_below(base, a, cap, mu) - k_below
-        below_total += k_below
-        if pos == 0:
-            forced_local, tie_local = k_below, k_at
-        else:
-            forced[idx[pos - 1]] = k_below
-            tie[idx[pos - 1]] = k_at
+    suppliers = [i for i in range(inst.m) if inst.mask[i][j]]
+    for i, (base, cap), k in zip(suppliers, sources[1:], below[1:]):
+        forced[i] = k
+        tie[i] = _units_at_or_below(base, a, cap, mu) - k
     return _MarketDemand(
         mu=mu,
         spend=spend,
         forced=tuple(forced),
         tie=tuple(tie),
-        forced_local=forced_local,
-        tie_local=tie_local,
-        remainder=d - below_total,
+        forced_local=below[0],
+        tie_local=_units_at_or_below(inst.c_o[j], a, d, mu) - below[0],
+        remainder=d - sum(below),
     )
 
 
@@ -219,7 +226,7 @@ def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
             raise ValueError(f"positive cap on masked pair ({i}, {j})")
         if cap > 0:
             sources.append((inst.t[i][j], cap))  # type: ignore[arg-type]
-    spend, _ = _min_spend(sources, inst.a, inst.d[j])
+    spend, _, _ = _min_spend(sources, inst.a, inst.d[j])
     return local_spend(inst.d[j], j, inst) - spend
 
 
@@ -441,6 +448,21 @@ def _markup_bound(inst: MarketInstance) -> int:
     return max(inst.c_o[j] + inst.a * (2 * inst.d[j] - 1) for j in range(inst.n))
 
 
+def _lyapunov(inst: MarketInstance, markups: Sequence[int], waterlines: list[int | None]) -> int:
+    """The auction's objective ``L(p) = p.s - sum_j minspend_j(p)``.
+
+    Up to a constant, ``L`` is the indirect buyer surplus plus the value of
+    unsold capacity.  ``waterlines`` holds one :func:`_min_spend` hint (or
+    None) per market and receives each market's waterline at ``markups``.
+    """
+    value = sum(p * cap for p, cap in zip(markups, inst.s))
+    for j in range(inst.n):
+        sources = _market_sources(inst, j, markups)
+        spend, waterlines[j], _ = _min_spend(sources, inst.a, inst.d[j], waterlines[j])
+        value -= spend
+    return value
+
+
 def run_english_auction(
     inst: MarketInstance, *, trace: list[tuple[int, ...]] | None = None
 ) -> Equilibrium:
@@ -455,38 +477,25 @@ def run_english_auction(
     A ``trace`` list, when given, receives the markup vector at every tick.
     """
     require_valid(inst)
-    m, n = inst.m, inst.n
+    m = inst.m
     markups = [0] * m
-    cap_sum = [0] * (1 << m)
-    for bits in range(1, 1 << m):
-        low = bits & -bits
-        cap_sum[bits] = cap_sum[bits ^ low] + inst.s[low.bit_length() - 1]
-
     max_ticks = m * (_markup_bound(inst) + 1)
-    mu_hints: dict[tuple[int, int], int] = {}
+    # Per raise set, each market's waterline at the previous tick: markups
+    # rise by at most one per tick, so it is a valid hint at the next.
+    waterlines: list[list[int | None]] = [[None] * inst.n for _ in range(1 << m)]
 
-    def spends(bits: int) -> int:
-        total = 0
-        for j in range(n):
-            a, d = inst.a, inst.d[j]
-            sources: list[_Source] = [(inst.c_o[j], d)]
-            for i in range(m):
-                if inst.mask[i][j]:
-                    bump = 1 if bits >> i & 1 else 0
-                    sources.append((inst.t[i][j] + markups[i] + bump, inst.s[i]))  # type: ignore[operator]
-            spend, mu = _min_spend(sources, a, d, mu_hints.get((j, bits)))
-            mu_hints[(j, bits)] = mu
-            total += spend
-        return total
+    def objective(bits: int) -> int:
+        raised = [p + (bits >> i & 1) for i, p in enumerate(markups)]
+        return _lyapunov(inst, raised, waterlines[bits])
 
     for _ in range(max_ticks + 1):
         if trace is not None:
             trace.append(tuple(markups))
-        base = spends(0)
+        base = objective(0)
         best = 0
         argmin = 0  # intersection of all minimizing direction sets
         for bits in range(1, 1 << m):
-            delta = cap_sum[bits] - (spends(bits) - base)
+            delta = objective(bits) - base
             if delta < best:
                 best = delta
                 argmin = bits
@@ -494,8 +503,7 @@ def run_english_auction(
                 argmin &= bits
         if best >= 0:
             return Equilibrium(tuple(markups), _allocate(inst, markups))
-        check = cap_sum[argmin] - (spends(argmin) - base)
-        if check != best:
+        if objective(argmin) - base != best:
             raise AuctionError("descent directions do not intersect; demand is not substitutable")
         for i in range(m):
             if argmin >> i & 1:
@@ -730,6 +738,43 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> VerificationRep
         utility=ConditionCheck(not utility_witnesses, tuple(utility_witnesses)),
         clearance=ConditionCheck(not clearance_witnesses, clearance_witnesses),
     )
+
+
+def certify_minimal_markups(inst: MarketInstance, markups: Sequence[int]) -> bool:
+    """Whether ``markups >= 0`` are the componentwise smallest equilibrium markups.
+
+    Demand has gross substitutes, so the auction's objective ``L``
+    (:func:`_lyapunov`) is L-natural-convex on ``p >= 0``, and the minimal
+    equilibrium markups are its minimal minimizer (Ausubel 2006; Murota,
+    Shioura & Yang 2016).  With ``e_S`` the indicator of a nonempty supplier
+    set S, the certificate requires ``L(p + e_S) >= L(p)`` and, whenever
+    ``p - e_S >= 0``, ``L(p - e_S) > L(p)``.
+
+    Proof: no step ``p +- e_S`` inside ``p >= 0`` lowers ``L``, so p
+    minimizes it (L-optimality criterion, Murota 2003, *Discrete Convex
+    Analysis*, ch. 7).  Minimizers are closed under componentwise minimum
+    (``L`` is submodular), so the minimal one, q, is ``<= p``.  If
+    ``q != p``, let S be where ``p - q`` attains its maximum ``k >= 1``;
+    translation submodularity with shift ``k - 1`` (ibid.) gives ``L(p) +
+    L(q) >= L(p - e_S) + L(q + e_S)``, so ``p - e_S >= q`` is a minimizer
+    too, which the strict downward test excludes.
+
+    It shares only :func:`_min_spend` with the solvers; the stopping test of
+    :func:`run_english_auction` is its upward half.  A step moves every base
+    by at most one, so the waterlines at p (minus one downward) are hints.
+    """
+    waterlines: list[int | None] = [None] * inst.n
+    here = _lyapunov(inst, markups, waterlines)
+    down_hints = [mu - 1 for mu in waterlines]  # type: ignore[operator]
+    for bits in range(1, 1 << inst.m):
+        step = [bits >> i & 1 for i in range(inst.m)]
+        raised = [p + e for p, e in zip(markups, step)]
+        if _lyapunov(inst, raised, list(waterlines)) < here:
+            return False
+        lowered = [p - e for p, e in zip(markups, step)]
+        if min(lowered) >= 0 and _lyapunov(inst, lowered, list(down_hints)) <= here:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .auction import AuctionError, EnumerationBudgetError
+from .auction import AuctionError
 from .config import load_config
 from .experiment import (
     ExperimentError,
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, help="override the worker count")
 
     p_ver = sub.add_parser(
-        "verify", help="re-check sampled replications against the auction and the oracle"
+        "verify", help="re-check sampled replications against the auction and certify minimality"
     )
     p_ver.add_argument("--config", type=Path, required=True)
     p_ver.add_argument(
@@ -113,13 +113,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     outcomes = verify_run(config, sample=args.sample)
     failures = 0
-    for replication, verifier_ok, auction_match, oracle_match in outcomes:
-        status = "ok" if verifier_ok and auction_match and oracle_match else "FAIL"
+    for replication, auction_match, certificate_ok in outcomes:
+        status = "ok" if auction_match and certificate_ok else "FAIL"
         if status == "FAIL":
             failures += 1
         print(
-            f"replication {replication}: verifier={verifier_ok} "
-            f"auction={auction_match} oracle={oracle_match} {status}"
+            f"replication {replication}: auction={auction_match} "
+            f"certificate={certificate_ok} {status}"
         )
     if failures:
         print(f"{failures} of {len(outcomes)} sampled replications failed")
@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError, PipelineError, CalibrationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ExperimentError, AuctionError, EnumerationBudgetError, OSError) as exc:
+    except (ExperimentError, AuctionError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ Every replication assembles one market instance from bootstrap draws,
 computes its minimal markups as min-cost-flow duals
 (:func:`~phosmarket.auction.solve_minimal_markups`), verifies the
 equilibrium (a verifier failure aborts the whole run) and contributes one
-row of market-structure statistics.  The paper's tick-by-tick ascending
-auction is the reference mechanism: :func:`verify_run` re-solves sampled
-replications with it and with the brute-force oracle.  Replications are
+row of market-structure statistics.  :func:`verify_run` re-solves sampled
+replications with the paper's tick-by-tick ascending auction, the reference
+mechanism, and certifies their markups minimal at full scale
+(:func:`~phosmarket.auction.certify_minimal_markups`).  Replications are
 independent; with ``workers > 1`` they run in a pool of forked worker
 processes (POSIX only), which inherit the imported package and receive the
 loaded context with each task.  Results are a pure function of
@@ -22,7 +23,7 @@ from typing import NamedTuple
 from . import bootstrap as bs
 from . import metrics
 from .auction import (
-    brute_force_equilibrium,
+    certify_minimal_markups,
     run_english_auction,
     solve_minimal_markups,
     verify_equilibrium,
@@ -398,30 +399,17 @@ def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
         write_csv(path, header, rows)
         outputs[name] = path
 
-    table(
-        "demand",
-        ["region", "mean_mt", "sd_mt"],
-        [
-            [regions[j], _fmt(report.demand_mt[j][0]), _fmt(report.demand_mt[j][1])]
-            for j in range(len(regions))
-        ],
-    )
-    table(
-        "concentration",
-        ["region", "mean", "sd"],
-        [
-            [regions[j], _fmt(report.concentration[j][0]), _fmt(report.concentration[j][1])]
-            for j in range(len(regions))
-        ],
-    )
-    table(
-        "local_share",
-        ["region", "mean", "sd"],
-        [
-            [regions[j], _fmt(report.local_share[j][0]), _fmt(report.local_share[j][1])]
-            for j in range(len(regions))
-        ],
-    )
+    for name, key, labels, stats, columns in (
+        ("demand", "region", regions, report.demand_mt, ["mean_mt", "sd_mt"]),
+        ("concentration", "region", regions, report.concentration, ["mean", "sd"]),
+        ("local_share", "region", regions, report.local_share, ["mean", "sd"]),
+        ("global_share", "supplier", suppliers, report.global_share, ["mean", "sd"]),
+    ):
+        table(
+            name,
+            [key, *columns],
+            [[label, _fmt(mean), _fmt(sd)] for label, (mean, sd) in zip(labels, stats)],
+        )
     table(
         "diversification",
         ["supplier", "mean", "sd", "defined"],
@@ -432,14 +420,6 @@ def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
                 _fmt(report.diversification[i][1]) if report.diversification[i][2] else "",
                 report.diversification[i][2],
             ]
-            for i in range(len(suppliers))
-        ],
-    )
-    table(
-        "global_share",
-        ["supplier", "mean", "sd"],
-        [
-            [suppliers[i], _fmt(report.global_share[i][0]), _fmt(report.global_share[i][1])]
             for i in range(len(suppliers))
         ],
     )
@@ -511,30 +491,7 @@ def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
 
 
 # ---------------------------------------------------------------------------
-# Oracle re-check on down-scaled instances
-
-
-def downscale_instance(
-    inst: MarketInstance, *, max_units: int = 5, max_cost: int = 20
-) -> MarketInstance:
-    """Shrink an instance onto a grid the brute-force oracle can enumerate.
-
-    Quantities and costs divide by common factors (rounded, floored at one
-    unit); the inventory constant rescales to keep its weight against unit
-    costs roughly unchanged.
-    """
-    qdiv = max(1, math.ceil(max(max(inst.s), max(inst.d)) / max_units))
-    open_costs = [c for row in inst.t for c in row if c is not None]
-    top = max([*open_costs, *inst.c_o, 1])
-    cdiv = max(1, math.ceil(top / max_cost))
-    s = tuple(max(1, round(v / qdiv)) for v in inst.s)
-    d = tuple(max(1, round(v / qdiv)) for v in inst.d)
-    c_o = tuple(max(1, round(v / cdiv)) for v in inst.c_o)
-    t = tuple(
-        tuple(None if v is None else round(v / cdiv) for v in row) for row in inst.t
-    )
-    a = round(inst.a * qdiv / cdiv)
-    return MarketInstance(s=s, d=d, a=a, c_o=c_o, t=t, mask=inst.mask)
+# Re-check of sampled replications
 
 
 def sampled_replications(replications: int, sample: int) -> list[int]:
@@ -547,20 +504,20 @@ def sampled_replications(replications: int, sample: int) -> list[int]:
 
 def verify_run(
     config: ExperimentConfig, *, sample: int = 20
-) -> list[tuple[int, bool, bool, bool]]:
-    """Re-check sampled replications against two independent solvers.
+) -> list[tuple[int, bool, bool]]:
+    """Re-check sampled replications with an independent solver and a certificate.
 
     ``min(sample, replications)`` evenly spaced replications are sampled
     (see :func:`sampled_replications`).  Each is re-run (its equilibrium
-    must pass the verifier) and re-solved at full scale by the ascending
-    auction, whose markups and flows must equal the production solver's.  A down-scaled
-    copy of its instance is solved by both solvers and by the brute-force
-    oracle, whose markups must agree.
+    must pass the verifier, or :class:`ExperimentError` is raised) and
+    re-solved at full scale by the ascending auction, whose markups and
+    flows must equal the production solver's.  Its markups must also pass
+    :func:`~phosmarket.auction.certify_minimal_markups` on the full instance.
 
     When the configured output directory holds a run manifest, its input
     digests must match the current input tables (the saved run would not be
-    reproducible otherwise).  Returns ``(replication, verifier_ok,
-    auction_match, oracle_match)`` per sampled index.
+    reproducible otherwise).  Returns ``(replication, auction_match,
+    certificate_ok)`` per sampled index.
     """
     indices = sampled_replications(config.replications, sample)
     context = load_context(config)
@@ -585,11 +542,5 @@ def verify_run(
         auction_match = (
             reference.markups == result.markups and reference.flows.x == result.flows
         )
-        small = downscale_instance(inst)
-        oracle = brute_force_equilibrium(small)
-        oracle_match = verify_equilibrium(small, oracle).ok and all(
-            eq.markups == oracle.markups and verify_equilibrium(small, eq).ok
-            for eq in (solve_minimal_markups(small), run_english_auction(small))
-        )
-        outcomes.append((b, True, auction_match, oracle_match))
+        outcomes.append((b, auction_match, certify_minimal_markups(inst, result.markups)))
     return outcomes

@@ -15,6 +15,7 @@ from phosmarket.auction import (
     EnumerationBudgetError,
     brute_force_equilibrium,
     bundle_utility,
+    certify_minimal_markups,
     demand_bundle,
     import_spend,
     local_spend,
@@ -367,6 +368,22 @@ def test_auction_agrees_with_oracle(seed):
 
 
 @settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=100_000), flat=st.booleans())
+def test_certificate_accepts_oracle_markups_and_rejects_unit_mutants(seed, flat):
+    inst = random_instance(np.random.default_rng(seed))
+    if flat:
+        inst = inst._replace(a=0)
+    markups = brute_force_equilibrium(inst).markups
+    assert certify_minimal_markups(inst, markups)
+    for i in range(inst.m):
+        for step in (1, -1):
+            mutant = list(markups)
+            mutant[i] += step
+            if mutant[i] >= 0:
+                assert not certify_minimal_markups(inst, mutant), (i, step)
+
+
+@settings(deadline=None, max_examples=100)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_dual_solver_agrees_with_auction_over_several_scaling_phases(seed):
     # Demands up to 60 units start the capacity scaling at Delta = 32, so
@@ -376,7 +393,9 @@ def test_dual_solver_agrees_with_auction_over_several_scaling_phases(seed):
         np.random.default_rng(seed), m_max=5, n_max=5, s_max=40, d_max=60, cost_max=60, a_max=3
     )
     assume(max(inst.d) >= 4)
-    assert solve_minimal_markups(inst) == run_english_auction(inst)
+    eq = solve_minimal_markups(inst)
+    assert eq == run_english_auction(inst)
+    assert certify_minimal_markups(inst, eq.markups)
 
 
 def test_dual_solver_terminates_on_flat_costs_instance():

@@ -16,6 +16,7 @@ from phosmarket import auction, bootstrap, experiment
 from phosmarket.auction import (
     ConditionCheck,
     VerificationReport,
+    certify_minimal_markups,
     run_english_auction,
     solve_minimal_markups,
     verify_equilibrium,
@@ -27,7 +28,6 @@ from phosmarket.experiment import (
     ExperimentError,
     aggregate,
     assemble_draw,
-    downscale_instance,
     emit_tables,
     load_context,
     run_experiment,
@@ -185,7 +185,9 @@ def test_dual_solver_matches_auction_on_fixture_draws():
     context = load_context(dataclasses.replace(config, data_dir=DATA))
     for b in range(25):
         inst = assemble_draw(context, b).instance()
-        assert solve_minimal_markups(inst) == run_english_auction(inst), b
+        eq = solve_minimal_markups(inst)
+        assert eq == run_english_auction(inst), b
+        assert certify_minimal_markups(inst, eq.markups), b
 
 
 def test_fixture_replications_pass_the_cheapest_units_certificate():
@@ -372,15 +374,6 @@ def test_missing_input_table_is_reported(tmp_path):
         load_context(config)
 
 
-def test_downscale_produces_small_valid_instance(tmp_path):
-    context = load_context(fixture_config(tmp_path))
-    inst = assemble_draw(context, 0).instance()
-    small = downscale_instance(inst, max_units=4, max_cost=12)
-    assert validate_instance(small) == []
-    assert max(max(small.s), max(small.d)) <= 5
-    assert small.mask == inst.mask
-
-
 def test_aggregated_means_stay_inside_replication_envelope(tmp_path):
     eps = 1e-9  # the mean of equal floats can land one ulp off the envelope
     config = fixture_config(tmp_path, replications=12)
@@ -415,15 +408,17 @@ def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, 
     assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
     assert "replication 0" in capsys.readouterr().err
 
-    # With the verifier fooled, the auction cross-check alone still fails.
+    # With the verifier fooled, the auction cross-check and the minimality
+    # certificate each still fail.
     passed = ConditionCheck(True)
     monkeypatch.setattr(
         experiment, "verify_equilibrium", lambda inst, eq: VerificationReport(passed, passed, passed)
     )
     outcomes = verify_run(load_config(path), sample=2)
-    assert [(b, auction_match) for b, _, auction_match, _ in outcomes] == [(0, False), (1, False)]
+    assert [(b, auction_match) for b, auction_match, _ in outcomes] == [(0, False), (1, False)]
+    assert [certificate_ok for _, _, certificate_ok in outcomes] == [False, False]
     assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
-    assert "replication 0: verifier=True auction=False" in capsys.readouterr().out
+    assert "replication 0: auction=False certificate=False FAIL" in capsys.readouterr().out
 
 
 def raise_first_markup(inst, eq):
@@ -607,17 +602,3 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, data_dir=tmp_path / "missing")
     assert main(["simulate", "--config", str(path)]) == 2
     assert "failure:" in capsys.readouterr().err
-
-
-def test_cli_verify_reports_exhausted_oracle_budget_with_exit_2(tmp_path, monkeypatch, capsys):
-    # At paper scale the down-scaled instance outgrows the oracle's budget;
-    # a zero budget raises the same error at once.
-    monkeypatch.setattr(
-        experiment,
-        "brute_force_equilibrium",
-        lambda inst: auction.brute_force_equilibrium(inst, budget=0),
-    )
-    path = write_config(tmp_path, replications=2)
-    assert main(["verify", "--config", str(path), "--sample", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("failure:") and "enumeration budget exhausted" in err
