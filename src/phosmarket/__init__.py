@@ -2,10 +2,7 @@
 
 from .auction import (
     DemandBundle,
-    VerificationReport,
-    brute_force_equilibrium,
     demand_bundle,
-    import_spend,
     local_spend,
     run_english_auction,
     solve_minimal_markups,
@@ -31,11 +28,8 @@ __all__ = [
     "FlowMatrix",
     "MarketInstance",
     "ScenarioReport",
-    "VerificationReport",
-    "brute_force_equilibrium",
     "demand_bundle",
     "emit_tables",
-    "import_spend",
     "load_config",
     "local_spend",
     "run_english_auction",

@@ -4,9 +4,10 @@ Buyers on each market face quadratic spending schedules: the k-th locally
 produced unit costs ``c_oj + a*(2k - 1)`` at the margin and the u-th unit from
 supplier i costs ``t_ij + p_i + a*(2u - 1)``.  A market demanding ``d`` units
 therefore solves a separable convex assignment: buy the ``d`` cheapest units
-across the local source and all unmasked suppliers.  That assignment is
-computed exactly on the integer cost grid by a waterline search
-(:func:`_min_spend`), which provably matches exhaustive enumeration.
+across the local source and every supplier open to the market, that is, with
+a trade cost that is not ``None``.  That assignment is computed exactly on
+the integer cost grid by a waterline search (:func:`_min_spend`), which
+provably matches exhaustive enumeration.
 
 Production computes the componentwise smallest equilibrium markups as the
 minimal optimal dual potentials of a convex-cost min-cost flow
@@ -24,21 +25,20 @@ minimizer of the one-tick objective change.  Both solvers take their flows
 from :func:`_allocate`.  The flow's market potentials are the waterlines at
 the minimal markups and seed :func:`_allocate`.
 
-:func:`verify_equilibrium` accepts a market's purchase by an exchange
-certificate on the instance alone before comparing utilities.
+:func:`verify_equilibrium` returns one witness per violated condition, so an
+empty list means an equilibrium; it accepts a market's purchase by an
+exchange certificate on the instance alone before comparing utilities.
 :func:`certify_minimal_markups` proves markups minimal at full scale by
 one-tick steps of the auction's objective, which is L-natural-convex
-(Murota 2003, *Discrete Convex Analysis*, ch. 7).  The exhaustive
-:func:`brute_force_equilibrium` is a test oracle for small instances.
+(Murota 2003, *Discrete Convex Analysis*, ch. 7).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Equilibrium,
@@ -53,10 +53,6 @@ class AuctionError(RuntimeError):
     """Internal inconsistency in a markup solver (a bug, not a model state)."""
 
 
-class EnumerationBudgetError(RuntimeError):
-    """The brute-force oracle exceeded its enumeration budget."""
-
-
 # ---------------------------------------------------------------------------
 # Spending schedules
 
@@ -66,15 +62,6 @@ def local_spend(z: int, j: int, inst: MarketInstance) -> int:
     if not 0 <= z <= inst.d[j]:
         raise ValueError(f"local purchase {z} outside [0, {inst.d[j]}]")
     return z * (inst.a * z + inst.c_o[j])
-
-
-def import_spend(z: int, i: int, j: int, inst: MarketInstance) -> int:
-    """Spending on ``z`` units shipped from supplier i at cost value."""
-    if not inst.mask[i][j]:
-        raise ValueError(f"pair (supplier {i}, market {j}) is masked")
-    if not 0 <= z <= inst.s[i]:
-        raise ValueError(f"import {z} outside [0, {inst.s[i]}]")
-    return z * (inst.a * z + inst.trade_cost(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +138,10 @@ def _min_spend(
 def _market_sources(inst: MarketInstance, j: int, markups: Sequence[int]) -> list[_Source]:
     """Market j's sources: local supply, then each open supplier with its markup."""
     sources: list[_Source] = [(inst.c_o[j], inst.d[j])]
-    for open_row, cost_row, p, cap in zip(inst.mask, inst.t, markups, inst.s):
-        if open_row[j]:
-            sources.append((cost_row[j] + p, cap))  # type: ignore[operator]
+    for cost_row, p, cap in zip(inst.t, markups, inst.s):
+        cost = cost_row[j]
+        if cost is not None:
+            sources.append((cost + p, cap))
     return sources
 
 
@@ -164,7 +152,6 @@ class _MarketDemand(NamedTuple):
     spend: int
     forced: tuple[int, ...]  # per supplier, units strictly below the waterline
     tie: tuple[int, ...]  # per supplier, units exactly at the waterline
-    forced_local: int
     tie_local: int
     remainder: int  # waterline units still to distribute among ties
 
@@ -189,7 +176,7 @@ def _demand_structure(
     spend, mu, below = _min_spend(sources, a, d, mu_hint)
     forced = [0] * inst.m
     tie = [0] * inst.m
-    suppliers = [i for i in range(inst.m) if inst.mask[i][j]]
+    suppliers = [i for i in range(inst.m) if inst.t[i][j] is not None]
     for i, (base, cap), k in zip(suppliers, sources[1:], below[1:]):
         forced[i] = k
         tie[i] = _units_at_or_below(base, a, cap, mu) - k
@@ -198,7 +185,6 @@ def _demand_structure(
         spend=spend,
         forced=tuple(forced),
         tie=tuple(tie),
-        forced_local=below[0],
         tie_local=_units_at_or_below(inst.c_o[j], a, d, mu) - below[0],
         remainder=d - sum(below),
     )
@@ -222,7 +208,7 @@ def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
     for i, cap in enumerate(xcap):
         if not 0 <= cap <= inst.s[i]:
             raise ValueError(f"cap {cap} outside [0, {inst.s[i]}] (supplier {i})")
-        if cap > 0 and not inst.mask[i][j]:
+        if cap > 0 and inst.t[i][j] is None:
             raise ValueError(f"positive cap on masked pair ({i}, {j})")
         if cap > 0:
             sources.append((inst.t[i][j], cap))  # type: ignore[arg-type]
@@ -317,8 +303,9 @@ def solve_minimal_markups(
     for j in range(n):
         add_arc(source, m + j, inst.c_o[j], inst.a, inst.d[j])
         for i in range(m):
-            if inst.mask[i][j]:
-                add_arc(i, m + j, inst.trade_cost(i, j), inst.a, min(inst.s[i], inst.d[j]))
+            cost = inst.t[i][j]
+            if cost is not None:
+                add_arc(i, m + j, cost, inst.a, min(inst.s[i], inst.d[j]))
     arcs = range(len(tail))
     flow = [0] * len(tail)
     # Per node, (arc, other end) for the arcs leaving it and entering it.
@@ -640,23 +627,6 @@ class _FlowNetwork:
 # Verification
 
 
-class ConditionCheck(NamedTuple):
-    passed: bool
-    witnesses: tuple[str, ...] = ()
-
-
-class VerificationReport(NamedTuple):
-    """Per-condition result of checking an equilibrium candidate."""
-
-    capacity: ConditionCheck
-    utility: ConditionCheck
-    clearance: ConditionCheck
-
-    @property
-    def ok(self) -> bool:
-        return self.capacity.passed and self.utility.passed and self.clearance.passed
-
-
 def _buys_cheapest_units(
     inst: MarketInstance, j: int, markups: Sequence[int], z: Sequence[int]
 ) -> bool:
@@ -690,8 +660,9 @@ def _buys_cheapest_units(
     last = [c + a * (2 * local - 1)] if local else []
     following = [c + a * (2 * local + 1)] if local < d else []
     for i, q in enumerate(z):
-        if inst.mask[i][j]:
-            cost = inst.t[i][j] + markups[i]  # type: ignore[operator]
+        cost = inst.t[i][j]
+        if cost is not None:
+            cost += markups[i]
             if q:
                 last.append(cost + a * (2 * q - 1))
             if q < inst.s[i]:
@@ -699,25 +670,21 @@ def _buys_cheapest_units(
     return bool(last) and (not following or max(last) <= min(following))
 
 
-def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> VerificationReport:
-    """Check capacity, payoff maximization and clearance, with witnesses.
+def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
+    """Witnesses of every violated equilibrium condition; empty for an equilibrium.
 
-    A market whose purchase passes :func:`_buys_cheapest_units` maximizes
-    its payoff; any other is checked exactly against :func:`demand_bundle`.
+    Malformed flows or markups (shape, sign, closed pairs, capacity, market
+    size: :func:`~phosmarket.core.validate_flows`) are reported alone.
+    Otherwise each market must maximize its payoff and no supplier may go
+    unsold at a positive markup.  A market whose purchase passes
+    :func:`_buys_cheapest_units` maximizes its payoff; any other is checked
+    exactly against :func:`demand_bundle`.
     """
-    structural = validate_flows(eq.flows, inst)
+    witnesses = validate_flows(eq.flows, inst)
     if len(eq.markups) != inst.m or any(p < 0 for p in eq.markups):
-        structural.append("malformed markup vector")
-    if structural:
-        failed = ConditionCheck(False, tuple(structural))
-        return VerificationReport(capacity=failed, utility=failed, clearance=failed)
-
-    capacity_witnesses = tuple(
-        f"supplier {i} ships {eq.flows.supplier_total(i)} > capacity {inst.s[i]}"
-        for i in range(inst.m)
-        if eq.flows.supplier_total(i) > inst.s[i]
-    )
-    utility_witnesses = []
+        witnesses.append("malformed markup vector")
+    if witnesses:
+        return witnesses
     for j in range(inst.n):
         bundle = tuple(eq.flows.x[i][j] for i in range(inst.m))
         if _buys_cheapest_units(inst, j, eq.markups, bundle):
@@ -725,19 +692,11 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> VerificationRep
         attained = bundle_utility(bundle, j, eq.markups, inst)
         best = demand_bundle(j, eq.markups, inst).utility
         if attained != best:
-            utility_witnesses.append(
-                f"market {j} gets utility {attained}, maximum is {best}"
-            )
-    clearance_witnesses = tuple(
-        f"supplier {i} unsold at positive markup {eq.markups[i]}"
-        for i in range(inst.m)
-        if eq.flows.supplier_total(i) == 0 and eq.markups[i] > 0
-    )
-    return VerificationReport(
-        capacity=ConditionCheck(not capacity_witnesses, capacity_witnesses),
-        utility=ConditionCheck(not utility_witnesses, tuple(utility_witnesses)),
-        clearance=ConditionCheck(not clearance_witnesses, clearance_witnesses),
-    )
+            witnesses.append(f"market {j} gets utility {attained}, maximum is {best}")
+    for i in range(inst.m):
+        if eq.flows.supplier_total(i) == 0 and eq.markups[i] > 0:
+            witnesses.append(f"supplier {i} unsold at positive markup {eq.markups[i]}")
+    return witnesses
 
 
 def certify_minimal_markups(inst: MarketInstance, markups: Sequence[int]) -> bool:
@@ -775,130 +734,3 @@ def certify_minimal_markups(inst: MarketInstance, markups: Sequence[int]) -> boo
         if min(lowered) >= 0 and _lyapunov(inst, lowered, list(down_hints)) <= here:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-def _bundles(inst: MarketInstance, j: int) -> list[tuple[int, ...]]:
-    ranges = [
-        range(inst.s[i] + 1) if inst.mask[i][j] else range(1) for i in range(inst.m)
-    ]
-    return [z for z in itertools.product(*ranges) if sum(z) <= inst.d[j]]
-
-
-def _enumerated_values(inst: MarketInstance, j: int, bundles: list[tuple[int, ...]]) -> list[int]:
-    """Valuation of every bundle by direct enumeration of sub-bundles."""
-    savings = {}
-    for w in bundles:
-        total = sum(w)
-        cost = sum(
-            w[i] * (inst.a * w[i] + inst.t[i][j])  # type: ignore[operator]
-            for i in range(inst.m)
-            if w[i]
-        )
-        savings[w] = (
-            local_spend(inst.d[j], j, inst)
-            - local_spend(inst.d[j] - total, j, inst)
-            - cost
-        )
-    values = []
-    for z in bundles:
-        values.append(
-            max(
-                savings[w]
-                for w in bundles
-                if all(w[i] <= z[i] for i in range(inst.m))
-            )
-        )
-    return values
-
-
-def _markup_vectors(m: int, p_max: int) -> Iterator[tuple[int, ...]]:
-    """All vectors on [0, p_max]^m ordered by total, then lexicographically."""
-
-    def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if total <= p_max:
-                yield (total,)
-            return
-        first_min = max(0, total - (slots - 1) * p_max)
-        for first in range(first_min, min(total, p_max) + 1):
-            for rest in compositions(total - first, slots - 1):
-                yield (first, *rest)
-
-    for total in range(m * p_max + 1):
-        yield from compositions(total, m)
-
-
-def brute_force_equilibrium(
-    inst: MarketInstance, p_max: int | None = None, *, budget: int = 500_000
-) -> Equilibrium:
-    """Smallest-markup equilibrium by exhaustive enumeration (test oracle).
-
-    Markup vectors on the integer grid are scanned in order of total then
-    lexicographically; at each vector every jointly feasible selection of
-    payoff-maximizing bundles is searched for one satisfying capacity and
-    clearance.  Intended for small instances only.
-    """
-    require_valid(inst)
-    m, n = inst.m, inst.n
-    if p_max is None:
-        p_max = _markup_bound(inst)
-    bundles = [_bundles(inst, j) for j in range(n)]
-    values = [_enumerated_values(inst, j, bundles[j]) for j in range(n)]
-
-    examined = 0
-    for markups in _markup_vectors(m, p_max):
-        examined += 1
-        if examined > budget:
-            raise EnumerationBudgetError(
-                f"enumeration budget exhausted after {budget} markup vectors"
-            )
-        argmax: list[list[tuple[int, ...]]] = []
-        for j in range(n):
-            utilities = [
-                value - sum(p * q for p, q in zip(markups, z))
-                for z, value in zip(bundles[j], values[j])
-            ]
-            best = max(utilities)
-            argmax.append(
-                [z for z, u in zip(bundles[j], utilities) if u == best]
-            )
-        selection = _select_flows(inst, markups, argmax)
-        if selection is not None:
-            return Equilibrium(markups, FlowMatrix(selection))
-    raise AuctionError("no equilibrium found on the markup grid")
-
-
-def _select_flows(
-    inst: MarketInstance,
-    markups: tuple[int, ...],
-    argmax: list[list[tuple[int, ...]]],
-) -> tuple[tuple[int, ...], ...] | None:
-    """Pick one argmax bundle per market meeting capacity and clearance."""
-    m, n = inst.m, inst.n
-    chosen: list[tuple[int, ...]] = []
-    seen: set[tuple[int, tuple[int, ...], frozenset[int]]] = set()
-    lacking0 = frozenset(i for i in range(m) if markups[i] > 0)
-
-    def search(j: int, caps: tuple[int, ...], lacking: frozenset[int]) -> bool:
-        if j == n:
-            return not lacking
-        state = (j, caps, lacking)
-        if state in seen:
-            return False
-        for z in argmax[j]:
-            if all(z[i] <= caps[i] for i in range(m)):
-                chosen.append(z)
-                left = frozenset(i for i in lacking if not z[i])
-                if search(j + 1, tuple(caps[i] - z[i] for i in range(m)), left):
-                    return True
-                chosen.pop()
-        seen.add(state)
-        return False
-
-    if not search(0, inst.s, lacking0):
-        return None
-    return tuple(tuple(chosen[j][i] for j in range(n)) for i in range(m))

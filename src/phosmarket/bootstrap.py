@@ -267,8 +267,9 @@ def infer_relative_trade_costs(
     of an active flow is the price net of the flow's own inventory component,
     expressed relative to the reference market's cost level that year (so the
     reference market itself sits near zero, matching the entry-floor reading
-    of costs).  A pair that is never active is masked; a pair inactive in the
-    reference year anchors at its mean relative cost over active years.
+    of costs).  A pair that is never active is closed to trade (its base cost
+    is ``None``); a pair inactive in the reference year anchors at its mean
+    relative cost over active years.
     """
     if reference_market not in regions:
         raise ValueError(f"unknown reference market {reference_market!r}")
@@ -392,16 +393,15 @@ def sample_trade_costs(
     scenario_share_changes: Sequence[float],
     fit: TradeCostFit,
     rng: Stream,
-    mask: Sequence[Sequence[bool]],
     *,
     scale: int,
 ) -> tuple[tuple[int | None, ...], ...]:
-    """One trade-cost table draw in minor units; masked cells stay absent.
+    """One trade-cost table draw in minor units; closed pairs stay ``None``.
 
-    The slope is re-estimated on a wild-bootstrap resample of the fitted
-    regression, then every open cell receives the predicted shift for its
-    market's scenario share change plus a sign-flipped resampled residual,
-    clamped at zero cost.
+    A pair is open exactly where its base cost is not ``None``.  The slope is
+    re-estimated on a wild-bootstrap resample of the fitted regression, then
+    every open cell receives the predicted shift for its market's scenario
+    share change plus a sign-flipped resampled residual, clamped at zero cost.
     """
     v, residuals = fit.v, fit.residuals
     signs = rng.signs(len(residuals))
@@ -409,16 +409,12 @@ def sample_trade_costs(
     gamma_star = _dot(v, w_star) / fit.vv
 
     rows: list[tuple[int | None, ...]] = []
-    for i, base_row in enumerate(base_costs):
+    for base_row in base_costs:
         row: list[int | None] = []
         for j, base in enumerate(base_row):
-            if not mask[i][j]:
-                if base is not None:
-                    raise ValueError(f"base cost on masked pair ({i}, {j})")
+            if base is None:
                 row.append(None)
                 continue
-            if base is None:
-                raise ValueError(f"missing base cost on open pair ({i}, {j})")
             noise = 0.0
             if len(residuals):
                 eps = residuals[rng.below(len(residuals))]

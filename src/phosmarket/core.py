@@ -49,9 +49,9 @@ class MarketInstance(NamedTuple):
         d: per-market demands (units, each >= 1).
         a: inventory/congestion cost constant (minor units per unit squared).
         c_o: per-market local unit production costs (minor units, > 0).
-        t: m x n unit trade costs (minor units); ``None`` exactly where the
-            pair is masked out of the trade network.
-        mask: m x n booleans, True where supplier -> market trade is allowed.
+        t: m x n unit trade costs (minor units); ``None`` marks a pair closed
+            to trade: a supplier may ship to a market exactly where its cost
+            is not ``None``.
     """
 
     s: tuple[int, ...]
@@ -59,7 +59,6 @@ class MarketInstance(NamedTuple):
     a: int
     c_o: tuple[int, ...]
     t: tuple[tuple[int | None, ...], ...]
-    mask: tuple[tuple[bool, ...], ...]
 
     @property
     def m(self) -> int:
@@ -68,13 +67,6 @@ class MarketInstance(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.d)
-
-    def trade_cost(self, i: int, j: int) -> int:
-        """Unit trade cost for an allowed pair; raises on a masked pair."""
-        cost = self.t[i][j]
-        if cost is None:
-            raise ValueError(f"pair (supplier {i}, market {j}) is masked")
-        return cost
 
 
 def validate_instance(inst: MarketInstance) -> list[str]:
@@ -89,8 +81,6 @@ def validate_instance(inst: MarketInstance) -> list[str]:
         issues.append("local cost vector length must equal market count")
     if len(inst.t) != m or any(len(row) != n for row in inst.t):
         issues.append("trade cost table must be m x n")
-    if len(inst.mask) != m or any(len(row) != n for row in inst.mask):
-        issues.append("mask must be m x n")
     for i, cap in enumerate(inst.s):
         if cap < 1:
             issues.append(f"capacity must be >= 1 (supplier {i})")
@@ -102,18 +92,10 @@ def validate_instance(inst: MarketInstance) -> list[str]:
     for j, cost in enumerate(inst.c_o):
         if cost <= 0:
             issues.append(f"local unit cost must be > 0 (market {j})")
-    if len(inst.t) == m and len(inst.mask) == m:
-        for i in range(m):
-            if len(inst.t[i]) != n or len(inst.mask[i]) != n:
-                continue
-            for j in range(n):
-                cost, allowed = inst.t[i][j], inst.mask[i][j]
-                if allowed and cost is None:
-                    issues.append(f"missing cost on open pair ({i}, {j})")
-                elif allowed and cost is not None and cost < 0:
-                    issues.append(f"negative trade cost on pair ({i}, {j})")
-                elif not allowed and cost is not None:
-                    issues.append(f"cost on masked pair ({i}, {j})")
+    for i, row in enumerate(inst.t):
+        for j, cost in enumerate(row):
+            if cost is not None and cost < 0:
+                issues.append(f"negative trade cost on pair ({i}, {j})")
     return issues
 
 
@@ -154,7 +136,7 @@ def validate_flows(flows: FlowMatrix, inst: MarketInstance) -> list[str]:
             q = flows.x[i][j]
             if q < 0:
                 issues.append(f"negative flow on pair ({i}, {j})")
-            if q > 0 and not inst.mask[i][j]:
+            if q > 0 and inst.t[i][j] is None:
                 issues.append(f"flow crosses masked pair ({i}, {j})")
         if flows.supplier_total(i) > inst.s[i]:
             issues.append(f"capacity exceeded (supplier {i})")

@@ -41,19 +41,15 @@ class BootstrapDraw(NamedTuple):
     """One replication of all exogenous auction inputs."""
 
     replication: int
-    stream_id: str
     d: tuple[int, ...]
     s: tuple[int, ...]
-    t: tuple[tuple[int | None, ...], ...]
-    mask: tuple[tuple[bool, ...], ...]
+    t: tuple[tuple[int | None, ...], ...]  # None on pairs closed to trade
     a: int
     c_o: tuple[int, ...]
     rejections: int
 
     def instance(self) -> MarketInstance:
-        return MarketInstance(
-            s=self.s, d=self.d, a=self.a, c_o=self.c_o, t=self.t, mask=self.mask
-        )
+        return MarketInstance(s=self.s, d=self.d, a=self.a, c_o=self.c_o, t=self.t)
 
 
 class ExperimentContext(NamedTuple):
@@ -68,8 +64,7 @@ class ExperimentContext(NamedTuple):
     shares: tuple[float, ...]  # supplier share estimates, unitless
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
     cost_fit: bs.TradeCostFit
-    base_costs: tuple[tuple[float | None, ...], ...]
-    mask: tuple[tuple[bool, ...], ...]  # open supplier-market pairs
+    base_costs: tuple[tuple[float | None, ...], ...]  # None on pairs without history
     ref_shares: tuple[float, ...]
     reference_index: int
     input_digests: tuple[tuple[str, str], ...]
@@ -87,10 +82,10 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
             raise ExperimentError(f"missing input table {path}")
 
     flows: dict[tuple[str, str, int], float] = {}
-    for row in read_csv(paths["flows"]):
+    for row in read_csv(paths["flows"], ("supplier", "region", "year", "kt")):
         flows[(row["supplier"], row["region"], int(row["year"]))] = float(row["kt"])
     local: dict[tuple[str, int], float] = {}
-    for row in read_csv(paths["local_supply"]):
+    for row in read_csv(paths["local_supply"], ("region", "year", "kt")):
         local[(row["region"], int(row["year"]))] = float(row["kt"])
 
     suppliers = tuple(sorted({key[0] for key in flows}))
@@ -99,7 +94,9 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     if config.reference_market not in regions:
         raise ExperimentError(f"reference market {config.reference_market!r} not in data")
 
-    series_rows = read_csv(paths["demand_series"])
+    series_rows = read_csv(
+        paths["demand_series"], ("region", "year", "dapmap_mt", "fert_mt", "crop_use_mt")
+    )
     series_list = []
     for region in regions:
         rows = sorted(
@@ -118,7 +115,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         )
 
     z_scenario = {}
-    for row in read_csv(paths["scenario_use"]):
+    for row in read_csv(paths["scenario_use"], ("scenario", "region", "use_mt")):
         if row["scenario"] == config.scenario:
             z_scenario[row["region"]] = float(row["use_mt"])
     missing = [region for region in regions if region not in z_scenario]
@@ -173,9 +170,6 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
         cost_fit=cost_fit,
         base_costs=inversion.base_costs,
-        mask=tuple(
-            tuple(cost is not None for cost in row) for row in inversion.base_costs
-        ),
         ref_shares=inversion.ref_shares,
         reference_index=regions.index(config.reference_market),
         input_digests=digests,
@@ -222,7 +216,6 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
         share_changes,
         context.cost_fit,
         cost_rng,
-        context.mask,
         scale=config.money_scale,
     )
     a, c_o = bs.calibrate_local_costs(
@@ -230,11 +223,9 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
     )
     return BootstrapDraw(
         replication=replication,
-        stream_id=f"{config.seed}/{replication}",
         d=tuple(d_units),
         s=capacities,
         t=costs,
-        mask=context.mask,
         a=a,
         c_o=c_o,
         rejections=rejections,
@@ -258,13 +249,8 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
     draw = assemble_draw(context, replication)
     inst = draw.instance()
     equilibrium = solve_minimal_markups(inst)
-    report = verify_equilibrium(inst, equilibrium)
-    if not report.ok:
-        witnesses = [
-            witness
-            for check in (report.capacity, report.utility, report.clearance)
-            for witness in check.witnesses
-        ]
+    witnesses = verify_equilibrium(inst, equilibrium)
+    if witnesses:
         raise ExperimentError(
             f"replication {replication} failed verification: " + "; ".join(witnesses)
         )

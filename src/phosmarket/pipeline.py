@@ -277,7 +277,9 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
             kind=row["kind"],
             mass=float(row["mass_tonnes"]),
         )
-        for row in read_csv(inputs["trade_flows"])
+        for row in read_csv(
+            inputs["trade_flows"], ("year", "supplier", "country", "kind", "mass_tonnes")
+        )
     ]
     domestic = [
         TradeFlowRecord(
@@ -287,13 +289,18 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
             kind=row["kind"],
             mass=float(row["mass_tonnes"]),
         )
-        for row in read_csv(inputs["domestic_supply"])
+        for row in read_csv(inputs["domestic_supply"], ("year", "supplier", "kind", "mass_tonnes"))
     ]
-    residence = {row["supplier"]: row["country"] for row in read_csv(inputs["residence"])}
-    regions = {row["country"]: row["region"] for row in read_csv(inputs["regions"])}
+    residence = {
+        row["supplier"]: row["country"]
+        for row in read_csv(inputs["residence"], ("supplier", "country"))
+    }
+    regions = {
+        row["country"]: row["region"] for row in read_csv(inputs["regions"], ("country", "region"))
+    }
     consumption = {
         (row["region"], int(row["year"])): float(row["consumption_kt"])
-        for row in read_csv(inputs["consumption"])
+        for row in read_csv(inputs["consumption"], ("region", "year", "consumption_kt"))
     }
 
     flows = compile_trade_flows(records, regions, residence, domestic)
@@ -332,15 +339,21 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     if scenario_input.exists():
         use = {
             (row["country"], row["crop"]): float(row["use_kt"])
-            for row in read_csv(raw_dir / "fertilizer_use.csv")
+            for row in read_csv(raw_dir / "fertilizer_use.csv", ("country", "crop", "use_kt"))
         }
         production = {
             (row["country"], row["crop"]): float(row["production_kt"])
-            for row in read_csv(raw_dir / "crop_production.csv")
+            for row in read_csv(
+                raw_dir / "crop_production.csv", ("country", "crop", "production_kt")
+            )
         }
-        eu_members = [row["country"] for row in read_csv(raw_dir / "eu_members.csv")]
+        eu_members = [
+            row["country"] for row in read_csv(raw_dir / "eu_members.csv", ("country",))
+        ]
         rates = derive_application_rates(use, production, eu_members, regions)
-        scenario_rows = read_csv(scenario_input)
+        scenario_rows = read_csv(
+            scenario_input, ("scenario", "country", "crop", "production_kt")
+        )
         scenarios = sorted({row["scenario"] for row in scenario_rows})
         use_rows = []
         for scenario in scenarios:

@@ -17,11 +17,19 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def read_csv(path: Path) -> list[dict[str, str]]:
-    """Read a CSV file, skipping ``#`` provenance/comment lines."""
+def read_csv(path: Path, columns: Iterable[str] = ()) -> list[dict[str, str]]:
+    """Read a CSV file, skipping ``#`` provenance/comment lines.
+
+    ``columns`` are the columns the caller reads; a header that lacks any of
+    them raises ``ValueError`` naming the file and the missing columns.
+    """
     with path.open(newline="", encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
-    return list(csv.DictReader(lines))
+    reader = csv.DictReader(lines)
+    missing = [column for column in columns if column not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path} lacks column(s): {', '.join(missing)}")
+    return list(reader)
 
 
 def write_csv(

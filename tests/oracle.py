@@ -1,0 +1,154 @@
+"""Brute-force reference oracle for small market instances (test-only code).
+
+:func:`brute_force_equilibrium` finds the componentwise smallest equilibrium
+markups by scanning the integer markup grid and enumerating every bundle, so
+it shares nothing with the production solver but the instance type and
+:func:`~phosmarket.auction.local_spend`.  Its cost grows exponentially with
+the supplier count; the tests use it on instances with a few units.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+from phosmarket.auction import AuctionError, _markup_bound, local_spend
+from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance, require_valid
+
+
+class EnumerationBudgetError(RuntimeError):
+    """The brute-force oracle exceeded its enumeration budget."""
+
+
+def import_spend(z: int, i: int, j: int, inst: MarketInstance) -> int:
+    """Spending on ``z`` units shipped from supplier i at cost value."""
+    cost = inst.t[i][j]
+    if cost is None:
+        raise ValueError(f"pair (supplier {i}, market {j}) is masked")
+    if not 0 <= z <= inst.s[i]:
+        raise ValueError(f"import {z} outside [0, {inst.s[i]}]")
+    return z * (inst.a * z + cost)
+
+
+def _bundles(inst: MarketInstance, j: int) -> list[tuple[int, ...]]:
+    ranges = [
+        range(inst.s[i] + 1) if inst.t[i][j] is not None else range(1)
+        for i in range(inst.m)
+    ]
+    return [z for z in itertools.product(*ranges) if sum(z) <= inst.d[j]]
+
+
+def _enumerated_values(inst: MarketInstance, j: int, bundles: list[tuple[int, ...]]) -> list[int]:
+    """Valuation of every bundle by direct enumeration of sub-bundles."""
+    savings = {}
+    for w in bundles:
+        total = sum(w)
+        cost = sum(
+            w[i] * (inst.a * w[i] + inst.t[i][j])  # type: ignore[operator]
+            for i in range(inst.m)
+            if w[i]
+        )
+        savings[w] = (
+            local_spend(inst.d[j], j, inst)
+            - local_spend(inst.d[j] - total, j, inst)
+            - cost
+        )
+    values = []
+    for z in bundles:
+        values.append(
+            max(
+                savings[w]
+                for w in bundles
+                if all(w[i] <= z[i] for i in range(inst.m))
+            )
+        )
+    return values
+
+
+def _markup_vectors(m: int, p_max: int) -> Iterator[tuple[int, ...]]:
+    """All vectors on [0, p_max]^m ordered by total, then lexicographically."""
+
+    def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            if total <= p_max:
+                yield (total,)
+            return
+        first_min = max(0, total - (slots - 1) * p_max)
+        for first in range(first_min, min(total, p_max) + 1):
+            for rest in compositions(total - first, slots - 1):
+                yield (first, *rest)
+
+    for total in range(m * p_max + 1):
+        yield from compositions(total, m)
+
+
+def brute_force_equilibrium(
+    inst: MarketInstance, p_max: int | None = None, *, budget: int = 500_000
+) -> Equilibrium:
+    """Smallest-markup equilibrium by exhaustive enumeration (test oracle).
+
+    Markup vectors on the integer grid are scanned in order of total then
+    lexicographically; at each vector every jointly feasible selection of
+    payoff-maximizing bundles is searched for one satisfying capacity and
+    clearance.  Intended for small instances only.
+    """
+    require_valid(inst)
+    m, n = inst.m, inst.n
+    if p_max is None:
+        p_max = _markup_bound(inst)
+    bundles = [_bundles(inst, j) for j in range(n)]
+    values = [_enumerated_values(inst, j, bundles[j]) for j in range(n)]
+
+    examined = 0
+    for markups in _markup_vectors(m, p_max):
+        examined += 1
+        if examined > budget:
+            raise EnumerationBudgetError(
+                f"enumeration budget exhausted after {budget} markup vectors"
+            )
+        argmax: list[list[tuple[int, ...]]] = []
+        for j in range(n):
+            utilities = [
+                value - sum(p * q for p, q in zip(markups, z))
+                for z, value in zip(bundles[j], values[j])
+            ]
+            best = max(utilities)
+            argmax.append(
+                [z for z, u in zip(bundles[j], utilities) if u == best]
+            )
+        selection = _select_flows(inst, markups, argmax)
+        if selection is not None:
+            return Equilibrium(markups, FlowMatrix(selection))
+    raise AuctionError("no equilibrium found on the markup grid")
+
+
+def _select_flows(
+    inst: MarketInstance,
+    markups: tuple[int, ...],
+    argmax: list[list[tuple[int, ...]]],
+) -> tuple[tuple[int, ...], ...] | None:
+    """Pick one argmax bundle per market meeting capacity and clearance."""
+    m, n = inst.m, inst.n
+    chosen: list[tuple[int, ...]] = []
+    seen: set[tuple[int, tuple[int, ...], frozenset[int]]] = set()
+    lacking0 = frozenset(i for i in range(m) if markups[i] > 0)
+
+    def search(j: int, caps: tuple[int, ...], lacking: frozenset[int]) -> bool:
+        if j == n:
+            return not lacking
+        state = (j, caps, lacking)
+        if state in seen:
+            return False
+        for z in argmax[j]:
+            if all(z[i] <= caps[i] for i in range(m)):
+                chosen.append(z)
+                left = frozenset(i for i in lacking if not z[i])
+                if search(j + 1, tuple(caps[i] - z[i] for i in range(m)), left):
+                    return True
+                chosen.pop()
+        seen.add(state)
+        return False
+
+    if not search(0, inst.s, lacking0):
+        return None
+    return tuple(tuple(chosen[j][i] for j in range(n)) for i in range(m))

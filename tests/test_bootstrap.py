@@ -330,25 +330,23 @@ def test_trade_cost_regression_closed_forms():
 def test_sample_trade_costs_identity_and_mask():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])  # zero residuals
     base = ((0.10, None), (0.05, 0.08))
-    mask = ((True, False), (True, True))
     rng = Stream.from_seed(0)
-    draw = sample_trade_costs(base, (0.0, 0.0), fit, rng, mask, scale=100)
+    draw = sample_trade_costs(base, (0.0, 0.0), fit, rng, scale=100)
     assert draw == ((10, None), (5, 8))
 
 
 def test_sample_trade_costs_negative_slope_cuts_costs():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
     base = ((0.10,),)
-    mask = ((True,),)
     rng = Stream.from_seed(0)
-    draw = sample_trade_costs(base, (0.02,), fit, rng, mask, scale=100)
+    draw = sample_trade_costs(base, (0.02,), fit, rng, scale=100)
     assert draw[0][0] == 6  # 0.10 - 2.0 * 0.02
 
 
 def test_sample_trade_costs_clamps_at_zero():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
     rng = Stream.from_seed(0)
-    draw = sample_trade_costs(((0.01,),), (0.05,), fit, rng, ((True,),), scale=100)
+    draw = sample_trade_costs(((0.01,),), (0.05,), fit, rng, scale=100)
     assert draw[0][0] == 0
 
 

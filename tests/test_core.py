@@ -20,7 +20,6 @@ def small_instance(**overrides):
         a=1,
         c_o=(10, 12),
         t=((2, 4), (3, 5)),
-        mask=((True, True), (True, True)),
     )
     fields.update(overrides)
     return MarketInstance(**fields)
@@ -40,16 +39,9 @@ def test_zero_capacity_is_reported():
     assert any("capacity must be >= 1" in issue for issue in report)
 
 
-def test_cost_on_masked_pair_is_reported():
-    report = validate_instance(
-        small_instance(mask=((True, False), (True, True)))
-    )
-    assert any("cost on masked pair" in issue for issue in report)
-
-
-def test_missing_cost_on_open_pair_is_reported():
-    report = validate_instance(small_instance(t=((2, None), (3, 5))))
-    assert any("missing cost on open pair" in issue for issue in report)
+def test_negative_trade_cost_is_reported():
+    report = validate_instance(small_instance(t=((2, None), (-1, 5))))
+    assert report == ["negative trade cost on pair (1, 0)"]
 
 
 def test_nonpositive_local_cost_is_reported():
@@ -58,7 +50,7 @@ def test_nonpositive_local_cost_is_reported():
 
 
 def test_flow_validation_catches_each_violation():
-    inst = small_instance(mask=((True, False), (True, True)), t=((2, None), (3, 5)))
+    inst = small_instance(t=((2, None), (3, 5)))
     ok = FlowMatrix.from_rows([[1, 0], [1, 1]])
     assert validate_flows(ok, inst) == []
 

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,6 @@ import pytest
 
 from phosmarket import auction, bootstrap, experiment
 from phosmarket.auction import (
-    ConditionCheck,
-    VerificationReport,
     certify_minimal_markups,
     run_english_auction,
     solve_minimal_markups,
@@ -265,15 +264,12 @@ def fixture_records(tmp_path_factory):
     result = report.replications[0]
     inst = result.draw.instance()
     equilibrium = solve_minimal_markups(inst)
-    verification = verify_equilibrium(inst, equilibrium)
     return {
         "MarketInstance": inst,
         "FlowMatrix": equilibrium.flows,
         "Equilibrium": equilibrium,
         "_MarketDemand": auction._demand_structure(inst, 0, equilibrium.markups),
         "DemandBundle": auction.demand_bundle(0, equilibrium.markups, inst),
-        "ConditionCheck": verification.capacity,
-        "VerificationReport": verification,
         "TwoStageFit": report.context.demand_fits[0],
         "TradeCostInversion": inversions[0],
         "TradeCostFit": report.context.cost_fit,
@@ -293,8 +289,6 @@ def fixture_records(tmp_path_factory):
         "Equilibrium",
         "_MarketDemand",
         "DemandBundle",
-        "ConditionCheck",
-        "VerificationReport",
         "TwoStageFit",
         "TradeCostInversion",
         "TradeCostFit",
@@ -410,10 +404,7 @@ def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, 
 
     # With the verifier fooled, the auction cross-check and the minimality
     # certificate each still fail.
-    passed = ConditionCheck(True)
-    monkeypatch.setattr(
-        experiment, "verify_equilibrium", lambda inst, eq: VerificationReport(passed, passed, passed)
-    )
+    monkeypatch.setattr(experiment, "verify_equilibrium", lambda inst, eq: [])
     outcomes = verify_run(load_config(path), sample=2)
     assert [(b, auction_match) for b, auction_match, _ in outcomes] == [(0, False), (1, False)]
     assert [certificate_ok for _, _, certificate_ok in outcomes] == [False, False]
@@ -438,7 +429,7 @@ def move_a_unit_to_a_dearer_supplier(inst, eq):
             for k in range(inst.m):
                 if (
                     k != i
-                    and inst.mask[k][j]
+                    and inst.t[k][j] is not None
                     and sum(x[k]) < inst.s[k]
                     and inst.t[k][j] + p[k] + a * (2 * x[k][j] + 1) > last
                 ):
@@ -460,6 +451,23 @@ def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert "failed verification" in err
     assert re.search(r"market \d+ gets utility -?\d+, maximum is -?\d+", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_names_a_capacity_breach_once_with_exit_2(tmp_path, monkeypatch, capsys):
+    def over_capacity(inst):
+        eq = solve_minimal_markups(inst)
+        x = [list(row) for row in eq.flows.x]
+        j = next(j for j in range(inst.n) if inst.t[0][j] is not None)
+        x[0][j] += inst.s[0] + 1
+        return Equilibrium(eq.markups, FlowMatrix.from_rows(x))
+
+    monkeypatch.setattr(experiment, "solve_minimal_markups", over_capacity)
+    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert "failed verification" in err
+    assert err.count("capacity exceeded") == 1
+    assert "capacity exceeded (supplier 0)" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -602,3 +610,43 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, data_dir=tmp_path / "missing")
     assert main(["simulate", "--config", str(path)]) == 2
     assert "failure:" in capsys.readouterr().err
+
+
+def cli_in_fresh_interpreter(*args):
+    """Run ``phosmarket`` with ``args`` in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "phosmarket.cli", *map(str, args)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    ("command", "source", "table", "column"),
+    [
+        ("simulate", DATA, "flows.csv", "kt"),
+        ("pipeline", ROOT / "tests" / "data" / "raw_small", "trade_flows.csv", "mass_tonnes"),
+    ],
+)
+def test_cli_reports_a_missing_column_with_exit_1(tmp_path, command, source, table, column):
+    data = tmp_path / "data"
+    shutil.copytree(source, data)
+    path = data / table
+    header, *rows = path.read_text().splitlines(keepends=True)
+    renamed = ["renamed" if name == column else name for name in header.rstrip("\n").split(",")]
+    path.write_text(",".join(renamed) + "\n" + "".join(rows))
+    if command == "simulate":
+        args = ["simulate", "--config", write_config(tmp_path, data_dir=data)]
+    else:
+        args = ["pipeline", "--raw-dir", data, "--out-dir", tmp_path / "out"]
+    done = cli_in_fresh_interpreter(*args)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:")
+    assert str(path) in done.stderr and column in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()

@@ -24,7 +24,6 @@ def instance(m, n, s, d):
         a=0,
         c_o=(10,) * n,
         t=tuple((0,) * n for _ in range(m)),
-        mask=tuple((True,) * n for _ in range(m)),
     )
 
 
