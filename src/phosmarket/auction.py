@@ -14,7 +14,10 @@ minimal optimal dual potentials of a convex-cost min-cost flow
 (:func:`solve_minimal_markups`), solved by capacity scaling with Dijkstra
 on reduced costs; its cost depends neither on the money grid nor on 2^m,
 and grows with the logarithm of the largest demand rather than with the
-total unit count.  The paper's ascending auction
+total unit count.  The duals come from a reverse Bellman-Ford over every
+node, which raises when the flow is not optimal.  That flow problem and the
+allocation's max-flow share one residual network of paired arcs
+(:class:`_Network`).  The paper's ascending auction
 (:func:`run_english_auction`) is kept as the reference mechanism.  It
 raises markups along steepest-descent directions of the aggregate objective
 ``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the value of unsold
@@ -255,89 +258,76 @@ def solve_minimal_markups(
     (local supply, the u-th unit costs ``c_oj + a(2u-1)``) and supplier i ->
     market j on open pairs (the u-th unit costs ``t_ij + a(2u-1)``).  S
     holds ``sum(d)`` units of excess and market j a deficit of ``d_j``; the
-    sink that drains the markets is left implicit.
+    sink that drains the markets is left implicit.  Each arc is stored with
+    its reverse in one :class:`_Network`.
 
-    The flow is found by capacity scaling (Ahuja, Magnanti & Orlin, *Network
-    Flows*, ch. 14): for Delta = the largest power of two <= ``max(d)``
-    down to 1, units move in chunks of Delta.  An arc carrying f units costs
-    ``base*f + slope*f**2``, so a chunk costs ``base + slope*(2f + Delta)``
-    per unit forward and ``-(base + slope*(2f - Delta))`` per unit backward.
-    Each phase first pushes Delta on every Delta-residual arc of negative
-    reduced cost ``c + pi_u - pi_v``, then repeatedly runs a multi-source
-    Dijkstra on reduced costs from the nodes with excess >= Delta to the
-    nearest node with deficit >= Delta, sends Delta along that path and
-    raises the potentials by the distances (capped at the target's).  The
-    last phase, Delta = 1, leaves an optimal integer flow.
-
-    In that flow's residual network, with a zero-cost disposal arc from
-    each supplier back to S, a reverse Bellman-Ford gives ``p_i = -dist(i ->
-    S)``, the smallest optimal dual potential.  Optimal duals do not depend
-    on which optimal flow was found, so this is the minimal Walrasian markup
-    vector that the ascending auction reaches.  The flows come from
-    :func:`_allocate` at those markups, as in the auction, never from the
-    flow solution.
+    :func:`_min_cost_flow` finds an optimal integer flow by capacity
+    scaling.  In its residual network, with a zero-cost disposal arc from
+    each supplier back to S, the reverse Bellman-Ford of
+    :func:`_market_duals` gives ``p_i = -dist(i -> S)``, the smallest
+    optimal dual potential.  Optimal duals do not depend on which optimal
+    flow was found, so this is the minimal Walrasian markup vector that the
+    ascending auction reaches.  The flows come from :func:`_allocate` at
+    those markups, as in the auction, never from the flow solution.
 
     A ``trace`` list, when given, receives the node path of every
     Delta-augmentation.
     """
     require_valid(inst)
+    net, excess = _market_network(inst)
+    _min_cost_flow(net, excess, trace)
+    markups, waterlines = _market_duals(inst, net)
+    return Equilibrium(markups, _allocate(inst, markups, waterlines))
+
+
+def _market_network(inst: MarketInstance) -> tuple[_Network, list[int]]:
+    """The network of :func:`solve_minimal_markups` and its node excesses."""
     m, n = inst.m, inst.n
     source = m + n
-    nodes = source + 1
-    # Arc k runs tail[k] -> head[k]; f units on it cost base[k]*f + slope[k]*f**2.
-    tail: list[int] = []
-    head: list[int] = []
-    base: list[int] = []
-    slope: list[int] = []
-    cap: list[int] = []
-
-    def add_arc(u: int, v: int, cost: int, a: int, units: int) -> None:
-        tail.append(u)
-        head.append(v)
-        base.append(cost)
-        slope.append(a)
-        cap.append(units)
-
+    net = _Network(source + 1)
     for i in range(m):
-        add_arc(source, i, 0, 0, inst.s[i])
+        net.add(source, i, inst.s[i])
     for j in range(n):
-        add_arc(source, m + j, inst.c_o[j], inst.a, inst.d[j])
+        net.add(source, m + j, inst.d[j], inst.c_o[j], inst.a)
         for i in range(m):
             cost = inst.t[i][j]
             if cost is not None:
-                add_arc(i, m + j, cost, inst.a, min(inst.s[i], inst.d[j]))
-    arcs = range(len(tail))
-    flow = [0] * len(tail)
-    # Per node, (arc, other end) for the arcs leaving it and entering it.
-    leaving: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
-    entering: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
-    for k in arcs:
-        leaving[tail[k]].append((k, head[k]))
-        entering[head[k]].append((k, tail[k]))
-    excess = [0] * source + [sum(inst.d)]
-    for j in range(n):
-        excess[m + j] = -inst.d[j]
+                net.add(i, m + j, min(inst.s[i], inst.d[j]), cost, inst.a)
+    return net, [0] * m + [-d for d in inst.d] + [sum(inst.d)]
+
+
+def _min_cost_flow(
+    net: _Network, excess: list[int], trace: list[tuple[int, ...]] | None
+) -> None:
+    """Move every node's ``excess`` (negative for a deficit) at least convex cost.
+
+    Capacity scaling (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 14): for
+    Delta = the largest power of two <= the largest deficit down to 1, units
+    move in chunks of Delta.  Each phase first pushes Delta on every
+    Delta-residual arc of negative reduced cost ``c + pi_u - pi_v``, then
+    repeatedly runs a multi-source Dijkstra on reduced costs from the nodes
+    with excess >= Delta to the nearest node with deficit >= Delta, sends
+    Delta along that path and raises the potentials by the distances (capped
+    at the target's).  The last phase, Delta = 1, leaves an optimal integer
+    flow.
+    """
+    adj, head, base, slope, cap, flow = net.adj, net.head, net.base, net.slope, net.cap, net.flow
+    nodes = len(adj)
     pi = [0] * nodes
     heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
 
-    def push(k: int, units: int) -> None:
-        """Move ``units`` along arc k (backward when negative)."""
-        flow[k] += units
-        excess[tail[k]] -= units
-        excess[head[k]] += units
-
-    delta = 1 << (max(inst.d).bit_length() - 1)
+    delta = 1 << (max(-x for x in excess).bit_length() - 1)
     while delta:
-        for k in arcs:
-            f, u, v = flow[k], tail[k], head[k]
-            if cap[k] - f >= delta and base[k] + slope[k] * (2 * f + delta) + pi[u] < pi[v]:
-                push(k, delta)
-            elif f >= delta and base[k] + slope[k] * (2 * f - delta) + pi[u] > pi[v]:
-                push(k, -delta)
+        for e, v in enumerate(head):
+            f, u = flow[e], head[e ^ 1]
+            if cap[e] - f >= delta and base[e] + slope[e] * (2 * f + delta) + pi[u] < pi[v]:
+                flow[e] += delta
+                flow[e ^ 1] -= delta
+                excess[u] -= delta
+                excess[v] += delta
         while True:
-            # via[v] encodes the arc that reached v: 2k forward, 2k+1 backward.
             dist = [inf] * nodes
-            via = [-1] * nodes
+            via = [-1] * nodes  # the arc that reached each node
             settled = [False] * nodes
             heap = [(0, u) for u in range(nodes) if excess[u] >= delta]
             for _, u in heap:
@@ -352,21 +342,15 @@ def solve_minimal_markups(
                     target = u
                     break
                 du += pi[u]
-                for k, v in leaving[u]:
-                    f = flow[k]
-                    if cap[k] - f >= delta and not settled[v]:
-                        dv = du + base[k] + slope[k] * (2 * f + delta) - pi[v]
+                for e, v in adj[u]:
+                    if settled[v]:
+                        continue
+                    f = flow[e]
+                    if cap[e] - f >= delta:
+                        dv = du + base[e] + slope[e] * (2 * f + delta) - pi[v]
                         if dv < dist[v]:
                             dist[v] = dv
-                            via[v] = 2 * k
-                            heappush(heap, (dv, v))
-                for k, v in entering[u]:
-                    f = flow[k]
-                    if f >= delta and not settled[v]:
-                        dv = du - base[k] - slope[k] * (2 * f - delta) - pi[v]
-                        if dv < dist[v]:
-                            dist[v] = dv
-                            via[v] = 2 * k + 1
+                            via[v] = e
                             heappush(heap, (dv, v))
             if target < 0:
                 break
@@ -374,42 +358,37 @@ def solve_minimal_markups(
             for v in range(nodes):
                 pi[v] += dist[v] if settled[v] else reach  # type: ignore[assignment]
             excess[target] += delta  # the path's inner nodes keep their excess
-            path = [target]
-            v = target
-            while via[v] >= 0:
-                k, backward = divmod(via[v], 2)
-                if backward:
-                    flow[k] -= delta
-                    v = head[k]
-                else:
-                    flow[k] += delta
-                    v = tail[k]
-                path.append(v)
-            excess[v] -= delta
+            path = net.augment(via, target, delta)
+            excess[path[-1]] -= delta
             if trace is not None:
                 trace.append(tuple(reversed(path)))
         delta >>= 1
     if any(excess):
         raise AuctionError("capacity scaling left unmet demand")
 
-    # Reverse Bellman-Ford over the unit residual arcs: to_source[v] =
-    # dist(v -> S); the disposal arcs give every supplier a zero-cost way
-    # back to S, so markups are >= 0.  Distances settle within `nodes`
-    # passes unless the flow is not optimal and its residual network holds
-    # a negative cycle.
-    to_source = [0] * m + [inf] * n + [0]
+
+def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...], list[int]]:
+    """Markups and market waterlines read off the flow in the market's network.
+
+    A reverse Bellman-Ford over the unit residual arcs gives to_source[v] =
+    dist(v -> S); the disposal arcs give every supplier a zero-cost way back
+    to S, so markups are >= 0.  Every node, S included, is relaxed, and
+    every node reaches S through a disposal arc or a reverse arc.  So the
+    distances settle within ``nodes`` passes, with S staying at 0, exactly
+    when the flow is optimal: otherwise its residual network holds a
+    negative cycle (Ahuja, Magnanti & Orlin, ch. 14) and this raises.
+    """
+    m, n = inst.m, inst.n
+    adj, base, slope, cap, flow = net.adj, net.base, net.slope, net.cap, net.flow
+    nodes = len(adj)
+    to_source = [0] * m + [math.inf] * n + [0]
     for _ in range(nodes + 1):
         changed = False
-        for u in range(source):
+        for u in range(nodes):
             best = to_source[u]
-            for k, v in leaving[u]:
-                if flow[k] < cap[k]:
-                    dv = base[k] + slope[k] * (2 * flow[k] + 1) + to_source[v]
-                    if dv < best:
-                        best = dv
-            for k, v in entering[u]:
-                if flow[k] > 0:
-                    dv = to_source[v] - base[k] - slope[k] * (2 * flow[k] - 1)
+            for e, v in adj[u]:
+                if flow[e] < cap[e]:
+                    dv = base[e] + slope[e] * (2 * flow[e] + 1) + to_source[v]
                     if dv < best:
                         best = dv
             if best < to_source[u]:
@@ -420,10 +399,10 @@ def solve_minimal_markups(
     else:
         raise AuctionError("negative residual cycle; the min-cost flow is not optimal")
     markups = tuple(-int(to_source[i]) for i in range(m))
-    # The residual arcs leaving market j undo its bought units, so -dist(j -> S)
+    # The residual arcs out of market j undo its bought units, so -dist(j -> S)
     # is its dearest bought unit's marginal cost, markup included: its waterline.
     waterlines = [-to_source[m + j] for j in range(n)]
-    return Equilibrium(markups, _allocate(inst, markups, waterlines))
+    return markups, waterlines  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +468,7 @@ def run_english_auction(
             elif delta == best and best < 0:
                 argmin &= bits
         if best >= 0:
-            return Equilibrium(tuple(markups), _allocate(inst, markups))
+            return Equilibrium(tuple(markups), _allocate(inst, markups, waterlines[0]))
         if objective(argmin) - base != best:
             raise AuctionError("descent directions do not intersect; demand is not substitutable")
         for i in range(m):
@@ -499,17 +478,14 @@ def run_english_auction(
 
 
 def _allocate(
-    inst: MarketInstance, markups: Sequence[int], waterlines: Sequence[int] | None = None
+    inst: MarketInstance, markups: Sequence[int], waterlines: Sequence[int]
 ) -> FlowMatrix:
     """Select per-market optimal bundles that jointly satisfy all conditions.
 
-    Given ``waterlines``, each is a market's :func:`_min_spend` hint.
+    Each of ``waterlines`` is a market's waterline at ``markups``.
     """
     m, n = inst.m, inst.n
-    structures = [
-        _demand_structure(inst, j, markups, None if waterlines is None else waterlines[j])
-        for j in range(n)
-    ]
+    structures = [_demand_structure(inst, j, markups, waterlines[j]) for j in range(n)]
 
     # Fast path: the minimal demanded bundles already clear everything.
     minimal = [structure.minimal_imports() for structure in structures]
@@ -531,7 +507,7 @@ def _allocate(
     # and, when positively marked, at least one unit overall.
     source, sink = 0, n + m + 1
     ssource, ssink = n + m + 2, n + m + 3
-    net = _FlowNetwork(n + m + 4)
+    net = _Network(n + m + 4)
     excess = [0] * (n + m + 4)
     take_edges: dict[tuple[int, int], int] = {}
     for j in range(n):
@@ -564,62 +540,72 @@ def _allocate(
     for i in range(m):
         row = []
         for j in range(n):
-            take = net.flow(take_edges[(j, i)]) if (j, i) in take_edges else 0
+            take = net.flow[take_edges[(j, i)]] if (j, i) in take_edges else 0
             row.append(structures[j].forced[i] + take)
         rows.append(tuple(row))
     return FlowMatrix(tuple(rows))
 
 
-class _FlowNetwork:
-    """Minimal Edmonds-Karp max-flow used for the terminal allocation."""
+class _Network:
+    """Residual network whose arcs come in pairs: arc e and its reverse e ^ 1.
+
+    ``f`` units on arc e cost ``base[e]*f + slope[e]*f**2``.  The reverse
+    arc carries the negated flow and the negated base, so along any residual
+    arc the next Delta units cost ``base[e] + slope[e]*(2*flow[e] + Delta)``
+    each and fit while ``cap[e] - flow[e] >= Delta``.  ``adj[u]`` holds the
+    ``(arc, head)`` pairs out of u in insertion order, which fixes the
+    max-flow's choice among tied allocations.
+    """
 
     def __init__(self, nodes: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+        self.head: list[int] = []
+        self.base: list[int] = []
+        self.slope: list[int] = []
         self.cap: list[int] = []
+        self.flow: list[int] = []
 
-    def add(self, u: int, v: int, cap: int) -> int:
-        e = len(self.to)
-        self.adj[u].append(e)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(e + 1)
-        self.to.append(u)
-        self.cap.append(0)
+    def add(self, u: int, v: int, cap: int, base: int = 0, slope: int = 0) -> int:
+        e = len(self.head)
+        self.adj[u].append((e, v))
+        self.adj[v].append((e + 1, u))
+        self.head += (v, u)
+        self.base += (base, -base)
+        self.slope += (slope, slope)
+        self.cap += (cap, 0)
+        self.flow += (0, 0)
         return e
 
-    def flow(self, e: int) -> int:
-        return self.cap[e + 1]
+    def augment(self, via: list[int], v: int, units: int) -> list[int]:
+        """Send ``units`` along the arcs ``via`` records back from v; the path's nodes, v first."""
+        path = [v]
+        while via[v] >= 0:
+            e = via[v]
+            self.flow[e] += units
+            self.flow[e ^ 1] -= units
+            v = self.head[e ^ 1]
+            path.append(v)
+        return path
 
     def max_flow(self, s: int, t: int) -> int:
+        """Edmonds-Karp: augment along shortest residual s-t paths."""
+        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
         total = 0
         while True:
-            parent = [-1] * len(self.adj)
-            parent_edge = [-1] * len(self.adj)
-            parent[s] = s
+            via = [-1] * len(adj)
             queue = deque([s])
-            while queue and parent[t] == -1:
-                u = queue.popleft()
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and parent[v] == -1:
-                        parent[v] = u
-                        parent_edge[v] = e
+            while queue and via[t] < 0:
+                for e, v in adj[queue.popleft()]:
+                    if cap[e] > flow[e] and via[v] < 0 and v != s:
+                        via[v] = e
                         queue.append(v)
-            if parent[t] == -1:
+            if via[t] < 0:
                 return total
-            push = None
-            v = t
+            push, v = math.inf, t
             while v != s:
-                e = parent_edge[v]
-                push = self.cap[e] if push is None else min(push, self.cap[e])
-                v = parent[v]
-            v = t
-            while v != s:
-                e = parent_edge[v]
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-                v = parent[v]
+                push = min(push, cap[via[v]] - flow[via[v]])
+                v = head[via[v] ^ 1]
+            self.augment(via, t, push)
             total += push
 
 

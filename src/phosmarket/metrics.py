@@ -81,8 +81,8 @@ def entry_floor_summary(
     """Summarize per-cell trade-cost draws over bootstrap replications.
 
     ``cost_draws`` holds one m x n table per replication, in minor units with
-    ``None`` exactly at masked cells; the mask must be identical across
-    replications.
+    ``None`` exactly at masked cells.  Every draw is sampled from one base
+    cost table, so the masked cells are those of the first draw.
     """
     if not cost_draws:
         raise ValueError("at least one replication is required")
@@ -95,8 +95,6 @@ def entry_floor_summary(
         sds: list[float | None] = []
         for j in range(n):
             cells = [draw[i][j] for draw in cost_draws]
-            if any((c is None) != (cells[0] is None) for c in cells):
-                raise ValueError(f"mask differs across replications at ({i}, {j})")
             if cells[0] is None:
                 means.append(None)
                 sds.append(None)

@@ -18,18 +18,29 @@ def file_digest(path: Path) -> str:
 
 
 def read_csv(path: Path, columns: Iterable[str] = ()) -> list[dict[str, str]]:
-    """Read a CSV file, skipping ``#`` provenance/comment lines.
+    """Read a CSV file, skipping ``#`` provenance/comment lines and blank lines.
 
     ``columns`` are the columns the caller reads; a header that lacks any of
-    them raises ``ValueError`` naming the file and the missing columns.
+    them raises ``ValueError`` naming the file and the missing columns.  A row
+    whose cell count differs from the header's raises ``ValueError`` naming
+    the file and the row's line number in it.
     """
     with path.open(newline="", encoding="utf-8") as handle:
-        lines = [line for line in handle if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    missing = [column for column in columns if column not in (reader.fieldnames or ())]
+        numbered = [item for item in enumerate(handle, 1) if not item[1].startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
+    header = next(reader, [])
+    missing = [column for column in columns if column not in header]
     if missing:
         raise ValueError(f"{path} lacks column(s): {', '.join(missing)}")
-    return list(reader)
+    rows = []
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            line = numbered[reader.line_num - 1][0]
+            raise ValueError(f"{path}, line {line}: {len(cells)} cells, header has {len(header)}")
+        rows.append(dict(zip(header, cells)))
+    return rows
 
 
 def write_csv(

@@ -417,7 +417,7 @@ def seeded_and_searched_waterlines(inst):
     seeded = []
     allocate = auction._allocate
 
-    def recording(inst, markups, waterlines=None):
+    def recording(inst, markups, waterlines):
         seeded.append(waterlines)
         return allocate(inst, markups, waterlines)
 
@@ -445,3 +445,37 @@ def test_dual_waterlines_equal_searched_ones_on_fixture_draws():
     for b in range(100):
         seeded, searched = seeded_and_searched_waterlines(assemble_draw(context, b).instance())
         assert seeded == searched, b
+
+
+def solved_market_network(inst):
+    """The market network after the capacity scaling, and its arcs by (tail, head)."""
+    net, excess = auction._market_network(inst)
+    auction._min_cost_flow(net, excess, None)
+    return net, {(net.head[e ^ 1], net.head[e]): e for e in range(0, len(net.head), 2)}
+
+
+def test_bellman_ford_rejects_an_import_unit_moved_back_to_local_supply():
+    # Moving one unit that a positively marked supplier i sells to market j
+    # back to j's local supply opens the residual cycle S -> i -> j -> S,
+    # which costs the import's markup-free unit minus the dearer local unit.
+    data = Path(__file__).parent / "data" / "fixture_small"
+    config = load_config(data / "fixture_bau.cfg")
+    context = load_context(dataclasses.replace(config, data_dir=data))
+    moved = 0
+    for b in range(20):
+        inst = assemble_draw(context, b).instance()
+        markups = solve_minimal_markups(inst).markups
+        assert auction._market_duals(inst, solved_market_network(inst)[0])[0] == markups, b
+        source = inst.m + inst.n
+        for i in (i for i in range(inst.m) if markups[i] > 0):
+            for j in range(inst.m, source):
+                net, arc = solved_market_network(inst)
+                if (i, j) not in arc or net.flow[arc[i, j]] == 0:
+                    continue
+                for e, units in ((arc[source, i], -1), (arc[i, j], -1), (arc[source, j], 1)):
+                    net.flow[e] += units
+                    net.flow[e ^ 1] -= units
+                with pytest.raises(auction.AuctionError, match="negative residual cycle"):
+                    auction._market_duals(inst, net)
+                moved += 1
+    assert moved > 0

@@ -626,20 +626,25 @@ def cli_in_fresh_interpreter(*args):
     )
 
 
-@pytest.mark.parametrize(
+MALFORMED_TABLES = pytest.mark.parametrize(
     ("command", "source", "table", "column"),
     [
         ("simulate", DATA, "flows.csv", "kt"),
         ("pipeline", ROOT / "tests" / "data" / "raw_small", "trade_flows.csv", "mass_tonnes"),
     ],
 )
-def test_cli_reports_a_missing_column_with_exit_1(tmp_path, command, source, table, column):
+
+
+def cli_error_on_edited_table(tmp_path, command, source, table, edit) -> tuple[Path, str]:
+    """Run ``command`` on a copy of ``source`` whose ``table`` lines went through ``edit``.
+
+    The run must exit 1 with an ``error:`` line, no traceback and no output;
+    returns the edited table's path and the error text.
+    """
     data = tmp_path / "data"
     shutil.copytree(source, data)
     path = data / table
-    header, *rows = path.read_text().splitlines(keepends=True)
-    renamed = ["renamed" if name == column else name for name in header.rstrip("\n").split(",")]
-    path.write_text(",".join(renamed) + "\n" + "".join(rows))
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
     if command == "simulate":
         args = ["simulate", "--config", write_config(tmp_path, data_dir=data)]
     else:
@@ -647,6 +652,27 @@ def test_cli_reports_a_missing_column_with_exit_1(tmp_path, command, source, tab
     done = cli_in_fresh_interpreter(*args)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error:")
-    assert str(path) in done.stderr and column in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+    return path, done.stderr
+
+
+@MALFORMED_TABLES
+def test_cli_reports_a_missing_column_with_exit_1(tmp_path, command, source, table, column):
+    def rename(lines):
+        names = ["renamed" if name == column else name for name in lines[0].rstrip("\n").split(",")]
+        return [",".join(names) + "\n", *lines[1:]]
+
+    path, error = cli_error_on_edited_table(tmp_path, command, source, table, rename)
+    assert str(path) in error and column in error
+
+
+@MALFORMED_TABLES
+def test_cli_reports_a_short_row_with_exit_1(tmp_path, command, source, table, column):
+    def drop_cell(lines):
+        cells = lines[1].rstrip("\n").split(",")
+        del cells[lines[0].rstrip("\n").split(",").index(column)]
+        return [lines[0], ",".join(cells) + "\n", *lines[2:]]
+
+    path, error = cli_error_on_edited_table(tmp_path, command, source, table, drop_cell)
+    assert f"{path}, line 2:" in error

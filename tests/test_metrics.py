@@ -159,12 +159,6 @@ def test_entry_floor_summary_single_replication_has_zero_sd():
     assert summary.sd[0] == (0.0, 0.0)
 
 
-def test_entry_floor_summary_rejects_shifting_mask():
-    draws = [((10,),), ((None,),)]
-    with pytest.raises(ValueError):
-        entry_floor_summary(draws, scale=100)
-
-
 def test_entry_floor_summary_needs_replications():
     with pytest.raises(ValueError):
         entry_floor_summary([], scale=100)
