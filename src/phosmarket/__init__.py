@@ -2,8 +2,11 @@
 
 from .auction import (
     DemandBundle,
+    FlowStart,
+    cold_start,
     demand_bundle,
     local_spend,
+    reference_start,
     run_english_auction,
     solve_minimal_markups,
     valuation,
@@ -26,12 +29,15 @@ __all__ = [
     "Equilibrium",
     "ExperimentConfig",
     "FlowMatrix",
+    "FlowStart",
     "MarketInstance",
     "ScenarioReport",
+    "cold_start",
     "demand_bundle",
     "emit_tables",
     "load_config",
     "local_spend",
+    "reference_start",
     "run_english_auction",
     "run_experiment",
     "solve_minimal_markups",

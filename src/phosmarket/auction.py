@@ -12,21 +12,24 @@ provably matches exhaustive enumeration.
 Production computes the componentwise smallest equilibrium markups as the
 minimal optimal dual potentials of a convex-cost min-cost flow
 (:func:`solve_minimal_markups`), solved by capacity scaling with Dijkstra
-on reduced costs; its cost depends neither on the money grid nor on 2^m,
-and grows with the logarithm of the largest demand rather than with the
-total unit count.  The duals come from a reverse Bellman-Ford over every
-node, which raises when the flow is not optimal.  That flow problem and the
-allocation's max-flow share one residual network of paired arcs
-(:class:`_Network`).  The paper's ascending auction
-(:func:`run_english_auction`) is kept as the reference mechanism.  It
-raises markups along steepest-descent directions of the aggregate objective
-``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the value of unsold
-capacity).  Raising every overdemanded supplier by one tick is the generic
-special case of this rule; near cost ties the naive rule can overshoot the
-minimal equilibrium, so the direction set is chosen as the unique minimal
-minimizer of the one-tick objective change.  Both solvers take their flows
-from :func:`_allocate`.  The flow's market potentials are the waterlines at
-the minimal markups and seed :func:`_allocate`.
+on reduced costs.  The scaling starts from a given flow and potentials
+(:class:`FlowStart`): zero for a cold start, or a similar instance's
+optimum (:func:`reference_start`), which leaves little to move.  Its cost
+depends neither on the money grid nor on 2^m, and grows with the logarithm
+of the largest node imbalance rather than with the total unit count.  The
+start changes neither the markups nor the flows.  The duals come from a
+reverse Bellman-Ford over every node, which raises when the flow is not
+optimal.  That flow problem and the allocation's max-flow share one
+residual network of paired arcs (:class:`_Network`).  The paper's ascending
+auction (:func:`run_english_auction`) is kept as the reference mechanism.
+It raises markups along steepest-descent directions of the aggregate
+objective ``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the value of
+unsold capacity).  Raising every overdemanded supplier by one tick is the
+generic special case of this rule; near cost ties the naive rule can
+overshoot the minimal equilibrium, so the direction set is chosen as the
+unique minimal minimizer of the one-tick objective change.  Both solvers
+take their flows from :func:`_allocate`.  The flow's market potentials are
+the waterlines at the minimal markups and seed :func:`_allocate`.
 
 :func:`verify_equilibrium` returns one witness per violated condition, so an
 empty list means an equilibrium; it accepts a market's purchase by an
@@ -247,8 +250,40 @@ def bundle_utility(z: Sequence[int], j: int, markups: Sequence[int], inst: Marke
 # Minimal markups as min-cost-flow duals
 
 
+class FlowStart(NamedTuple):
+    """Where :func:`solve_minimal_markups` starts its capacity scaling.
+
+    ``flow`` holds one flow per forward arc of the market network, in the
+    order :func:`_market_network` adds them, and ``pi`` one potential per
+    node.  Any start gives the same equilibrium; one near the optimum saves
+    most of the scaling's Dijkstra runs.
+    """
+
+    flow: tuple[int, ...]
+    pi: tuple[int, ...]
+
+
+def cold_start(inst: MarketInstance) -> FlowStart:
+    """Zero flow and zero potentials on the market network of ``inst``."""
+    arcs = inst.m + inst.n + sum(cost is not None for row in inst.t for cost in row)
+    return FlowStart((0,) * arcs, (0,) * (inst.m + inst.n + 1))
+
+
+def reference_start(inst: MarketInstance) -> FlowStart:
+    """The optimal flow and final potentials of a cold solve of ``inst``.
+
+    Instances on the same arc pattern with nearby capacities and costs, such
+    as the bootstrap replications of one run, warm-start from it.
+    """
+    require_valid(inst)
+    zero = cold_start(inst)
+    net, excess = _market_network(inst, zero)
+    pi = _min_cost_flow(net, excess, list(zero.pi), None)
+    return FlowStart(tuple(net.flow[::2]), tuple(pi))
+
+
 def solve_minimal_markups(
-    inst: MarketInstance, *, trace: list[tuple[int, ...]] | None = None
+    inst: MarketInstance, start: FlowStart, *, trace: list[tuple[int, ...]] | None = None
 ) -> Equilibrium:
     """Compute the equilibrium with the componentwise smallest markup vector.
 
@@ -262,26 +297,32 @@ def solve_minimal_markups(
     its reverse in one :class:`_Network`.
 
     :func:`_min_cost_flow` finds an optimal integer flow by capacity
-    scaling.  In its residual network, with a zero-cost disposal arc from
-    each supplier back to S, the reverse Bellman-Ford of
-    :func:`_market_duals` gives ``p_i = -dist(i -> S)``, the smallest
-    optimal dual potential.  Optimal duals do not depend on which optimal
+    scaling, starting from ``start``: its flow clipped to this instance's
+    capacities, and its potentials (:func:`cold_start` gives zero for both,
+    :func:`reference_start` a solved instance's).  In its residual network,
+    with a zero-cost disposal arc from each supplier back to S, the reverse
+    Bellman-Ford of :func:`_market_duals` gives ``p_i = -dist(i -> S)``, the
+    smallest optimal dual potential.  Optimal duals do not depend on which optimal
     flow was found, so this is the minimal Walrasian markup vector that the
-    ascending auction reaches.  The flows come from :func:`_allocate` at
-    those markups, as in the auction, never from the flow solution.
+    ascending auction reaches, whatever the start.  The flows come from
+    :func:`_allocate` at those markups, as in the auction, never from the
+    flow solution.
 
     A ``trace`` list, when given, receives the node path of every
     Delta-augmentation.
     """
     require_valid(inst)
-    net, excess = _market_network(inst)
-    _min_cost_flow(net, excess, trace)
+    net, excess = _market_network(inst, start)
+    _min_cost_flow(net, excess, list(start.pi), trace)
     markups, waterlines = _market_duals(inst, net)
     return Equilibrium(markups, _allocate(inst, markups, waterlines))
 
 
-def _market_network(inst: MarketInstance) -> tuple[_Network, list[int]]:
-    """The network of :func:`solve_minimal_markups` and its node excesses."""
+def _market_network(inst: MarketInstance, start: FlowStart) -> tuple[_Network, list[int]]:
+    """The network of :func:`solve_minimal_markups` and its node excesses.
+
+    Each forward arc carries ``start``'s flow clipped to ``[0, cap]``.
+    """
     m, n = inst.m, inst.n
     source = m + n
     net = _Network(source + 1)
@@ -293,34 +334,51 @@ def _market_network(inst: MarketInstance) -> tuple[_Network, list[int]]:
             cost = inst.t[i][j]
             if cost is not None:
                 net.add(i, m + j, min(inst.s[i], inst.d[j]), cost, inst.a)
-    return net, [0] * m + [-d for d in inst.d] + [sum(inst.d)]
+    head, cap, flow = net.head, net.cap, net.flow
+    if len(start.flow) * 2 != len(head) or len(start.pi) != source + 1:
+        raise ValueError(
+            f"start has {len(start.flow)} arc flows and {len(start.pi)} potentials; "
+            f"the network has {len(head) // 2} arcs and {source + 1} nodes"
+        )
+    excess = [0] * m + [-d for d in inst.d] + [sum(inst.d)]
+    for e, f in zip(range(0, len(head), 2), start.flow):
+        f = min(max(f, 0), cap[e])
+        flow[e], flow[e + 1] = f, -f
+        excess[head[e + 1]] -= f
+        excess[head[e]] += f
+    return net, excess
 
 
 def _min_cost_flow(
-    net: _Network, excess: list[int], trace: list[tuple[int, ...]] | None
-) -> None:
+    net: _Network, excess: list[int], pi: list[int], trace: list[tuple[int, ...]] | None
+) -> list[int]:
     """Move every node's ``excess`` (negative for a deficit) at least convex cost.
 
-    Capacity scaling (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 14): for
-    Delta = the largest power of two <= the largest deficit down to 1, units
-    move in chunks of Delta.  Each phase first pushes Delta on every
-    Delta-residual arc of negative reduced cost ``c + pi_u - pi_v``, then
-    repeatedly runs a multi-source Dijkstra on reduced costs from the nodes
-    with excess >= Delta to the nearest node with deficit >= Delta, sends
-    Delta along that path and raises the potentials by the distances (capped
-    at the target's).  The last phase, Delta = 1, leaves an optimal integer
-    flow.
+    Capacity scaling (Ahuja, Magnanti & Orlin, *Network Flows*, ch. 14) from
+    the flow in ``net`` and the potentials ``pi``, which it updates and
+    returns: for Delta = the largest power of two <= the largest node
+    imbalance, but at least 1, down to 1, units move in chunks of Delta.
+    Each phase first pushes Delta on every Delta-residual arc of negative
+    reduced cost ``c + pi_u - pi_v``, again and again until its reduced cost
+    is no longer negative, since a warm start may leave it negative for many
+    chunks.  Then it repeatedly runs a multi-source Dijkstra on reduced
+    costs from the nodes with excess >= Delta to the nearest node with
+    deficit >= Delta, sends Delta along that path and raises the potentials
+    by the distances (capped at the target's).  The last phase, Delta = 1,
+    leaves an optimal integer flow, whatever the start: a balanced start
+    still runs that phase, whose sweep removes every negative unit arc.
     """
     adj, head, base, slope, cap, flow = net.adj, net.head, net.base, net.slope, net.cap, net.flow
     nodes = len(adj)
-    pi = [0] * nodes
     heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
 
-    delta = 1 << (max(-x for x in excess).bit_length() - 1)
+    delta = 1 << max(max(map(abs, excess)).bit_length() - 1, 0)
     while delta:
         for e, v in enumerate(head):
-            f, u = flow[e], head[e ^ 1]
-            if cap[e] - f >= delta and base[e] + slope[e] * (2 * f + delta) + pi[u] < pi[v]:
+            u = head[e ^ 1]
+            while cap[e] - flow[e] >= delta and (
+                base[e] + slope[e] * (2 * flow[e] + delta) + pi[u] < pi[v]
+            ):
                 flow[e] += delta
                 flow[e ^ 1] -= delta
                 excess[u] -= delta
@@ -365,6 +423,7 @@ def _min_cost_flow(
         delta >>= 1
     if any(excess):
         raise AuctionError("capacity scaling left unmet demand")
+    return pi
 
 
 def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...], list[int]]:

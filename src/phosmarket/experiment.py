@@ -2,16 +2,17 @@
 
 Every replication assembles one market instance from bootstrap draws,
 computes its minimal markups as min-cost-flow duals
-(:func:`~phosmarket.auction.solve_minimal_markups`), verifies the
-equilibrium (a verifier failure aborts the whole run) and contributes one
-row of market-structure statistics.  :func:`verify_run` re-solves sampled
-replications with the paper's tick-by-tick ascending auction, the reference
-mechanism, and certifies their markups minimal at full scale
-(:func:`~phosmarket.auction.certify_minimal_markups`).  Replications are
-independent; with ``workers > 1`` they run in a pool of forked worker
-processes (POSIX only), which inherit the imported package and receive the
-loaded context with each task.  Results are a pure function of
-(inputs, config, seed) regardless of worker count.
+(:func:`~phosmarket.auction.solve_minimal_markups`, warm-started from the
+optimum of replication 0's draw, which :func:`load_context` solves),
+verifies the equilibrium (a verifier failure aborts the whole run) and
+contributes one row of market-structure statistics.  :func:`verify_run`
+re-solves sampled replications with the paper's tick-by-tick ascending
+auction, the reference mechanism, and certifies their markups minimal at
+full scale (:func:`~phosmarket.auction.certify_minimal_markups`).
+Replications are independent; with ``workers > 1`` they run in a pool of
+forked worker processes (POSIX only), which inherit the imported package
+and receive the loaded context with each task.  Results are a pure
+function of (inputs, config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import NamedTuple
 from . import bootstrap as bs
 from . import metrics
 from .auction import (
+    FlowStart,
     certify_minimal_markups,
+    reference_start,
     run_english_auction,
     solve_minimal_markups,
     verify_equilibrium,
@@ -53,7 +56,15 @@ class BootstrapDraw(NamedTuple):
 
 
 class ExperimentContext(NamedTuple):
-    """Immutable, picklable state shared by all replications of one run."""
+    """Immutable, picklable state shared by all replications of one run.
+
+    ``start`` is the optimal flow and potentials of replication 0's draw,
+    solved cold; every replication's solve warm-starts from it.  It is a
+    pure function of (inputs, config, seed), computed before any worker
+    forks, so reports do not depend on the worker count.  Every command
+    that loads a context, ``calibrate`` and ``verify`` included, solves
+    that draw, and so fails where ``simulate`` would.
+    """
 
     config: ExperimentConfig
     suppliers: tuple[str, ...]
@@ -68,10 +79,11 @@ class ExperimentContext(NamedTuple):
     ref_shares: tuple[float, ...]
     reference_index: int
     input_digests: tuple[tuple[str, str], ...]
+    start: FlowStart
 
 
 def load_context(config: ExperimentConfig) -> ExperimentContext:
-    """Read the harmonized input tables and fit every sampler."""
+    """Read the harmonized input tables, fit every sampler and solve the reference draw."""
     data_dir = Path(config.data_dir)
     paths = {
         name: data_dir / f"{name}.csv"
@@ -159,7 +171,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     digests = tuple(
         (name, file_digest(path)) for name, path in sorted(paths.items())
     )
-    return ExperimentContext(
+    context = ExperimentContext(
         config=config,
         suppliers=suppliers,
         regions=regions,
@@ -173,7 +185,9 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         ref_shares=inversion.ref_shares,
         reference_index=regions.index(config.reference_market),
         input_digests=digests,
+        start=FlowStart((), ()),  # replaced below; assembling a draw does not read it
     )
+    return context._replace(start=reference_start(assemble_draw(context, 0).instance()))
 
 
 def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw:
@@ -248,7 +262,7 @@ class ReplicationResult(NamedTuple):
 def run_replication(context: ExperimentContext, replication: int) -> ReplicationResult:
     draw = assemble_draw(context, replication)
     inst = draw.instance()
-    equilibrium = solve_minimal_markups(inst)
+    equilibrium = solve_minimal_markups(inst, context.start)
     witnesses = verify_equilibrium(inst, equilibrium)
     if witnesses:
         raise ExperimentError(

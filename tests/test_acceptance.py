@@ -24,6 +24,7 @@ from oracle import (
 )
 from phosmarket.auction import (
     _markup_bound,
+    cold_start,
     local_spend,
     run_english_auction,
     solve_minimal_markups,
@@ -94,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
         witnesses = verify_equilibrium(inst, auction)
         assert (witnesses == []) == (verify_equilibrium(inst, oracle) == [])
         assert witnesses == []
-        assert solve_minimal_markups(inst) == auction
+        assert solve_minimal_markups(inst, cold_start(inst)) == auction
     elapsed = time.time() - started
     assert elapsed < 60
     print(f"ACCEPTANCE 1 (oracle equivalence, 200 instances): PASS [{elapsed:.1f}s]")
@@ -151,7 +152,7 @@ def test_criterion_3_minimal_markup_property():
     for _ in range(50):
         inst = random_instance(rng, m_max=3, n_max=3, s_max=3, d_max=4, cost_max=6, a_max=1)
         auction = run_english_auction(inst)
-        dual = solve_minimal_markups(inst)
+        dual = solve_minimal_markups(inst, cold_start(inst))
         equilibria = _grid_equilibria(inst)
         assert equilibria, "grid enumeration found no equilibrium"
         for markups in equilibria:

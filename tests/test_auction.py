@@ -13,10 +13,13 @@ from oracle import EnumerationBudgetError, brute_force_equilibrium, import_spend
 from phosmarket import auction
 from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
 from phosmarket.auction import (
+    FlowStart,
     bundle_utility,
     certify_minimal_markups,
+    cold_start,
     demand_bundle,
     local_spend,
+    reference_start,
     run_english_auction,
     solve_minimal_markups,
     valuation,
@@ -25,17 +28,27 @@ from phosmarket.auction import (
 from phosmarket.config import load_config
 from phosmarket.experiment import assemble_draw, load_context
 
-SOLVERS = (run_english_auction, solve_minimal_markups)
+
+def cold_solve(inst):
+    return solve_minimal_markups(inst, cold_start(inst))
+
+
+SOLVERS = (run_english_auction, cold_solve)
 
 
 def make(s, d, a, c_o, t):
     return MarketInstance(s=tuple(s), d=tuple(d), a=a, c_o=tuple(c_o), t=tuple(map(tuple, t)))
 
 
-def random_instance(rng, *, m_max=3, n_max=3, s_max=4, d_max=5, cost_max=20, a_max=2):
-    m = int(rng.integers(1, m_max + 1))
-    n = int(rng.integers(1, n_max + 1))
-    mask = [[bool(rng.random() < 0.85) for _ in range(n)] for _ in range(m)]
+def random_instance(
+    rng, *, m_max=3, n_max=3, s_max=4, d_max=5, cost_max=20, a_max=2, mask=None
+):
+    """A random instance; ``mask`` (open pairs by supplier, then market) fixes its arc pattern."""
+    if mask is None:
+        m = int(rng.integers(1, m_max + 1))
+        n = int(rng.integers(1, n_max + 1))
+        mask = [[bool(rng.random() < 0.85) for _ in range(n)] for _ in range(m)]
+    m, n = len(mask), len(mask[0])
     t = [
         [int(rng.integers(0, cost_max + 1)) if mask[i][j] else None for j in range(n)]
         for i in range(m)
@@ -361,7 +374,7 @@ def test_auction_agrees_with_oracle(seed):
     assert eq.markups == oracle.markups
     assert verify_equilibrium(inst, eq) == []
     assert verify_equilibrium(inst, oracle) == []
-    assert solve_minimal_markups(inst) == eq
+    assert cold_solve(inst) == eq
 
 
 @settings(deadline=None, max_examples=100)
@@ -390,7 +403,7 @@ def test_dual_solver_agrees_with_auction_over_several_scaling_phases(seed):
         np.random.default_rng(seed), m_max=5, n_max=5, s_max=40, d_max=60, cost_max=60, a_max=3
     )
     assume(max(inst.d) >= 4)
-    eq = solve_minimal_markups(inst)
+    eq = cold_solve(inst)
     assert eq == run_english_auction(inst)
     assert certify_minimal_markups(inst, eq.markups)
 
@@ -406,13 +419,57 @@ def test_dual_solver_terminates_on_flat_costs_instance():
         c_o=(15, 6),
         t=((None, 10), (17, 2), (None, 16)),
     )
-    eq = solve_minimal_markups(inst)
+    eq = cold_solve(inst)
     assert eq == run_english_auction(inst)
     assert eq.markups == (0, 0, 0)
     assert verify_equilibrium(inst, eq) == []
 
 
-def seeded_and_searched_waterlines(inst):
+def test_balanced_but_suboptimal_start_still_runs_a_unit_phase():
+    # The other instance has the same s and d, so its optimum fits and leaves
+    # no node imbalanced; its costs differ, so that flow is not optimal here.
+    # Delta must still start at 1, or the Bellman-Ford raises on that flow.
+    old = make([3, 3], [2, 4], 1, [20, 20], [[1, 9], [9, 1]])
+    new = old._replace(t=((9, 1), (1, 9)))
+    start = reference_start(old)
+    net, excess = auction._market_network(new, start)
+    assert not any(excess)
+    with pytest.raises(auction.AuctionError, match="negative residual cycle"):
+        auction._market_duals(new, net)
+    assert solve_minimal_markups(new, start) == cold_solve(new) == run_english_auction(new)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_warm_starts_on_one_arc_pattern_agree_with_cold_solve_and_auction(seed):
+    # The second instance starts from the first's optimum, whose flows may
+    # exceed its capacities, and from an arbitrary flow and potentials.
+    rng = np.random.default_rng(seed)
+    sizes = dict(m_max=4, n_max=4, s_max=30, d_max=40, cost_max=60, a_max=3)
+    first = random_instance(rng, **sizes)
+    second = random_instance(rng, mask=[[c is not None for c in row] for row in first.t], **sizes)
+    zero = cold_start(second)
+    arbitrary = FlowStart(
+        tuple(int(f) for f in rng.integers(-5, 50, len(zero.flow))),
+        tuple(int(p) for p in rng.integers(-500, 500, len(zero.pi))),
+    )
+    eq = run_english_auction(second)
+    assert solve_minimal_markups(second, zero) == eq
+    assert solve_minimal_markups(second, reference_start(first)) == eq
+    assert solve_minimal_markups(second, arbitrary) == eq
+
+
+def test_start_of_another_arc_pattern_is_rejected():
+    inst = make([3, 3], [2, 4], 1, [20, 20], [[1, 9], [9, 1]])
+    closed = inst._replace(t=((1, None), (9, 1)))
+    with pytest.raises(ValueError, match="start has 8 arc flows"):
+        solve_minimal_markups(closed, reference_start(inst))
+    zero = cold_start(inst)
+    with pytest.raises(ValueError, match="2 potentials"):
+        solve_minimal_markups(inst, zero._replace(pi=zero.pi[:2]))
+
+
+def seeded_and_searched_waterlines(inst, start):
     """The waterlines the solver passes ``_allocate``, and ``_min_spend``'s searched ones."""
     seeded = []
     allocate = auction._allocate
@@ -423,7 +480,7 @@ def seeded_and_searched_waterlines(inst):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(auction, "_allocate", recording)
-        markups = solve_minimal_markups(inst).markups
+        markups = solve_minimal_markups(inst, start).markups
     [waterlines] = seeded  # one _allocate call per solve
     return waterlines, [auction._demand_structure(inst, j, markups).mu for j in range(inst.n)]
 
@@ -434,7 +491,7 @@ def test_dual_waterlines_equal_searched_ones_on_generated_draws(seed):
     inst = random_instance(
         np.random.default_rng(seed), m_max=5, n_max=5, s_max=40, d_max=60, cost_max=60, a_max=3
     )
-    seeded, searched = seeded_and_searched_waterlines(inst)
+    seeded, searched = seeded_and_searched_waterlines(inst, cold_start(inst))
     assert seeded == searched
 
 
@@ -443,14 +500,15 @@ def test_dual_waterlines_equal_searched_ones_on_fixture_draws():
     config = load_config(data / "fixture_bau.cfg")
     context = load_context(dataclasses.replace(config, data_dir=data))
     for b in range(100):
-        seeded, searched = seeded_and_searched_waterlines(assemble_draw(context, b).instance())
+        inst = assemble_draw(context, b).instance()
+        seeded, searched = seeded_and_searched_waterlines(inst, context.start)
         assert seeded == searched, b
 
 
 def solved_market_network(inst):
     """The market network after the capacity scaling, and its arcs by (tail, head)."""
-    net, excess = auction._market_network(inst)
-    auction._min_cost_flow(net, excess, None)
+    net, excess = auction._market_network(inst, cold_start(inst))
+    auction._min_cost_flow(net, excess, [0] * len(net.adj), None)
     return net, {(net.head[e ^ 1], net.head[e]): e for e in range(0, len(net.head), 2)}
 
 
@@ -464,7 +522,7 @@ def test_bellman_ford_rejects_an_import_unit_moved_back_to_local_supply():
     moved = 0
     for b in range(20):
         inst = assemble_draw(context, b).instance()
-        markups = solve_minimal_markups(inst).markups
+        markups = solve_minimal_markups(inst, context.start).markups
         assert auction._market_duals(inst, solved_market_network(inst)[0])[0] == markups, b
         source = inst.m + inst.n
         for i in (i for i in range(inst.m) if markups[i] > 0):

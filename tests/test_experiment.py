@@ -184,7 +184,7 @@ def test_dual_solver_matches_auction_on_fixture_draws():
     context = load_context(dataclasses.replace(config, data_dir=DATA))
     for b in range(25):
         inst = assemble_draw(context, b).instance()
-        eq = solve_minimal_markups(inst)
+        eq = solve_minimal_markups(inst, context.start)
         assert eq == run_english_auction(inst), b
         assert certify_minimal_markups(inst, eq.markups), b
 
@@ -196,7 +196,7 @@ def test_fixture_replications_pass_the_cheapest_units_certificate():
     context = load_context(dataclasses.replace(config, data_dir=DATA))
     for b in range(60):
         inst = assemble_draw(context, b).instance()
-        eq = solve_minimal_markups(inst)
+        eq = solve_minimal_markups(inst, context.start)
         for j in range(inst.n):
             bundle = tuple(row[j] for row in eq.flows.x)
             assert auction._buys_cheapest_units(inst, j, eq.markups, bundle), (b, j)
@@ -263,7 +263,7 @@ def fixture_records(tmp_path_factory):
         )
     result = report.replications[0]
     inst = result.draw.instance()
-    equilibrium = solve_minimal_markups(inst)
+    equilibrium = solve_minimal_markups(inst, report.context.start)
     return {
         "MarketInstance": inst,
         "FlowMatrix": equilibrium.flows,
@@ -278,6 +278,7 @@ def fixture_records(tmp_path_factory):
         "ReplicationResult": result,
         "ScenarioReport": report,
         "TradeCostSummary": report.trade_costs,
+        "FlowStart": report.context.start,
     }
 
 
@@ -297,6 +298,7 @@ def fixture_records(tmp_path_factory):
         "ReplicationResult",
         "ScenarioReport",
         "TradeCostSummary",
+        "FlowStart",
     ],
 )
 def test_records_are_immutable_and_survive_pickling(fixture_records, name):
@@ -394,8 +396,8 @@ def test_verify_rejects_run_with_changed_inputs(tmp_path):
 def test_verify_names_replication_whose_solver_disagrees(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, replications=2)
 
-    def wrong_markup(inst, *, trace=None):
-        eq = solve_minimal_markups(inst, trace=trace)
+    def wrong_markup(inst, start, *, trace=None):
+        eq = solve_minimal_markups(inst, start, trace=trace)
         return Equilibrium((eq.markups[0] + 1, *eq.markups[1:]), eq.flows)
 
     monkeypatch.setattr(experiment, "solve_minimal_markups", wrong_markup)
@@ -445,7 +447,9 @@ def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypa
     # check behind it must still reject the run.
     path = write_config(tmp_path)
     monkeypatch.setattr(
-        experiment, "solve_minimal_markups", lambda inst: corrupt(inst, solve_minimal_markups(inst))
+        experiment,
+        "solve_minimal_markups",
+        lambda inst, start: corrupt(inst, solve_minimal_markups(inst, start)),
     )
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
@@ -455,8 +459,8 @@ def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypa
 
 
 def test_cli_simulate_names_a_capacity_breach_once_with_exit_2(tmp_path, monkeypatch, capsys):
-    def over_capacity(inst):
-        eq = solve_minimal_markups(inst)
+    def over_capacity(inst, start):
+        eq = solve_minimal_markups(inst, start)
         x = [list(row) for row in eq.flows.x]
         j = next(j for j in range(inst.n) if inst.t[0][j] is not None)
         x[0][j] += inst.s[0] + 1
