@@ -94,8 +94,14 @@ class RegionSeries:
 
 
 class TwoStageFit(NamedTuple):
-    """Instrumental-variables fit of the two demand equations (no intercepts)."""
+    """Instrumental-variables fit of the two demand equations (no intercepts).
 
+    It carries the region and its smoothed instrument series ``z``, the only
+    parts of the series that a bootstrap draw reads.
+    """
+
+    region: str
+    z: tuple[float, ...]
     alpha: float
     beta: float
     u1: tuple[float, ...]
@@ -115,6 +121,8 @@ def fit_two_stage(series: RegionSeries) -> TwoStageFit:
     alpha = zx / zz
     beta = _dot(z, y) / zx
     return TwoStageFit(
+        region=series.region,
+        z=z,
         alpha=alpha,
         beta=beta,
         u1=tuple(yk - beta * xk for yk, xk in zip(y, x)),
@@ -123,58 +131,45 @@ def fit_two_stage(series: RegionSeries) -> TwoStageFit:
     )
 
 
-def wild_bootstrap_demand(
-    series: RegionSeries,
-    fit: TwoStageFit,
-    z_scenario: float,
-    B: int,
-    rng: Stream,
-    *,
-    min_value: float = 0.0,
-    max_redraws: int = 100,
-) -> tuple[list[float], int]:
-    """Draw ``B`` scenario demand values (Mt) by wild residual bootstrap.
+#: Rejected demand draws allowed before a replication's draw is an error.
+MAX_REDRAWS = 100
 
-    ``fit`` is ``fit_two_stage(series)``, which depends only on the series,
-    so callers fit once and reuse it across replications.  Each draw
+
+def wild_bootstrap_demand(
+    fit: TwoStageFit, z_scenario: float, rng: Stream, *, min_value: float
+) -> tuple[float, int]:
+    """Draw one scenario demand value (Mt) by wild residual bootstrap.
+
+    ``fit`` is fitted once per run and reused by every replication.  A draw
     simulates both equations with independent Rademacher weights,
     re-estimates the coefficients on the simulated data and predicts demand at
     the scenario value of the instrument.  Draws that are not positive (or
     fall below ``min_value``, the smallest quantizable demand) are rejected
-    and redrawn; the rejection count is returned alongside the draws.
+    and redrawn, at most :data:`MAX_REDRAWS` times; returns the draw and the
+    number of rejections before it.
     """
-    if B < 1:
-        raise ValueError("at least one replication is required")
-    z, u1, u2 = series.z, fit.u1, fit.u2
+    z, u1, u2 = fit.z, fit.u1, fit.u2
     alpha, beta, zz = fit.alpha, fit.beta, fit.zz
     p = len(z)
-
-    draws: list[float] = []
-    rejected = 0
-    for _ in range(B):
-        for _attempt in range(max_redraws + 1):
-            w2 = rng.signs(p)
-            w1 = rng.signs(p)
-            # z . x* and z . y* of the simulated series, each summed in index order.
-            zx_star = zy_star = 0.0
-            for zk, s2, u2k, s1, u1k in zip(z, w2, u2, w1, u1):
-                xk = alpha * zk + s2 * u2k
-                zx_star += zk * xk
-                zy_star += zk * (beta * xk + s1 * u1k)
-            if zx_star != 0.0:
-                alpha_star = zx_star / zz
-                beta_star = zy_star / zx_star
-                draw = beta_star * alpha_star * z_scenario
-                if draw > 0.0 and draw >= min_value:
-                    draws.append(draw)
-                    break
-            rejected += 1
-        else:
-            raise CalibrationError(
-                f"{series.region}: demand redraw budget exceeded "
-                f"({max_redraws} rejections for one replication)"
-            )
-    return draws, rejected
+    for rejected in range(MAX_REDRAWS + 1):
+        w2 = rng.signs(p)
+        w1 = rng.signs(p)
+        # z . x* and z . y* of the simulated series, each summed in index order.
+        zx_star = zy_star = 0.0
+        for zk, s2, u2k, s1, u1k in zip(z, w2, u2, w1, u1):
+            xk = alpha * zk + s2 * u2k
+            zx_star += zk * xk
+            zy_star += zk * (beta * xk + s1 * u1k)
+        if zx_star != 0.0:
+            alpha_star = zx_star / zz
+            beta_star = zy_star / zx_star
+            draw = beta_star * alpha_star * z_scenario
+            if draw > 0.0 and draw >= min_value:
+                return draw, rejected
+    raise CalibrationError(
+        f"{fit.region}: demand redraw budget exceeded "
+        f"({MAX_REDRAWS + 1} rejections for one replication)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +180,14 @@ def capacity_inputs(
     supply_by_year: Mapping[str, Sequence[float]],
     global_demand_by_year: Sequence[float],
     *,
-    base: str = "mean",
+    base: str,
 ) -> tuple[dict[str, float], list[float]]:
     """Supplier share estimates and the joint deviation pool from history.
 
     Shares are supplier-mean supply over the global-demand base (the observed
-    mean by default, or the latest year); the pool collects every supplier's
-    deviations from its own mean, jointly across suppliers.
+    mean for ``base="mean"``, the latest year for ``"latest"``); the pool
+    collects every supplier's deviations from its own mean, jointly across
+    suppliers.
     """
     if base == "mean":
         denom = sum(global_demand_by_year) / len(global_demand_by_year)
@@ -258,7 +254,7 @@ def infer_relative_trade_costs(
     reference_market: str,
     reference_year: int,
     *,
-    theta: float = 0.5,
+    theta: float,
 ) -> TradeCostInversion:
     """Back out relative trade costs and share changes from observed flows.
 
@@ -415,10 +411,8 @@ def sample_trade_costs(
             if base is None:
                 row.append(None)
                 continue
-            noise = 0.0
-            if len(residuals):
-                eps = residuals[rng.below(len(residuals))]
-                noise = (rng.below(2) * 2 - 1) * eps
+            eps = residuals[rng.below(len(residuals))]
+            noise = (rng.below(2) * 2 - 1) * eps
             value = base + gamma_star * scenario_share_changes[j] + noise
             row.append(max(0, to_minor(value, scale)))
         rows.append(tuple(row))
@@ -430,7 +424,7 @@ def sample_trade_costs(
 
 
 def calibrate_local_costs(
-    demands: Sequence[int], *, theta: float = 0.5, scale: int
+    demands: Sequence[int], *, theta: float, scale: int
 ) -> tuple[int, tuple[int, ...]]:
     """Inventory constant and local unit costs meeting the unit-price rule.
 

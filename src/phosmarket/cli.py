@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from .experiment import (
     run_experiment,
     verify_run,
 )
-from .tables import write_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="fit the demand and trade-cost regressions")
     p_cal.add_argument("--config", type=Path, required=True)
-    p_cal.add_argument("--out", type=Path, help="fit summary CSV (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the bootstrap experiment")
     p_sim.add_argument("--config", type=Path, required=True)
@@ -62,34 +61,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     context = load_context(config)
-    rows: list[list[object]] = []
-    for series, fit in zip(context.series, context.demand_fits):
-        rows.append(
-            [
-                "demand",
-                series.region,
-                f"{fit.alpha:.6f}",
-                f"{fit.beta:.6f}",
-                len(fit.u1),
-            ]
-        )
-    rows.append(
-        [
-            "trade_cost",
-            config.reference_market,
-            f"{context.cost_fit.gamma:.6f}",
-            "",
-            len(context.cost_fit.residuals),
-        ]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["fit", "key", "coef_1", "coef_2", "observations"])
+    for fit in context.demand_fits:
+        writer.writerow(["demand", fit.region, f"{fit.alpha:.6f}", f"{fit.beta:.6f}", len(fit.u1)])
+    cost = context.cost_fit
+    writer.writerow(
+        ["trade_cost", config.reference_market, f"{cost.gamma:.6f}", "", len(cost.residuals)]
     )
-    header = ["fit", "key", "coef_1", "coef_2", "observations"]
-    if args.out:
-        write_csv(args.out, header, rows)
-        print(f"fit summary: {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(cell) for cell in row))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 
@@ -43,42 +43,16 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
-    def with_overrides(
-        self,
-        *,
-        seed: int | None = None,
-        replications: int | None = None,
-        output_dir: Path | None = None,
-        workers: int | None = None,
-    ) -> ExperimentConfig:
-        updates: dict = {}
-        if seed is not None:
-            updates["seed"] = seed
-        if replications is not None:
-            updates["replications"] = replications
-        if output_dir is not None:
-            updates["output_dir"] = Path(output_dir)
-        if workers is not None:
-            updates["workers"] = workers
-        return replace(self, **updates) if updates else self
+    def with_overrides(self, **changes: object) -> ExperimentConfig:
+        """A copy with every change that is not ``None`` applied."""
+        return replace(self, **{key: value for key, value in changes.items() if value is not None})
 
 
-_PARSERS = {
-    "scenario": str,
-    "seed": int,
-    "reference_market": str,
-    "reference_year": int,
-    "data_dir": Path,
-    "output_dir": Path,
-    "replications": int,
-    "money_scale": int,
-    "unit_kt": float,
-    "theta": float,
-    "capacity_share_base": str,
-    "workers": int,
-}
-
-_REQUIRED = ("scenario", "seed", "reference_market", "reference_year", "data_dir", "output_dir")
+# The file schema is the dataclass: each field's annotation names its parser,
+# and a field without a default is a required key.
+_TYPES = {"str": str, "int": int, "float": float, "Path": Path}
+_PARSERS = {field.name: _TYPES[field.type] for field in fields(ExperimentConfig)}
+_REQUIRED = tuple(field.name for field in fields(ExperimentConfig) if field.default is MISSING)
 
 
 def load_config(path: Path) -> ExperimentConfig:

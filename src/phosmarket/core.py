@@ -3,9 +3,9 @@
 Quantities are nonnegative integers counted in goods units (one unit is a
 quantum of P2O5 mass; kilotonnes by default, configurable in the pipeline).
 Money values are integers in minor cost units, a fixed-point representation
-of the relative cost unit (``MONEY_SCALE`` minor units equal 1.00).  Every
-spending, valuation and utility value downstream is computed on these integer
-grids and never rounds.
+of the relative cost unit (the run's ``money_scale`` minor units equal
+1.00).  Every spending, valuation and utility value downstream is computed
+on these integer grids and never rounds.
 
 Records are ``typing.NamedTuple`` classes: immutable, hashable, comparable
 and picklable, and much cheaper to define at import time than dataclasses.
@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-#: Minor cost units per relative cost unit (2-decimal precision by default).
-MONEY_SCALE = 100
-
 #: Supplier markups in minor units, one entry per international supplier.
 MarkupVector = tuple[int, ...]
 
@@ -32,8 +29,8 @@ def quantize(value: float, unit: float) -> int:
     return int(math.floor(value / unit + 0.5))
 
 
-def to_minor(value: float, scale: int = MONEY_SCALE) -> int:
-    """Round a relative cost value to integer minor units (half away up)."""
+def to_minor(value: float, scale: int) -> int:
+    """Round a relative cost value to ``scale`` minor units per unit (half away up)."""
     if scale <= 0:
         raise ValueError("money scale must be positive")
     if value >= 0:

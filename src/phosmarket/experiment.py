@@ -63,14 +63,15 @@ class ExperimentContext(NamedTuple):
     pure function of (inputs, config, seed), computed before any worker
     forks, so reports do not depend on the worker count.  Every command
     that loads a context, ``calibrate`` and ``verify`` included, solves
-    that draw, and so fails where ``simulate`` would.
+    that draw, and so fails where ``simulate`` would.  ``demand_fits`` holds
+    one two-stage fit per region, in ``regions`` order; a fit carries its
+    region's instrument series, which is all a demand draw reads of it.
     """
 
     config: ExperimentConfig
     suppliers: tuple[str, ...]
     regions: tuple[str, ...]
-    series: tuple[bs.RegionSeries, ...]
-    demand_fits: tuple[bs.TwoStageFit, ...]  # fit_two_stage of each series
+    demand_fits: tuple[bs.TwoStageFit, ...]
     z_scenario: tuple[float, ...]
     shares: tuple[float, ...]  # supplier share estimates, unitless
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
@@ -109,7 +110,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     series_rows = read_csv(
         paths["demand_series"], ("region", "year", "dapmap_mt", "fert_mt", "crop_use_mt")
     )
-    series_list = []
+    demand_fits = []
     for region in regions:
         rows = sorted(
             (row for row in series_rows if row["region"] == region),
@@ -117,14 +118,13 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         )
         if not rows:
             raise ExperimentError(f"no demand series for region {region!r}")
-        series_list.append(
-            bs.RegionSeries.from_raw(
-                region,
-                [float(row["dapmap_mt"]) for row in rows],
-                [float(row["fert_mt"]) for row in rows],
-                [float(row["crop_use_mt"]) for row in rows],
-            )
+        series = bs.RegionSeries.from_raw(
+            region,
+            [float(row["dapmap_mt"]) for row in rows],
+            [float(row["fert_mt"]) for row in rows],
+            [float(row["crop_use_mt"]) for row in rows],
         )
+        demand_fits.append(bs.fit_two_stage(series))
 
     z_scenario = {}
     for row in read_csv(paths["scenario_use"], ("scenario", "region", "use_mt")):
@@ -175,8 +175,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         config=config,
         suppliers=suppliers,
         regions=regions,
-        series=tuple(series_list),
-        demand_fits=tuple(bs.fit_two_stage(series) for series in series_list),
+        demand_fits=tuple(demand_fits),
         z_scenario=tuple(z_scenario[region] for region in regions),
         shares=tuple(share_map[supplier] for supplier in suppliers),
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
@@ -202,16 +201,14 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
     d_units = []
     rejections = 0
     for j in range(n):
-        draws, rejected = bs.wild_bootstrap_demand(
-            context.series[j],
+        draw, rejected = bs.wild_bootstrap_demand(
             context.demand_fits[j],
             context.z_scenario[j],
-            1,
             demand_rngs[j],
             min_value=0.5 * unit_mt,
         )
         rejections += rejected
-        d_units.append(quantize(draws[0] * 1000.0, config.unit_kt))
+        d_units.append(quantize(draw * 1000.0, config.unit_kt))
     total_units = sum(d_units)
 
     capacities = bs.sample_capacity(
@@ -289,6 +286,11 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
 
 def _replicate(payload: tuple[ExperimentContext, int]) -> ReplicationResult:
     context, replication = payload
+    # Looked up by name in the worker at call time, so a wrapper that rebinds
+    # ``run_replication`` for one call undoes itself in each process (the
+    # benchmark's launcher marks each process's first replication this way).
+    # Mapping ``run_replication`` itself would pickle the wrapper into every
+    # task and mark every replication as a first one.
     return run_replication(context, replication)
 
 
@@ -502,9 +504,7 @@ def sampled_replications(replications: int, sample: int) -> list[int]:
     return [k * replications // count for k in range(count)]
 
 
-def verify_run(
-    config: ExperimentConfig, *, sample: int = 20
-) -> list[tuple[int, bool, bool]]:
+def verify_run(config: ExperimentConfig, *, sample: int) -> list[tuple[int, bool, bool]]:
     """Re-check sampled replications with an independent solver and a certificate.
 
     ``min(sample, replications)`` evenly spaced replications are sampled

@@ -255,15 +255,21 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     """Compile raw inputs into the harmonized tables the simulator consumes.
 
     Expects ``trade_flows.csv``, ``domestic_supply.csv``, ``residence.csv``,
-    ``regions.csv`` and ``consumption.csv`` under ``raw_dir``; optionally
-    ``fertilizer_use.csv``, ``crop_production.csv``, ``eu_members.csv`` and
-    ``scenario_production.csv`` to derive scenario fertilizer use.
+    ``regions.csv`` and ``consumption.csv`` under ``raw_dir``.  When
+    ``scenario_production.csv`` is there too, ``fertilizer_use.csv``,
+    ``crop_production.csv`` and ``eu_members.csv`` must be, and scenario
+    fertilizer use is derived from the four.  Every table is read before
+    any output is written, so a missing or malformed input leaves no
+    output behind.
     """
     raw_dir = Path(raw_dir)
     out_dir = Path(out_dir)
+    trade_names = ("trade_flows", "domestic_supply", "residence", "regions", "consumption")
+    scenario_names = ("fertilizer_use", "crop_production", "eu_members", "scenario_production")
+    scenario = (raw_dir / "scenario_production.csv").exists()
     inputs = {
         name: raw_dir / f"{name}.csv"
-        for name in ("trade_flows", "domestic_supply", "residence", "regions", "consumption")
+        for name in trade_names + (scenario_names if scenario else ())
     }
     for name, path in inputs.items():
         if not path.exists():
@@ -307,78 +313,73 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     local, residuals = harmonize_local_supply(flows, consumption)
 
     provenance = {"pipeline_version": PIPELINE_VERSION}
-    for name, path in sorted(inputs.items()):
-        provenance[f"digest_{name}"] = file_digest(path)
+    for name in sorted(trade_names):
+        provenance[f"digest_{name}"] = file_digest(inputs[name])
 
-    outputs: dict[str, Path] = {}
-    flows_path = out_dir / "flows.csv"
-    write_csv(
-        flows_path,
-        ("supplier", "region", "year", "kt"),
-        [
-            (supplier, region, year, f"{kt:.6f}")
-            for (supplier, region, year), kt in sorted(flows.items())
-        ],
-        provenance,
-    )
-    outputs["flows"] = flows_path
+    tables = [
+        (
+            "flows",
+            ("supplier", "region", "year", "kt"),
+            [
+                (supplier, region, year, f"{kt:.6f}")
+                for (supplier, region, year), kt in sorted(flows.items())
+            ],
+            provenance,
+        ),
+        (
+            "local_supply",
+            ("region", "year", "kt", "clamped_residual_kt"),
+            [
+                (region, year, f"{kt:.6f}", f"{residuals.get((region, year), 0.0):.6f}")
+                for (region, year), kt in sorted(local.items())
+            ],
+            provenance,
+        ),
+    ]
 
-    local_path = out_dir / "local_supply.csv"
-    write_csv(
-        local_path,
-        ("region", "year", "kt", "clamped_residual_kt"),
-        [
-            (region, year, f"{kt:.6f}", f"{residuals.get((region, year), 0.0):.6f}")
-            for (region, year), kt in sorted(local.items())
-        ],
-        provenance,
-    )
-    outputs["local_supply"] = local_path
-
-    scenario_input = raw_dir / "scenario_production.csv"
-    if scenario_input.exists():
+    if scenario:
         use = {
             (row["country"], row["crop"]): float(row["use_kt"])
-            for row in read_csv(raw_dir / "fertilizer_use.csv", ("country", "crop", "use_kt"))
+            for row in read_csv(inputs["fertilizer_use"], ("country", "crop", "use_kt"))
         }
         production = {
             (row["country"], row["crop"]): float(row["production_kt"])
-            for row in read_csv(
-                raw_dir / "crop_production.csv", ("country", "crop", "production_kt")
-            )
+            for row in read_csv(inputs["crop_production"], ("country", "crop", "production_kt"))
         }
-        eu_members = [
-            row["country"] for row in read_csv(raw_dir / "eu_members.csv", ("country",))
-        ]
+        eu_members = [row["country"] for row in read_csv(inputs["eu_members"], ("country",))]
         rates = derive_application_rates(use, production, eu_members, regions)
         scenario_rows = read_csv(
-            scenario_input, ("scenario", "country", "crop", "production_kt")
+            inputs["scenario_production"], ("scenario", "country", "crop", "production_kt")
         )
-        scenarios = sorted({row["scenario"] for row in scenario_rows})
         use_rows = []
-        for scenario in scenarios:
+        for name in sorted({row["scenario"] for row in scenario_rows}):
             volumes = {
                 (row["country"], row["crop"]): float(row["production_kt"])
                 for row in scenario_rows
-                if row["scenario"] == scenario
+                if row["scenario"] == name
             }
             totals = scenario_fertilizer_use(rates, volumes, regions)
             use_rows.extend(
-                (scenario, region, f"{mt:.6f}") for region, mt in sorted(totals.items())
+                (name, region, f"{mt:.6f}") for region, mt in sorted(totals.items())
             )
-        use_path = out_dir / "scenario_use.csv"
-        write_csv(use_path, ("scenario", "region", "use_mt"), use_rows, provenance)
-        outputs["scenario_use"] = use_path
-
-        rates_path = out_dir / "application_rates.csv"
-        write_csv(
-            rates_path,
-            ("country", "crop", "rate_kg_per_t", "fallback"),
-            [
-                (rate.country, rate.crop, f"{rate.rate:.6f}", int(rate.fallback))
-                for rate in sorted(rates.values(), key=lambda r: (r.country, r.crop))
-            ],
-            provenance,
+        derived = dict(provenance)
+        for name in sorted(scenario_names):
+            derived[f"digest_{name}"] = file_digest(inputs[name])
+        tables.append(("scenario_use", ("scenario", "region", "use_mt"), use_rows, derived))
+        tables.append(
+            (
+                "application_rates",
+                ("country", "crop", "rate_kg_per_t", "fallback"),
+                [
+                    (rate.country, rate.crop, f"{rate.rate:.6f}", int(rate.fallback))
+                    for rate in sorted(rates.values(), key=lambda r: (r.country, r.crop))
+                ],
+                derived,
+            )
         )
-        outputs["application_rates"] = rates_path
+
+    outputs: dict[str, Path] = {}
+    for name, header, rows, table_provenance in tables:
+        outputs[name] = out_dir / f"{name}.csv"
+        write_csv(outputs[name], header, rows, table_provenance)
     return outputs

@@ -264,9 +264,10 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     exact = RegionSeries(
         "exact", y=tuple(6.0 * v for v in z), x=tuple(3.0 * v for v in z), z=z
     )
-    draws, rejected = wild_bootstrap_demand(
-        exact, fit_two_stage(exact), 5.0, 200, Stream.from_seed(1)
-    )
+    fit, stream = fit_two_stage(exact), Stream.from_seed(1)
+    pairs = [wild_bootstrap_demand(fit, 5.0, stream, min_value=0.0) for _ in range(200)]
+    draws = [draw for draw, _ in pairs]
+    rejected = sum(count for _, count in pairs)
     assert rejected == 0
     assert len(set(draws)) == 1  # zero residuals: zero-variance report
     assert draws[0] == pytest.approx(2.0 * 3.0 * 5.0)
@@ -278,7 +279,8 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     noisy = RegionSeries("noisy", y=tuple(ys), x=tuple(xs), z=tuple(zs))
     fit = fit_two_stage(noisy)
     point = fit.beta * fit.alpha * 3.0
-    draws, _ = wild_bootstrap_demand(noisy, fit, 3.0, 1000, Stream.from_seed(5))
+    stream = Stream.from_seed(5)
+    draws = [wild_bootstrap_demand(fit, 3.0, stream, min_value=0.0)[0] for _ in range(1000)]
     sample = np.asarray(draws)
     se = sample.std(ddof=1) / math.sqrt(len(sample))
     assert abs(sample.mean() - point) < 3 * se

@@ -80,10 +80,15 @@ def test_fit_two_stage_degenerate_instrument():
         fit_two_stage(broken)
 
 
+def wild_bootstrap_draws(fit, z_scenario, B, rng):
+    """``B`` successive demand draws from one stream and their total rejections."""
+    pairs = [wild_bootstrap_demand(fit, z_scenario, rng, min_value=0.0) for _ in range(B)]
+    return [draw for draw, _ in pairs], sum(rejected for _, rejected in pairs)
+
+
 def test_wild_bootstrap_degenerates_to_point_prediction():
     rng = Stream.from_seed(1)
-    series = exact_series()
-    draws, rejected = wild_bootstrap_demand(series, fit_two_stage(series), 4.0, 50, rng)
+    draws, rejected = wild_bootstrap_draws(fit_two_stage(exact_series()), 4.0, 50, rng)
     assert rejected == 0
     assert all(d == pytest.approx(6.0 * 4.0) for d in draws)
 
@@ -91,14 +96,7 @@ def test_wild_bootstrap_degenerates_to_point_prediction():
 def test_wild_bootstrap_zero_scenario_exhausts_redraws():
     rng = Stream.from_seed(2)
     with pytest.raises(CalibrationError):
-        series = exact_series()
-        wild_bootstrap_demand(series, fit_two_stage(series), 0.0, 1, rng)
-
-
-def test_wild_bootstrap_needs_replications():
-    series = exact_series()
-    with pytest.raises(ValueError):
-        wild_bootstrap_demand(series, fit_two_stage(series), 1.0, 0, Stream.from_seed(3))
+        wild_bootstrap_demand(fit_two_stage(exact_series()), 0.0, rng, min_value=0.0)
 
 
 def noisy_series():
@@ -113,7 +111,7 @@ def test_wild_bootstrap_centering():
     series = noisy_series()
     fit = fit_two_stage(series)
     point = fit.beta * fit.alpha * 2.5
-    draws, _ = wild_bootstrap_demand(series, fit, 2.5, 1000, Stream.from_seed(7))
+    draws, _ = wild_bootstrap_draws(fit, 2.5, 1000, Stream.from_seed(7))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - point) < 3 * se
@@ -142,7 +140,7 @@ def test_wild_bootstrap_matches_numpy_reference():
     series = noisy_series()
     fit = fit_two_stage(series)
     alpha, beta, expected = numpy_wild_bootstrap(series, 2.5, 200, np.random.default_rng(11))
-    draws, rejected = wild_bootstrap_demand(series, fit, 2.5, 200, Stream.from_seed(11))
+    draws, rejected = wild_bootstrap_draws(fit, 2.5, 200, Stream.from_seed(11))
     assert rejected == 0
     assert (fit.alpha, fit.beta) == pytest.approx((alpha, beta), rel=1e-14, abs=0)
     assert draws == pytest.approx(expected, rel=1e-13, abs=0)
@@ -165,7 +163,7 @@ def test_replication_streams_are_deterministic_and_distinct():
 
 def test_capacity_inputs_shares_and_pool():
     shares, pool = capacity_inputs(
-        {"a": [10.0, 12.0], "b": [5.0, 5.0]}, [100.0, 120.0]
+        {"a": [10.0, 12.0], "b": [5.0, 5.0]}, [100.0, 120.0], base="mean"
     )
     assert shares["a"] == pytest.approx(11.0 / 110.0)
     assert shares["b"] == pytest.approx(5.0 / 110.0)
@@ -281,7 +279,7 @@ def test_inversion_single_year_yields_empty_changes():
     flows = {k: v for k, v in flows.items() if k[2] == 1}
     local = {k: v for k, v in local.items() if k[1] == 1}
     inv = infer_relative_trade_costs(
-        flows, local, suppliers, regions, [1], "R1", 1
+        flows, local, suppliers, regions, [1], "R1", 1, theta=0.5
     )
     assert inv.w == ()
     assert inv.v == ()
@@ -302,7 +300,9 @@ def test_inversion_uniform_growth_zeroes_share_changes():
         ("R2", 1): 15.0,
         ("R2", 2): 16.5,
     }
-    inv = infer_relative_trade_costs(flows, local, suppliers, regions, [1, 2], "R1", 1)
+    inv = infer_relative_trade_costs(
+        flows, local, suppliers, regions, [1, 2], "R1", 1, theta=0.5
+    )
     assert list(inv.v) == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -312,7 +312,7 @@ def test_inversion_requires_active_reference_market():
     flows = {("A", "R2", 1): 5.0}
     local = {("R1", 1): 30.0, ("R2", 1): 15.0}
     with pytest.raises(CalibrationError):
-        infer_relative_trade_costs(flows, local, suppliers, regions, [1], "R1", 1)
+        infer_relative_trade_costs(flows, local, suppliers, regions, [1], "R1", 1, theta=0.5)
 
 
 def test_trade_cost_regression_closed_forms():

@@ -79,7 +79,7 @@ def test_quantize_rounds_half_up():
 
 
 def test_money_roundtrip():
-    assert to_minor(0.07) == 7
+    assert to_minor(0.07, 100) == 7
     assert to_minor(0.005, 1000) == 5
-    assert to_minor(-0.07) == -7
-    assert to_minor(7 / 100) == 7
+    assert to_minor(-0.07, 100) == -7
+    assert to_minor(7 / 100, 100) == 7

@@ -126,6 +126,10 @@ def test_config_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text("scenario = BAU\n")
     with pytest.raises(ConfigError, match="missing required"):
         load_config(path)
+    path.write_text("# no entries\n")
+    required = "scenario, seed, reference_market, reference_year, data_dir, output_dir"
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: missing required keys: {required}")):
+        load_config(path)
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -137,6 +141,42 @@ def test_config_rejects_bad_values(tmp_path):
         fixture_config(tmp_path, unit_kt=0.0)
     with pytest.raises(ConfigError):
         fixture_config(tmp_path, capacity_share_base="median")
+    path = tmp_path / "c.cfg"
+    path.write_text("scenario = BAU\nseed = 1.5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: bad value for 'seed'")):
+        load_config(path)
+
+
+def test_config_file_sets_every_field(tmp_path):
+    expected = ExperimentConfig(
+        scenario="SSP2",
+        seed=7,
+        reference_market="north",
+        reference_year=2011,
+        data_dir=tmp_path / "data",
+        output_dir=tmp_path / "out",
+        replications=12,
+        money_scale=1000,
+        unit_kt=12.5,
+        theta=0.75,
+        capacity_share_base="latest",
+        workers=3,
+    )
+    fields = dataclasses.fields(ExperimentConfig)
+    assert len(fields) == 12
+    assert all(getattr(expected, field.name) != field.default for field in fields)
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{f.name} = {getattr(expected, f.name)}\n" for f in fields))
+    config = load_config(path)
+    assert config == expected
+    assert isinstance(config.data_dir, Path) and isinstance(config.output_dir, Path)
+    assert type(config.seed) is int and type(config.money_scale) is int
+    assert type(config.unit_kt) is float and type(config.theta) is float
+
+
+def test_config_overrides_apply_only_values_that_are_set(tmp_path):
+    config = fixture_config(tmp_path)
+    assert config.with_overrides(seed=None, workers=2) == dataclasses.replace(config, workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +668,18 @@ def cli_in_fresh_interpreter(*args):
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("table", ["fertilizer_use.csv", "crop_production.csv", "eu_members.csv"])
+def test_cli_pipeline_names_a_missing_crop_table_with_exit_1(tmp_path, table):
+    raw = tmp_path / "raw"
+    shutil.copytree(ROOT / "tests" / "data" / "raw_small", raw)
+    (raw / table).unlink()
+    done = cli_in_fresh_interpreter("pipeline", "--raw-dir", raw, "--out-dir", tmp_path / "out")
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:") and str(raw / table) in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 MALFORMED_TABLES = pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from phosmarket.pipeline import (
     run_pipeline,
     scenario_fertilizer_use,
 )
-from phosmarket.tables import read_csv, write_csv
+from phosmarket.tables import file_digest, read_csv, write_csv
 
 RAW = Path(__file__).parent / "data" / "raw_small"
 
@@ -214,6 +214,13 @@ def test_run_pipeline_emits_tables_with_provenance(tmp_path):
     text = outputs["flows"].read_text()
     assert text.startswith("# pipeline_version:")
     assert "digest_trade_flows" in text
+    inputs = ["trade_flows", "domestic_supply", "residence", "regions", "consumption"]
+    inputs += ["fertilizer_use", "crop_production", "eu_members", "scenario_production"]
+    for name in ("scenario_use", "application_rates"):
+        text = outputs[name].read_text()
+        for table in inputs:
+            digest = file_digest(RAW / f"{table}.csv")
+            assert f"# digest_{table}: {digest}\n" in text, (name, table)
     rows = read_csv(outputs["flows"])
     cell = next(
         r for r in rows
