@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # ConfigError, PipelineError, CalibrationError, a missing column
+    except ValueError as exc:  # ConfigError, PipelineError, CalibrationError, a malformed table
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ExperimentError, AuctionError, OSError) as exc:

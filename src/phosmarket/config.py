@@ -76,4 +76,7 @@ def load_config(path: Path) -> ExperimentConfig:
     missing = [key for key in _REQUIRED if key not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    return ExperimentConfig(**values)  # type: ignore[arg-type]
+    try:
+        return ExperimentConfig(**values)  # type: ignore[arg-type]
+    except ConfigError as exc:  # a value out of range
+        raise ConfigError(f"{path}: {exc}") from None

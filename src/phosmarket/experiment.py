@@ -33,7 +33,18 @@ from .auction import (
 )
 from .config import ConfigError, ExperimentConfig
 from .core import MarketInstance, quantize
-from .tables import file_digest, read_csv, write_csv
+from .tables import quantity, read_csv, write_csv
+
+#: Each harmonized input table's columns with the parsers of their cells,
+#: and how many leading columns form its key.
+INPUT_TABLES = {
+    "flows": (dict(supplier=str, region=str, year=int, kt=quantity), 3),
+    "local_supply": (dict(region=str, year=int, kt=quantity), 2),
+    "demand_series": (
+        dict(region=str, year=int, dapmap_mt=quantity, fert_mt=quantity, crop_use_mt=quantity), 2
+    ),
+    "scenario_use": (dict(scenario=str, region=str, use_mt=quantity), 2),
+}
 
 
 class ExperimentError(RuntimeError):
@@ -85,21 +96,16 @@ class ExperimentContext(NamedTuple):
 
 def load_context(config: ExperimentConfig) -> ExperimentContext:
     """Read the harmonized input tables, fit every sampler and solve the reference draw."""
-    data_dir = Path(config.data_dir)
-    paths = {
-        name: data_dir / f"{name}.csv"
-        for name in ("flows", "local_supply", "demand_series", "scenario_use")
-    }
-    for name, path in paths.items():
+    paths = {name: Path(config.data_dir) / f"{name}.csv" for name in INPUT_TABLES}
+    for path in paths.values():
         if not path.exists():
             raise ExperimentError(f"missing input table {path}")
+    tables, digests = {}, {}
+    for name, (schema, key) in INPUT_TABLES.items():
+        tables[name], digests[name] = read_csv(paths[name], schema, key)
 
-    flows: dict[tuple[str, str, int], float] = {}
-    for row in read_csv(paths["flows"], ("supplier", "region", "year", "kt")):
-        flows[(row["supplier"], row["region"], int(row["year"]))] = float(row["kt"])
-    local: dict[tuple[str, int], float] = {}
-    for row in read_csv(paths["local_supply"], ("region", "year", "kt")):
-        local[(row["region"], int(row["year"]))] = float(row["kt"])
+    flows = {(supplier, region, year): kt for supplier, region, year, kt in tables["flows"]}
+    local = {(region, year): kt for region, year, kt in tables["local_supply"]}
 
     suppliers = tuple(sorted({key[0] for key in flows}))
     regions = tuple(sorted({key[1] for key in flows} | {key[0] for key in local}))
@@ -107,29 +113,19 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     if config.reference_market not in regions:
         raise ExperimentError(f"reference market {config.reference_market!r} not in data")
 
-    series_rows = read_csv(
-        paths["demand_series"], ("region", "year", "dapmap_mt", "fert_mt", "crop_use_mt")
-    )
     demand_fits = []
     for region in regions:
-        rows = sorted(
-            (row for row in series_rows if row["region"] == region),
-            key=lambda row: int(row["year"]),
-        )
+        # rows sort by year: (region, year) is the table's key
+        rows = sorted(row for row in tables["demand_series"] if row[0] == region)
         if not rows:
             raise ExperimentError(f"no demand series for region {region!r}")
-        series = bs.RegionSeries.from_raw(
-            region,
-            [float(row["dapmap_mt"]) for row in rows],
-            [float(row["fert_mt"]) for row in rows],
-            [float(row["crop_use_mt"]) for row in rows],
-        )
+        _, _, dapmap, fert, crop_use = zip(*rows)
+        series = bs.RegionSeries.from_raw(region, dapmap, fert, crop_use)
         demand_fits.append(bs.fit_two_stage(series))
 
-    z_scenario = {}
-    for row in read_csv(paths["scenario_use"], ("scenario", "region", "use_mt")):
-        if row["scenario"] == config.scenario:
-            z_scenario[row["region"]] = float(row["use_mt"])
+    z_scenario = {
+        region: use for name, region, use in tables["scenario_use"] if name == config.scenario
+    }
     missing = [region for region in regions if region not in z_scenario]
     if missing:
         raise ExperimentError(
@@ -168,9 +164,6 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     )
     cost_fit = bs.fit_trade_cost_regression(inversion.w, inversion.v)
 
-    digests = tuple(
-        (name, file_digest(path)) for name, path in sorted(paths.items())
-    )
     context = ExperimentContext(
         config=config,
         suppliers=suppliers,
@@ -183,7 +176,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         base_costs=inversion.base_costs,
         ref_shares=inversion.ref_shares,
         reference_index=regions.index(config.reference_market),
-        input_digests=digests,
+        input_digests=tuple(sorted(digests.items())),
         start=FlowStart((), ()),  # replaced below; assembling a draw does not read it
     )
     return context._replace(start=reference_start(assemble_draw(context, 0).instance()))

@@ -8,13 +8,26 @@ compilation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .tables import file_digest, read_csv, write_csv
+from .tables import quantity, read_csv, write_csv
 
 PIPELINE_VERSION = "1"
+
+#: Each raw input table's columns with the parsers of their cells, and how
+#: many leading columns form its key.
+RAW_TABLES = {
+    "trade_flows": (dict(year=int, supplier=str, country=str, kind=str, mass_tonnes=quantity), 4),
+    "domestic_supply": (dict(year=int, supplier=str, kind=str, mass_tonnes=quantity), 3),
+    "residence": (dict(supplier=str, country=str), 1),
+    "regions": (dict(country=str, region=str), 1),
+    "consumption": (dict(region=str, year=int, consumption_kt=quantity), 2),
+    "fertilizer_use": (dict(country=str, crop=str, use_kt=quantity), 2),
+    "crop_production": (dict(country=str, crop=str, production_kt=quantity), 2),
+    "eu_members": (dict(country=str), 1),
+    "scenario_production": (dict(scenario=str, country=str, crop=str, production_kt=quantity), 3),
+}
 
 #: P2O5 content by product kind, in percent (kept integral for exact results
 #: on round input masses).
@@ -40,8 +53,7 @@ def convert_to_p2o5(mass: float, kind: str) -> float:
         raise PipelineError(f"unknown product kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class TradeFlowRecord:
+class TradeFlowRecord(NamedTuple):
     """One raw trade observation: product mass shipped into a country."""
 
     year: int
@@ -51,8 +63,7 @@ class TradeFlowRecord:
     mass: float  # tonnes of product
 
 
-@dataclass(frozen=True)
-class ApplicationRate:
+class ApplicationRate(NamedTuple):
     """Phosphorus application rate for one crop in one country.
 
     ``fallback`` marks rates imputed by the regional-minimum rule.
@@ -77,15 +88,12 @@ def compile_trade_flows(
     """Aggregate converted flows by (supplier, region, year), in kt P2O5.
 
     Domestic supply records are attributed to the supplier's residence
-    country and folded into the same regional flow table.
+    country and folded into the same regional flow table.  Records that
+    share a (year, supplier, country, kind) add up; ``run_pipeline`` rejects
+    them when it reads the table.
     """
     parts: dict[tuple[str, str, int], list[float]] = {}
-    seen: set[tuple[str, str, int, str]] = set()
     for rec in records:
-        key = (rec.country, rec.supplier, rec.year, rec.kind)
-        if key in seen:
-            raise PipelineError(f"duplicate trade flow row {key}")
-        seen.add(key)
         region = country_to_region.get(rec.country)
         if region is None:
             raise PipelineError(f"country {rec.country!r} has no region mapping")
@@ -275,46 +283,23 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
         if not path.exists():
             raise PipelineError(f"missing input file {path}")
 
-    records = [
-        TradeFlowRecord(
-            year=int(row["year"]),
-            supplier=row["supplier"],
-            country=row["country"],
-            kind=row["kind"],
-            mass=float(row["mass_tonnes"]),
-        )
-        for row in read_csv(
-            inputs["trade_flows"], ("year", "supplier", "country", "kind", "mass_tonnes")
-        )
-    ]
+    rows, digests = {}, {}
+    for name, path in inputs.items():
+        rows[name], digests[name] = read_csv(path, *RAW_TABLES[name])
+    records = [TradeFlowRecord(*row) for row in rows["trade_flows"]]
     domestic = [
-        TradeFlowRecord(
-            year=int(row["year"]),
-            supplier=row["supplier"],
-            country="",
-            kind=row["kind"],
-            mass=float(row["mass_tonnes"]),
-        )
-        for row in read_csv(inputs["domestic_supply"], ("year", "supplier", "kind", "mass_tonnes"))
+        TradeFlowRecord(year, supplier, "", kind, mass)
+        for year, supplier, kind, mass in rows["domestic_supply"]
     ]
-    residence = {
-        row["supplier"]: row["country"]
-        for row in read_csv(inputs["residence"], ("supplier", "country"))
-    }
-    regions = {
-        row["country"]: row["region"] for row in read_csv(inputs["regions"], ("country", "region"))
-    }
-    consumption = {
-        (row["region"], int(row["year"])): float(row["consumption_kt"])
-        for row in read_csv(inputs["consumption"], ("region", "year", "consumption_kt"))
-    }
+    regions = dict(rows["regions"])
+    consumption = {(region, year): kt for region, year, kt in rows["consumption"]}
 
-    flows = compile_trade_flows(records, regions, residence, domestic)
+    flows = compile_trade_flows(records, regions, dict(rows["residence"]), domestic)
     local, residuals = harmonize_local_supply(flows, consumption)
 
     provenance = {"pipeline_version": PIPELINE_VERSION}
     for name in sorted(trade_names):
-        provenance[f"digest_{name}"] = file_digest(inputs[name])
+        provenance[f"digest_{name}"] = digests[name]
 
     tables = [
         (
@@ -338,25 +323,16 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     ]
 
     if scenario:
-        use = {
-            (row["country"], row["crop"]): float(row["use_kt"])
-            for row in read_csv(inputs["fertilizer_use"], ("country", "crop", "use_kt"))
-        }
-        production = {
-            (row["country"], row["crop"]): float(row["production_kt"])
-            for row in read_csv(inputs["crop_production"], ("country", "crop", "production_kt"))
-        }
-        eu_members = [row["country"] for row in read_csv(inputs["eu_members"], ("country",))]
+        use = {(country, crop): kt for country, crop, kt in rows["fertilizer_use"]}
+        production = {(country, crop): kt for country, crop, kt in rows["crop_production"]}
+        eu_members = [country for (country,) in rows["eu_members"]]
         rates = derive_application_rates(use, production, eu_members, regions)
-        scenario_rows = read_csv(
-            inputs["scenario_production"], ("scenario", "country", "crop", "production_kt")
-        )
         use_rows = []
-        for name in sorted({row["scenario"] for row in scenario_rows}):
+        for name in sorted({row[0] for row in rows["scenario_production"]}):
             volumes = {
-                (row["country"], row["crop"]): float(row["production_kt"])
-                for row in scenario_rows
-                if row["scenario"] == name
+                (country, crop): kt
+                for label, country, crop, kt in rows["scenario_production"]
+                if label == name
             }
             totals = scenario_fertilizer_use(rates, volumes, regions)
             use_rows.extend(
@@ -364,7 +340,7 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
             )
         derived = dict(provenance)
         for name in sorted(scenario_names):
-            derived[f"digest_{name}"] = file_digest(inputs[name])
+            derived[f"digest_{name}"] = digests[name]
         tables.append(("scenario_use", ("scenario", "region", "use_mt"), use_rows, derived))
         tables.append(
             (
@@ -379,7 +355,7 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
         )
 
     outputs: dict[str, Path] = {}
-    for name, header, rows, table_provenance in tables:
+    for name, header, table_rows, table_provenance in tables:
         outputs[name] = out_dir / f"{name}.csv"
-        write_csv(outputs[name], header, rows, table_provenance)
+        write_csv(outputs[name], header, table_rows, table_provenance)
     return outputs

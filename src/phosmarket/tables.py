@@ -9,38 +9,64 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def quantity(cell: str) -> float:
+    """Parse a mass, volume or rate: a finite number >= 0."""
+    value = float(cell)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{cell!r} is not a finite number >= 0")
+    return value
 
 
-def read_csv(path: Path, columns: Iterable[str] = ()) -> list[dict[str, str]]:
-    """Read a CSV file, skipping ``#`` provenance/comment lines and blank lines.
+def read_csv(
+    path: Path, schema: Mapping[str, Callable[[str], object]], key: int
+) -> tuple[list[tuple], str]:
+    """Parse a table by ``schema``; return its rows and the sha256[:16] of its bytes.
 
-    ``columns`` are the columns the caller reads; a header that lacks any of
-    them raises ``ValueError`` naming the file and the missing columns.  A row
-    whose cell count differs from the header's raises ``ValueError`` naming
-    the file and the row's line number in it.
+    ``schema`` maps each column read to the parser of its cells, which
+    raises ``ValueError`` on a bad cell; other columns are ignored.  A row
+    is the tuple of its parsed cells in schema order, and its first ``key``
+    cells identify it.  A repeated or missing header column, a row of the
+    wrong length, a repeated key or a bad cell raises ``ValueError`` naming
+    the file, and the line and column at fault.
     """
-    with path.open(newline="", encoding="utf-8") as handle:
-        numbered = [item for item in enumerate(handle, 1) if not item[1].startswith("#")]
+    data = path.read_bytes()
+    # newline="" splits lines as csv expects: only \n, \r and \r\n end a line
+    lines = enumerate(io.StringIO(data.decode("utf-8"), newline=""), 1)
+    numbered = [item for item in lines if not item[1].startswith("#")]
     reader = csv.reader(line for _, line in numbered)
     header = next(reader, [])
-    missing = [column for column in columns if column not in header]
+    repeated = sorted({column for column in header if header.count(column) > 1})
+    if repeated:
+        raise ValueError(f"{path} names column(s) more than once: {', '.join(repeated)}")
+    missing = [column for column in schema if column not in header]
     if missing:
         raise ValueError(f"{path} lacks column(s): {', '.join(missing)}")
+    columns = [(column, header.index(column), parse) for column, parse in schema.items()]
     rows = []
+    key_lines: dict[tuple, int] = {}
     for cells in reader:
         if not cells:
             continue
+        line = numbered[reader.line_num - 1][0]
         if len(cells) != len(header):
-            line = numbered[reader.line_num - 1][0]
             raise ValueError(f"{path}, line {line}: {len(cells)} cells, header has {len(header)}")
-        rows.append(dict(zip(header, cells)))
-    return rows
+        row = []
+        for column, index, parse in columns:
+            try:
+                row.append(parse(cells[index]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}, column {column}: {exc}") from None
+        first = key_lines.setdefault(tuple(row[:key]), line)
+        if first != line:
+            raise ValueError(f"{path}, line {line}: repeats the key of line {first}")
+        rows.append(tuple(row))
+    return rows, hashlib.sha256(data).hexdigest()[:16]
 
 
 def write_csv(

@@ -1,0 +1,12 @@
+"""Untyped reading of the report tables and reference fixtures the tests check."""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+
+def read_rows(path: Path) -> list[dict[str, str]]:
+    """The rows of a CSV file that has no ``#`` lines, as dicts keyed by its header."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))

@@ -43,7 +43,7 @@ from phosmarket.experiment import (
 from phosmarket.metrics import concentration, diversification
 from phosmarket.pipeline import convert_to_p2o5
 from phosmarket.rng import Stream
-from phosmarket.tables import read_csv
+from report_rows import read_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,7 +234,7 @@ def test_world_total_and_growth():
 
 
 def test_criterion_5_published_aggregation_fixture():
-    rows = read_csv(DATA / "table1.csv")
+    rows = read_rows(DATA / "table1.csv")
     data = {row["region"]: float(row["data_mt"]) for row in rows}
     bau = {row["region"]: float(row["bau_mt"]) for row in rows}
     sss = {row["region"]: float(row["sss_mt"]) for row in rows}
@@ -342,7 +342,7 @@ def test_criterion_10_mask_faithfulness(deterministic_runs):
     )
     assert not mask[context.suppliers.index("capechem")][context.regions.index("north")]
 
-    rows = read_csv(outputs["first"]["trade_costs"])
+    rows = read_rows(outputs["first"]["trade_costs"])
     for j, region in enumerate(context.regions):
         row = next(r for r in rows if r["region"] == region)
         for i, supplier in enumerate(context.suppliers):

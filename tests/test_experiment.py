@@ -34,7 +34,7 @@ from phosmarket.experiment import (
     sampled_replications,
     verify_run,
 )
-from phosmarket.tables import read_csv
+from report_rows import read_rows
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data" / "fixture_small"
@@ -144,6 +144,10 @@ def test_config_rejects_bad_values(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("scenario = BAU\nseed = 1.5\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:2: bad value for 'seed'")):
+        load_config(path)
+    path = write_config(tmp_path)
+    path.write_text(path.read_text() + "workers = 0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: workers must be >= 1")):
         load_config(path)
 
 
@@ -378,7 +382,7 @@ def test_emit_tables_blanks_masked_trade_cost_cells(tmp_path):
     config = fixture_config(tmp_path)
     report = run_experiment(config)
     outputs = emit_tables(report, tmp_path / "t")
-    rows = read_csv(outputs["trade_costs"])
+    rows = read_rows(outputs["trade_costs"])
     north = next(row for row in rows if row["region"] == "north")
     assert north["capechem_mean"] == ""
     assert north["capechem_sd"] == ""
@@ -557,7 +561,7 @@ def test_cli_simulate_overrides(tmp_path):
         "simulate", "--config", str(path),
         "--replications", "2", "--output-dir", str(alt), "--seed", "7",
     ]) == 0
-    rows = read_csv(alt / "replications.csv")
+    rows = read_rows(alt / "replications.csv")
     assert len(rows) == 2
 
 
@@ -584,8 +588,7 @@ def test_cli_reports_validation_errors_with_exit_1(tmp_path, capsys):
 def test_cli_simulate_rejects_negative_seed_with_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, replications=2)
     assert main(["simulate", "--config", str(path), "--seed", "-5"]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "seed must be >= 0" in err
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -732,3 +735,24 @@ def test_cli_reports_a_short_row_with_exit_1(tmp_path, command, source, table, c
 
     path, error = cli_error_on_edited_table(tmp_path, command, source, table, drop_cell)
     assert f"{path}, line 2:" in error
+
+
+@MALFORMED_TABLES
+def test_cli_reports_a_nan_cell_with_exit_1(tmp_path, command, source, table, column):
+    def nan_cell(lines):
+        cells = lines[1].rstrip("\n").split(",")
+        cells[lines[0].rstrip("\n").split(",").index(column)] = "nan"
+        return [lines[0], ",".join(cells) + "\n", *lines[2:]]
+
+    path, error = cli_error_on_edited_table(tmp_path, command, source, table, nan_cell)
+    assert f"{path}, line 2, column {column}: 'nan' is not a finite number >= 0" in error
+
+
+@MALFORMED_TABLES
+def test_cli_reports_a_repeated_row_with_exit_1(tmp_path, command, source, table, column):
+    def repeat_row(lines):
+        return [*lines, lines[1]]
+
+    path, error = cli_error_on_edited_table(tmp_path, command, source, table, repeat_row)
+    last = len((source / table).read_text().splitlines()) + 1
+    assert f"{path}, line {last}: repeats the key of line 2" in error

@@ -1,10 +1,13 @@
 """CSV ingestion, conversion, harmonization and scenario aggregation."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from phosmarket.experiment import INPUT_TABLES
 from phosmarket.pipeline import (
+    RAW_TABLES,
     PipelineError,
     TradeFlowRecord,
     compile_trade_flows,
@@ -14,9 +17,15 @@ from phosmarket.pipeline import (
     run_pipeline,
     scenario_fertilizer_use,
 )
-from phosmarket.tables import file_digest, read_csv, write_csv
+from phosmarket.tables import quantity, read_csv, write_csv
 
 RAW = Path(__file__).parent / "data" / "raw_small"
+
+
+def raw_rows(name):
+    """The typed rows of one raw fixture table."""
+    rows, _ = read_csv(RAW / f"{name}.csv", *RAW_TABLES[name])
+    return rows
 
 REGIONS = {
     "eastland": "east",
@@ -53,13 +62,7 @@ def test_compile_sums_rows_within_region():
     assert table == {("acme", "east", 2016): pytest.approx(4.6 + 5.2)}
 
 
-def test_compile_rejects_duplicates_and_unmapped():
-    records = [
-        TradeFlowRecord(2016, "acme", "eastland", "DAP", 1.0),
-        TradeFlowRecord(2016, "acme", "eastland", "DAP", 2.0),
-    ]
-    with pytest.raises(PipelineError, match="duplicate"):
-        compile_trade_flows(records, REGIONS, {})
+def test_compile_rejects_unmapped_countries():
     with pytest.raises(PipelineError, match="region mapping"):
         compile_trade_flows(
             [TradeFlowRecord(2016, "acme", "atlantis", "DAP", 1.0)], REGIONS, {}
@@ -75,16 +78,12 @@ def test_compile_adds_domestic_supply_to_residence_region():
 
 
 def test_compile_golden_fixture():
-    rows = read_csv(RAW / "trade_flows.csv")
-    records = [
-        TradeFlowRecord(int(r["year"]), r["supplier"], r["country"], r["kind"], float(r["mass_tonnes"]))
-        for r in rows
-    ]
+    records = [TradeFlowRecord(*row) for row in raw_rows("trade_flows")]
     domestic = [
-        TradeFlowRecord(int(r["year"]), r["supplier"], "", r["kind"], float(r["mass_tonnes"]))
-        for r in read_csv(RAW / "domestic_supply.csv")
+        TradeFlowRecord(year, supplier, "", kind, mass)
+        for year, supplier, kind, mass in raw_rows("domestic_supply")
     ]
-    residence = {r["supplier"]: r["country"] for r in read_csv(RAW / "residence.csv")}
+    residence = dict(raw_rows("residence"))
     table = compile_trade_flows(records, REGIONS, residence, domestic)
     # hand-aggregated: product tonnes x factor / 1000 summed per region
     assert table[("atlaschem", "east", 2016)] == pytest.approx(46.0 + 26.0)
@@ -116,15 +115,9 @@ def test_harmonize_local_supply_rules():
 
 
 def fixture_rates():
-    use = {
-        (r["country"], r["crop"]): float(r["use_kt"])
-        for r in read_csv(RAW / "fertilizer_use.csv")
-    }
-    production = {
-        (r["country"], r["crop"]): float(r["production_kt"])
-        for r in read_csv(RAW / "crop_production.csv")
-    }
-    eu = [r["country"] for r in read_csv(RAW / "eu_members.csv")]
+    use = {(country, crop): kt for country, crop, kt in raw_rows("fertilizer_use")}
+    production = {(country, crop): kt for country, crop, kt in raw_rows("crop_production")}
+    eu = [country for (country,) in raw_rows("eu_members")]
     return derive_application_rates(use, production, eu, REGIONS)
 
 
@@ -153,9 +146,9 @@ def test_application_rates_reject_use_without_production():
 def test_scenario_use_matches_hand_aggregation():
     rates = fixture_rates()
     production = {
-        (r["country"], r["crop"]): float(r["production_kt"])
-        for r in read_csv(RAW / "scenario_production.csv")
-        if r["scenario"] == "BASE"
+        (country, crop): kt
+        for scenario, country, crop, kt in raw_rows("scenario_production")
+        if scenario == "BASE"
     }
     totals = scenario_fertilizer_use(rates, production, REGIONS)
     # direct 50 + 20 plus the imputed eastisle maize 80 kg/t x 500 kt = 40 kt
@@ -167,17 +160,9 @@ def test_scenario_use_matches_hand_aggregation():
 
 def test_scenario_use_is_linear_in_production():
     rates = fixture_rates()
-    rows = read_csv(RAW / "scenario_production.csv")
-    base = {
-        (r["country"], r["crop"]): float(r["production_kt"])
-        for r in rows
-        if r["scenario"] == "BASE"
-    }
-    double = {
-        (r["country"], r["crop"]): float(r["production_kt"])
-        for r in rows
-        if r["scenario"] == "DOUBLE"
-    }
+    rows = raw_rows("scenario_production")
+    base = {(country, crop): kt for scenario, country, crop, kt in rows if scenario == "BASE"}
+    double = {(country, crop): kt for scenario, country, crop, kt in rows if scenario == "DOUBLE"}
     totals = scenario_fertilizer_use(rates, base, REGIONS)
     doubled = scenario_fertilizer_use(rates, double, REGIONS)
     for region, value in totals.items():
@@ -192,11 +177,10 @@ def test_scenario_use_rejects_uncovered_pairs():
 
 def test_region_totals_ignore_row_order():
     rates = fixture_rates()
-    rows = read_csv(RAW / "scenario_production.csv")
     base = [
-        ((r["country"], r["crop"]), float(r["production_kt"]))
-        for r in rows
-        if r["scenario"] == "BASE"
+        ((country, crop), kt)
+        for scenario, country, crop, kt in raw_rows("scenario_production")
+        if scenario == "BASE"
     ]
     forward = scenario_fertilizer_use(rates, dict(base), REGIONS)
     backward = scenario_fertilizer_use(rates, dict(reversed(base)), REGIONS)
@@ -219,23 +203,21 @@ def test_run_pipeline_emits_tables_with_provenance(tmp_path):
     for name in ("scenario_use", "application_rates"):
         text = outputs[name].read_text()
         for table in inputs:
-            digest = file_digest(RAW / f"{table}.csv")
+            digest = hashlib.sha256((RAW / f"{table}.csv").read_bytes()).hexdigest()[:16]
             assert f"# digest_{table}: {digest}\n" in text, (name, table)
-    rows = read_csv(outputs["flows"])
-    cell = next(
-        r for r in rows
-        if (r["supplier"], r["region"], r["year"]) == ("atlaschem", "east", "2016")
-    )
-    assert float(cell["kt"]) == pytest.approx(72.0)
-    local_rows = read_csv(outputs["local_supply"])
-    east16 = next(
-        r for r in local_rows if (r["region"], r["year"]) == ("east", "2016")
-    )
+    # the harmonized tables parse by the schemas that ``simulate`` reads them with
+    flows, _ = read_csv(outputs["flows"], *INPUT_TABLES["flows"])
+    cell = next(row[3] for row in flows if row[:3] == ("atlaschem", "east", 2016))
+    assert cell == pytest.approx(72.0)
+    local, _ = read_csv(outputs["local_supply"], *INPUT_TABLES["local_supply"])
+    east16 = next(row[2] for row in local if row[:2] == ("east", 2016))
     # consumption 200 minus imports 72 + 28.8
-    assert float(east16["kt"]) == pytest.approx(200.0 - 100.8)
+    assert east16 == pytest.approx(200.0 - 100.8)
 
 
 def test_csv_roundtrip_skips_comments(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("a", "b"), [(1, 2)], {"origin": "test"})
-    assert read_csv(path) == [{"a": "1", "b": "2"}]
+    rows, digest = read_csv(path, {"b": quantity, "a": int}, 1)
+    assert rows == [(2.0, 1)]
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
