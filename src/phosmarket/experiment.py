@@ -110,15 +110,13 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     suppliers = tuple(sorted({key[0] for key in flows}))
     regions = tuple(sorted({key[1] for key in flows} | {key[0] for key in local}))
     years = sorted({key[2] for key in flows})
-    if config.reference_market not in regions:
-        raise ExperimentError(f"reference market {config.reference_market!r} not in data")
 
     demand_fits = []
     for region in regions:
         # rows sort by year: (region, year) is the table's key
         rows = sorted(row for row in tables["demand_series"] if row[0] == region)
         if not rows:
-            raise ExperimentError(f"no demand series for region {region!r}")
+            raise bs.CalibrationError(f"no demand series for region {region!r}")
         _, _, dapmap, fert, crop_use = zip(*rows)
         series = bs.RegionSeries.from_raw(region, dapmap, fert, crop_use)
         demand_fits.append(bs.fit_two_stage(series))
@@ -128,7 +126,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     }
     missing = [region for region in regions if region not in z_scenario]
     if missing:
-        raise ExperimentError(
+        raise bs.CalibrationError(
             f"scenario {config.scenario!r} lacks fertilizer use for: {', '.join(missing)}"
         )
 

@@ -9,7 +9,7 @@ compilation time.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .tables import quantity, read_csv, write_csv
 
@@ -79,37 +79,34 @@ class ApplicationRate(NamedTuple):
 # Trade flow compilation and harmonization
 
 
+def _totals(items: Iterable[tuple[Hashable, float]]) -> dict:
+    """Each key's total over ``(key, value)`` items, in order of first appearance.
+
+    The values of a key are summed in sorted order, so no total depends on
+    the order of the input rows.
+    """
+    parts: dict = {}
+    for key, value in items:
+        parts.setdefault(key, []).append(value)
+    return {key: sum(sorted(values)) for key, values in parts.items()}
+
+
 def compile_trade_flows(
     records: Iterable[TradeFlowRecord],
     country_to_region: Mapping[str, str],
-    residence: Mapping[str, str],
-    domestic: Iterable[TradeFlowRecord] = (),
 ) -> dict[tuple[str, str, int], float]:
     """Aggregate converted flows by (supplier, region, year), in kt P2O5.
 
-    Domestic supply records are attributed to the supplier's residence
-    country and folded into the same regional flow table.  Records that
-    share a (year, supplier, country, kind) add up; ``run_pipeline`` rejects
-    them when it reads the table.
+    Records that share a (year, supplier, country, kind) add up;
+    ``run_pipeline`` rejects them when it reads the table.
     """
-    parts: dict[tuple[str, str, int], list[float]] = {}
-    for rec in records:
-        region = country_to_region.get(rec.country)
-        if region is None:
-            raise PipelineError(f"country {rec.country!r} has no region mapping")
-        cell = (rec.supplier, region, rec.year)
-        parts.setdefault(cell, []).append(convert_to_p2o5(rec.mass, rec.kind) / 1000.0)
-    for rec in domestic:
-        home = residence.get(rec.supplier)
-        if home is None:
-            raise PipelineError(f"supplier {rec.supplier!r} has no residence mapping")
-        region = country_to_region.get(home)
-        if region is None:
-            raise PipelineError(f"residence country {home!r} has no region mapping")
-        cell = (rec.supplier, region, rec.year)
-        parts.setdefault(cell, []).append(convert_to_p2o5(rec.mass, rec.kind) / 1000.0)
-    # summing in sorted order keeps totals independent of input row order
-    return {cell: sum(sorted(values)) for cell, values in parts.items()}
+    return _totals(
+        (
+            (rec.supplier, _region_of(rec.country, country_to_region), rec.year),
+            convert_to_p2o5(rec.mass, rec.kind) / 1000.0,
+        )
+        for rec in records
+    )
 
 
 def harmonize_local_supply(
@@ -121,12 +118,10 @@ def harmonize_local_supply(
     Returns the local supply table and the clamped harmonization residuals
     (import excess over consumption, where any).
     """
-    imports: dict[tuple[str, int], float] = {}
-    for (_, region, year), kt in flow_table.items():
-        imports[(region, year)] = imports.get((region, year), 0.0) + kt
+    imports = _totals(((region, year), kt) for (_, region, year), kt in flow_table.items())
     local: dict[tuple[str, int], float] = {}
     residuals: dict[tuple[str, int], float] = {}
-    for cell, shipped in imports.items():
+    for cell in sorted(imports):
         if cell not in consumption:
             raise PipelineError(f"no apparent consumption for {cell}")
     for cell, demand in consumption.items():
@@ -151,64 +146,38 @@ def derive_application_rates(
 ) -> dict[tuple[str, str], ApplicationRate]:
     """Per-country, per-crop application rates (kg P2O5 per tonne of crop).
 
-    Country-level use divides by country production directly.  The ``EU``
-    aggregate splits across member countries in proportion to production, the
-    ``ROW`` aggregate splits across regions of the remaining countries in
-    proportion to regional production.  Countries producing a crop with no
-    use data inherit the minimum rate of their region for that crop, flagged
-    as a fallback.
+    A use report covers its own country, the ``EU`` members, or ``ROW``:
+    every producing country with neither its own report nor EU membership.
+    Its use spreads over the covered countries that produce the crop at one
+    rate, 1000 x use / their total production; an aggregate's rate replaces
+    a member's own report.  Countries producing a crop with no use data
+    inherit the minimum rate of their region for that crop, flagged as a
+    fallback.
     """
-    crops = sorted({crop for _, crop in production})
     direct = {c for c, _ in fertilizer_use if c not in ("EU", "ROW")}
-    row_countries = {
-        country
-        for country, _ in production
-        if country not in direct and country not in eu_members
-    }
+    producers: dict[str, list[tuple[str, float]]] = {}
+    for (country, crop), prod in production.items():
+        if prod > 0:
+            producers.setdefault(crop, []).append((country, prod))
+
+    def covers(reporter: str, country: str) -> bool:
+        if reporter == "EU":
+            return country in eu_members
+        if reporter == "ROW":
+            return country not in direct and country not in eu_members
+        return country == reporter
 
     rates: dict[tuple[str, str], ApplicationRate] = {}
-    for (country, crop), use_kt in fertilizer_use.items():
-        if country in ("EU", "ROW"):
-            continue
-        prod = production.get((country, crop), 0.0)
-        if prod <= 0:
-            raise PipelineError(
-                f"use reported for {country}/{crop} with no production"
-            )
-        rates[(country, crop)] = ApplicationRate(
-            country, crop, 1000.0 * use_kt / prod
-        )
-
-    for crop in crops:
-        eu_use = fertilizer_use.get(("EU", crop))
-        if eu_use is not None:
-            total = sum(production.get((c, crop), 0.0) for c in eu_members)
-            if total <= 0:
-                raise PipelineError(f"EU use for {crop} with no member production")
-            rate = 1000.0 * eu_use / total
-            for member in eu_members:
-                if production.get((member, crop), 0.0) > 0:
-                    rates[(member, crop)] = ApplicationRate(member, crop, rate)
-
-        row_use = fertilizer_use.get(("ROW", crop))
-        if row_use is not None:
-            by_region: dict[str, float] = {}
-            for country in row_countries:
-                prod = production.get((country, crop), 0.0)
-                if prod > 0:
-                    region = _region_of(country, country_to_region)
-                    by_region[region] = by_region.get(region, 0.0) + prod
-            total = sum(by_region.values())
-            if total <= 0:
-                raise PipelineError(f"ROW use for {crop} with no production")
-            for country in row_countries:
-                prod = production.get((country, crop), 0.0)
-                if prod > 0:
-                    region = _region_of(country, country_to_region)
-                    use_region = row_use * by_region[region] / total
-                    rates[(country, crop)] = ApplicationRate(
-                        country, crop, 1000.0 * use_region / by_region[region]
-                    )
+    # own reports first, so that an aggregate's rate replaces them
+    for (reporter, crop), use_kt in sorted(
+        fertilizer_use.items(), key=lambda item: item[0][0] in ("EU", "ROW")
+    ):
+        covered = [(c, prod) for c, prod in producers.get(crop, ()) if covers(reporter, c)]
+        if not covered:
+            raise PipelineError(f"use reported for {reporter}/{crop} with no production")
+        rate = 1000.0 * use_kt / sum(sorted(prod for _, prod in covered))
+        for country, _ in covered:
+            rates[(country, crop)] = ApplicationRate(country, crop, rate)
 
     # Regional-minimum imputation for produced crops with no use data.
     regional_min: dict[tuple[str, str], float] = {}
@@ -244,7 +213,7 @@ def scenario_fertilizer_use(
     Applies each country/crop rate to the scenario production volume (kt of
     crop) and aggregates by region.
     """
-    parts: dict[str, list[float]] = {}
+    parts = []
     for (country, crop), prod_kt in scenario_production.items():
         if prod_kt < 0:
             raise PipelineError(f"negative scenario production for {country}/{crop}")
@@ -253,10 +222,8 @@ def scenario_fertilizer_use(
         rate = rates.get((country, crop))
         if rate is None:
             raise PipelineError(f"no application rate for {country}/{crop}")
-        region = _region_of(country, country_to_region)
-        parts.setdefault(region, []).append(rate.rate * prod_kt / 1e6)
-    # summing in sorted order keeps totals independent of input row order
-    return {region: sum(sorted(values)) for region, values in parts.items()}
+        parts.append((_region_of(country, country_to_region), rate.rate * prod_kt / 1e6))
+    return _totals(parts)
 
 
 def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
@@ -286,15 +253,17 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     rows, digests = {}, {}
     for name, path in inputs.items():
         rows[name], digests[name] = read_csv(path, *RAW_TABLES[name])
+    residence = dict(rows["residence"])
     records = [TradeFlowRecord(*row) for row in rows["trade_flows"]]
-    domestic = [
-        TradeFlowRecord(year, supplier, "", kind, mass)
-        for year, supplier, kind, mass in rows["domestic_supply"]
-    ]
+    # domestic supply ships into its supplier's residence country
+    for year, supplier, kind, mass in rows["domestic_supply"]:
+        if supplier not in residence:
+            raise PipelineError(f"supplier {supplier!r} has no residence mapping")
+        records.append(TradeFlowRecord(year, supplier, residence[supplier], kind, mass))
     regions = dict(rows["regions"])
     consumption = {(region, year): kt for region, year, kt in rows["consumption"]}
 
-    flows = compile_trade_flows(records, regions, dict(rows["residence"]), domestic)
+    flows = compile_trade_flows(records, regions)
     local, residuals = harmonize_local_supply(flows, consumption)
 
     provenance = {"pipeline_version": PIPELINE_VERSION}

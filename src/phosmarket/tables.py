@@ -31,13 +31,19 @@ def read_csv(
     ``schema`` maps each column read to the parser of its cells, which
     raises ``ValueError`` on a bad cell; other columns are ignored.  A row
     is the tuple of its parsed cells in schema order, and its first ``key``
-    cells identify it.  A repeated or missing header column, a row of the
-    wrong length, a repeated key or a bad cell raises ``ValueError`` naming
-    the file, and the line and column at fault.
+    cells identify it.  Bytes that are not UTF-8, a repeated or missing
+    header column, a row of the wrong length, a repeated key, an empty cell
+    or a bad cell raise ``ValueError`` naming the file, and the line and
+    column at fault.
     """
     data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
     # newline="" splits lines as csv expects: only \n, \r and \r\n end a line
-    lines = enumerate(io.StringIO(data.decode("utf-8"), newline=""), 1)
+    lines = enumerate(io.StringIO(text, newline=""), 1)
     numbered = [item for item in lines if not item[1].startswith("#")]
     reader = csv.reader(line for _, line in numbered)
     header = next(reader, [])
@@ -58,6 +64,8 @@ def read_csv(
             raise ValueError(f"{path}, line {line}: {len(cells)} cells, header has {len(header)}")
         row = []
         for column, index, parse in columns:
+            if not cells[index]:
+                raise ValueError(f"{path}, line {line}, column {column}: empty cell")
             try:
                 row.append(parse(cells[index]))
             except ValueError as exc:

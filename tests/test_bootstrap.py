@@ -274,6 +274,51 @@ def test_inversion_two_year_fixture_recomputed_by_hand():
     assert inv.ref_shares == pytest.approx((46 / 60, 14 / 60))
 
 
+def test_inversion_anchors_a_pair_inactive_in_the_reference_year_at_its_mean():
+    # A->R2 trades in years 2 and 3 only; B->R2 never trades
+    suppliers = ["A", "B"]
+    regions = ["R1", "R2"]
+    flows = {
+        ("A", "R1", 1): 10.0,
+        ("A", "R1", 2): 12.0,
+        ("A", "R1", 3): 11.0,
+        ("B", "R1", 1): 6.0,
+        ("B", "R1", 2): 6.0,
+        ("B", "R1", 3): 7.0,
+        ("A", "R2", 2): 4.0,
+        ("A", "R2", 3): 5.0,
+    }
+    local = {
+        ("R1", 1): 30.0, ("R1", 2): 32.0, ("R1", 3): 31.0,
+        ("R2", 1): 10.0, ("R2", 2): 12.0, ("R2", 3): 11.0,
+    }
+    inv = infer_relative_trade_costs(
+        flows, local, suppliers, regions, [1, 2, 3], "R1", 1, theta=0.5
+    )
+
+    # year 2: demand R1 32 + 18 = 50, R2 12 + 4 = 16; year 3: R1 31 + 18 = 49, R2 11 + 5 = 16
+    a2, a3 = 0.5 / 66.0, 0.5 / 65.0
+    level2 = ((1 - a2 * 18) - a2 * 12 + (1 - a2 * 18) - a2 * 6) / 2
+    level3 = ((1 - a3 * 18) - a3 * 11 + (1 - a3 * 18) - a3 * 7) / 2
+    rho2 = (1 - a2 * 4) - a2 * 4 - level2
+    rho3 = (1 - a3 * 5) - a3 * 5 - level3
+    base = (rho2 + rho3) / 2
+    assert inv.base_costs[0][1] == pytest.approx(base)
+    assert inv.base_costs[1][1] is None
+
+    # w and v in (supplier, region, year) order; A->R2's entries are the 3rd and 4th
+    share1 = {"R1": 46 / 56, "R2": 10 / 56}
+    share2 = {"R1": 50 / 66, "R2": 16 / 66}
+    share3 = {"R1": 49 / 65, "R2": 16 / 65}
+    growth2, growth3 = share2["R1"] / share1["R1"], share3["R1"] / share1["R1"]
+    assert len(inv.w) == len(inv.v) == 6
+    assert inv.w[2:4] == pytest.approx([rho2 - base, rho3 - base])
+    assert inv.w[2] == pytest.approx(-inv.w[3])  # deviations from their own mean
+    assert inv.v[2:4] == pytest.approx(
+        [share2["R2"] / growth2 - share1["R2"], share3["R2"] / growth3 - share1["R2"]]
+    )
+
+
 def test_inversion_single_year_yields_empty_changes():
     flows, local, suppliers, regions, _ = two_year_history()
     flows = {k: v for k, v in flows.items() if k[2] == 1}

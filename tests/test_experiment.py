@@ -659,6 +659,30 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     assert "failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("overrides", "table", "error"),
+    [
+        (dict(reference_market="nowhere"), None, "unknown reference market 'nowhere'"),
+        ({}, "demand_series.csv", "no demand series for region 'west'"),
+        ({}, "scenario_use.csv", "scenario 'BAU' lacks fertilizer use for: west"),
+    ],
+    ids=["reference_market", "demand_series", "scenario_use"],
+)
+def test_cli_reports_inputs_that_do_not_cover_the_run_with_exit_1(
+    tmp_path, capsys, overrides, table, error
+):
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    if table is not None:  # drop every row of the west region
+        path = data / table
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if "west" not in line.split(",")))
+    path = write_config(tmp_path, data_dir=data, **overrides)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def cli_in_fresh_interpreter(*args):
     """Run ``phosmarket`` with ``args`` in a new interpreter."""
     env = dict(os.environ)

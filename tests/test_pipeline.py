@@ -1,6 +1,8 @@
 """CSV ingestion, conversion, harmonization and scenario aggregation."""
 
 import hashlib
+import itertools
+import shutil
 from pathlib import Path
 
 import pytest
@@ -50,7 +52,7 @@ def test_conversion_factors_exact():
 
 
 def test_compile_empty_input():
-    assert compile_trade_flows([], REGIONS, {}) == {}
+    assert compile_trade_flows([], REGIONS) == {}
 
 
 def test_compile_sums_rows_within_region():
@@ -58,33 +60,42 @@ def test_compile_sums_rows_within_region():
         TradeFlowRecord(2016, "acme", "eastland", "DAP", 10_000),
         TradeFlowRecord(2016, "acme", "eastisle", "MAP", 10_000),
     ]
-    table = compile_trade_flows(records, REGIONS, {})
+    table = compile_trade_flows(records, REGIONS)
     assert table == {("acme", "east", 2016): pytest.approx(4.6 + 5.2)}
 
 
 def test_compile_rejects_unmapped_countries():
     with pytest.raises(PipelineError, match="region mapping"):
-        compile_trade_flows(
-            [TradeFlowRecord(2016, "acme", "atlantis", "DAP", 1.0)], REGIONS, {}
-        )
+        compile_trade_flows([TradeFlowRecord(2016, "acme", "atlantis", "DAP", 1.0)], REGIONS)
 
 
-def test_compile_adds_domestic_supply_to_residence_region():
-    domestic = [TradeFlowRecord(2016, "acme", "", "DAP", 20_000)]
-    table = compile_trade_flows([], REGIONS, {"acme": "eastland"}, domestic)
+def test_compile_adds_domestic_supply_to_residence_region(tmp_path):
+    raw = tmp_path / "raw"
+    shutil.copytree(RAW, raw)
+    (raw / "trade_flows.csv").write_text("year,supplier,country,kind,mass_tonnes\n")
+    (raw / "domestic_supply.csv").write_text("year,supplier,kind,mass_tonnes\n2016,acme,DAP,20000\n")
+
+    def flows_with_residence(residence):
+        (raw / "residence.csv").write_text("supplier,country\n" + residence)
+        table, _ = read_csv(run_pipeline(raw, tmp_path / "out")["flows"], *INPUT_TABLES["flows"])
+        return {tuple(row[:3]): row[3] for row in table}
+
+    table = flows_with_residence("acme,eastland\n")
     assert table == {("acme", "east", 2016): pytest.approx(9.2)}
-    with pytest.raises(PipelineError, match="residence"):
-        compile_trade_flows([], REGIONS, {}, domestic)
+    with pytest.raises(PipelineError, match="supplier 'acme' has no residence mapping"):
+        flows_with_residence("borchem,eastland\n")
+    with pytest.raises(PipelineError, match="country 'atlantis' has no region mapping"):
+        flows_with_residence("acme,atlantis\n")
 
 
 def test_compile_golden_fixture():
+    residence = dict(raw_rows("residence"))
     records = [TradeFlowRecord(*row) for row in raw_rows("trade_flows")]
-    domestic = [
-        TradeFlowRecord(year, supplier, "", kind, mass)
+    records += [
+        TradeFlowRecord(year, supplier, residence[supplier], kind, mass)
         for year, supplier, kind, mass in raw_rows("domestic_supply")
     ]
-    residence = dict(raw_rows("residence"))
-    table = compile_trade_flows(records, REGIONS, residence, domestic)
+    table = compile_trade_flows(records, REGIONS)
     # hand-aggregated: product tonnes x factor / 1000 summed per region
     assert table[("atlaschem", "east", 2016)] == pytest.approx(46.0 + 26.0)
     assert table[("atlaschem", "south", 2016)] == pytest.approx(13.8)
@@ -114,6 +125,17 @@ def test_harmonize_local_supply_rules():
         harmonize_local_supply(flows, {})
 
 
+def test_harmonize_local_supply_ignores_flow_order():
+    # 0.1 + 0.2 + 0.3 is 0.6 or 0.6000000000000001, depending on the order
+    flows = [(("a", "east", 2016), 0.1), (("b", "east", 2016), 0.2), (("c", "east", 2016), 0.3)]
+    consumption = {("east", 2016): 1.0}
+    results = {
+        repr(harmonize_local_supply(dict(order), consumption))
+        for order in itertools.permutations(flows)
+    }
+    assert len(results) == 1
+
+
 def fixture_rates():
     use = {(country, crop): kt for country, crop, kt in raw_rows("fertilizer_use")}
     production = {(country, crop): kt for country, crop, kt in raw_rows("crop_production")}
@@ -141,6 +163,44 @@ def test_application_rates_direct_eu_row_and_fallback():
 def test_application_rates_reject_use_without_production():
     with pytest.raises(PipelineError):
         derive_application_rates({("eastland", "wheat"): 5.0}, {}, [], REGIONS)
+
+
+def test_row_use_spreads_at_one_rate_over_its_producers():
+    # two ROW producers in two regions share one rate, 1000 x use / their production
+    production = {("southland", "rice"): 0.1, ("westland", "rice"): 0.7}
+    rates = derive_application_rates({("ROW", "rice"): 50.0}, production, [], REGIONS)
+    assert rates[("southland", "rice")].rate == 1000.0 * 50.0 / (0.1 + 0.7)
+    assert rates[("westland", "rice")].rate == 1000.0 * 50.0 / (0.1 + 0.7)
+
+
+def test_row_covers_producers_without_own_report_or_eu_membership():
+    production = {
+        ("eastland", "wheat"): 1000.0,
+        ("eastland", "rice"): 100.0,
+        ("northland", "rice"): 200.0,
+        ("southland", "rice"): 300.0,
+    }
+    use = {("eastland", "wheat"): 50.0, ("ROW", "rice"): 30.0}
+    rates = derive_application_rates(use, production, ["northland"], REGIONS)
+    assert rates[("southland", "rice")].rate == 100.0
+    assert ("eastland", "rice") not in rates and ("northland", "rice") not in rates
+
+
+@pytest.mark.parametrize("reporter", ["EU", "ROW"])
+def test_aggregate_use_for_an_unproduced_crop_is_rejected(reporter):
+    production = {("northland", "wheat"): 400.0, ("southland", "wheat"): 300.0}
+    with pytest.raises(PipelineError, match=f"use reported for {reporter}/rye with no production"):
+        derive_application_rates({(reporter, "rye"): 5.0}, production, ["northland"], REGIONS)
+
+
+def test_eu_rate_replaces_a_members_own_report():
+    production = {("northland", "wheat"): 400.0, ("northisle", "wheat"): 200.0}
+    eu = ["northland", "northisle"]
+    use = [(("northland", "wheat"), 10.0), (("EU", "wheat"), 90.0)]
+    for order in (use, use[::-1]):
+        rates = derive_application_rates(dict(order), production, eu, REGIONS)
+        assert rates[("northland", "wheat")] == ("northland", "wheat", 150.0, False)
+        assert rates[("northisle", "wheat")] == ("northisle", "wheat", 150.0, False)
 
 
 def test_scenario_use_matches_hand_aggregation():

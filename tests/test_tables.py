@@ -16,6 +16,7 @@ DATA = Path(__file__).parent / "data"
 #: Cells each parser must reject: empty, non-numeric, nan, inf and, for
 #: quantities, negative.
 BAD_CELLS = {
+    str: ("",),
     int: ("", "20x3", "nan", "inf"),
     quantity: ("", "x", "nan", "inf", "-1"),
 }
@@ -84,7 +85,8 @@ def test_every_input_table_rejects_bad_cells_headers_and_repeated_keys(
         for bad in BAD_CELLS.get(parse, ()):
             cells = lines[1].rstrip("\n").split(",")
             cells[header.index(column)] = bad
-            edited = "".join([lines[0], ",".join(cells) + "\n", *lines[2:]])
+            # a blank line is no row: csv writes a lone empty cell as ""
+            edited = "".join([lines[0], (",".join(cells) or '""') + "\n", *lines[2:]])
             rejects(edited, f"{path}, line 2, column {column}: ")
     # line 2's key with the last line's other cells, as in a second residence for one supplier
     keys = {header.index(column) for column in KEYS[name]}
@@ -107,4 +109,11 @@ def test_read_csv_splits_lines_only_where_csv_does(tmp_path):
     assert rows == [(name, 1.0), ("z", 2.0)]
     path.write_text(text.replace("z,2", "z,-2"), encoding="utf-8", newline="")
     with pytest.raises(ValueError, match=re.escape(f"{path}, line 4, column kt: '-2' is not")):
+        read_csv(path, {"name": str, "kt": quantity}, 1)
+
+
+def test_read_csv_names_the_file_and_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# provenance\nname,kt\r\na,1\n\xffb,2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: not UTF-8 (invalid start byte)")):
         read_csv(path, {"name": str, "kt": quantity}, 1)
