@@ -9,17 +9,21 @@ contributes one row of market-structure statistics.  :func:`verify_run`
 re-solves sampled replications with the paper's tick-by-tick ascending
 auction, the reference mechanism, and certifies their markups minimal at
 full scale (:func:`~phosmarket.auction.certify_minimal_markups`).
-Replications are independent; with ``workers > 1`` they run in a pool of
-forked worker processes (POSIX only), which inherit the imported package
-and receive the loaded context with each task.  Results are a pure
-function of (inputs, config, seed) regardless of worker count.
+Replications are independent.  With ``W`` workers (never more than there
+are replications) the process forks ``W - 1`` children after loading the
+context (POSIX only); each child inherits the loaded context and runs every
+``W``-th replication, while the parent runs the first slice itself.
+Results, and the error a failing run raises, are a pure function of
+(inputs, config, seed) regardless of worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import bootstrap as bs
 from . import metrics
@@ -275,16 +279,6 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
     )
 
 
-def _replicate(payload: tuple[ExperimentContext, int]) -> ReplicationResult:
-    context, replication = payload
-    # Looked up by name in the worker at call time, so a wrapper that rebinds
-    # ``run_replication`` for one call undoes itself in each process (the
-    # benchmark's launcher marks each process's first replication this way).
-    # Mapping ``run_replication`` itself would pickle the wrapper into every
-    # task and mark every replication as a first one.
-    return run_replication(context, replication)
-
-
 class ScenarioReport(NamedTuple):
     """Replication statistics in the shape of the published scenario tables."""
 
@@ -302,23 +296,103 @@ class ScenarioReport(NamedTuple):
 def run_experiment(config: ExperimentConfig) -> ScenarioReport:
     """Execute all replications and aggregate mean/SD statistics.
 
-    With ``workers > 1`` the replications run in a pool of forked processes,
-    one per worker but never more than there are replications.  Forking is
-    safe because nothing on this path starts a thread.
-    """
-    context = load_context(config)
-    indices = range(config.replications)
-    if config.workers > 1:
-        import multiprocessing  # a 1-worker run does not pay for this import
+    With ``W = min(workers, replications)``, the parent forks ``W - 1``
+    children; child ``k`` runs replications ``k, k + W, ...`` and pipes its
+    results back, while the parent runs slice 0 itself and then collects and
+    interleaves the parts.  ``W = 1`` forks nothing.  Forking is safe
+    because nothing on this path starts a thread.
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigError("workers > 1 needs the fork start method; set workers = 1")
-        processes = min(config.workers, config.replications)
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            results = pool.map(_replicate, [(context, b) for b in indices])
-    else:
-        results = [run_replication(context, b) for b in indices]
+    Each process stops at its first failing replication.  After every child
+    has reported, the failure with the lowest index is raised, which is the
+    error a 1-worker run raises.  A child that dies without reporting raises
+    :class:`ExperimentError` naming its pid.  No child outlives the call.
+    """
+    if config.workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("workers > 1 needs os.fork; set workers = 1")
+    context = load_context(config)
+    slices = min(config.workers, config.replications)
+    children = []  # (pid, read end of its pipe), in slice order
+    try:
+        for k in range(1, slices):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_child(context, k, slices, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        parts = [_run_slice(context, 0, slices)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status or not data:
+                raise ExperimentError(
+                    f"worker process {pid} ended without reporting its replications "
+                    f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            import pickle  # here, so that neither a replication nor a 1-worker run waits for it
+
+            parts.append(pickle.loads(data))
+    finally:
+        if children:  # an error or an interrupt left workers running
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [parts[b % slices][0][b // slices] for b in range(config.replications)]
     return aggregate(context, results)
+
+
+def _run_slice(
+    context: ExperimentContext, first: int, step: int
+) -> tuple[list[ReplicationResult], tuple[int, Exception] | None]:
+    """Run replications ``first, first + step, ...`` until the first failure.
+
+    Returns the results so far and, when one failed, its index and error.
+    ``run_replication`` is looked up by name at each call, so a wrapper that
+    rebinds it (``perfbench/launch_cli.py`` marks each process's first
+    replication this way) acts in every process that runs a slice.
+    """
+    results = []
+    for b in range(first, context.config.replications, step):
+        try:
+            results.append(run_replication(context, b))
+        except Exception as exc:  # raised by the parent, if no lower index failed
+            return results, (b, exc)
+    return results, None
+
+
+def _run_child(context: ExperimentContext, first: int, step: int, write_fd: int) -> NoReturn:
+    """Run one slice in a forked child and pickle its part into ``write_fd``.
+
+    The child leaves only through ``os._exit``, so it runs no ``atexit``
+    handler and flushes no buffer inherited from the parent.  It exits 0
+    only once its whole part is written.
+    """
+    status = 1
+    try:
+        results, failure = _run_slice(context, first, step)
+        import pickle
+
+        if failure is not None:
+            b, exc = failure
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                failure = (b, ExperimentError(f"replication {b} failed: {exc!r}"))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump((results, failure), pipe)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def aggregate(

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import multiprocessing
 import os
 import pickle
 import re
@@ -253,41 +252,113 @@ def test_single_replication_report_has_zero_sd(tmp_path):
     assert all(sd == 0.0 for _, sd in report.concentration)
 
 
-def record_pools(monkeypatch):
-    """Record ``(start method, processes)`` for every pool the experiment makes."""
-    made = []
-    real_get_context = multiprocessing.get_context
+def record_forks(monkeypatch):
+    """Record the pid of every child the experiment forks."""
+    forked = []
+    real_fork = os.fork
 
-    class RecordingContext:
-        def __init__(self, method):
-            self.method = method
-            self.real = real_get_context(method)
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def Pool(self, processes):
-            made.append((self.method, processes))
-            return self.real.Pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
-    return made
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
 
 
 def test_parallel_run_forks_workers_and_equals_serial_run(tmp_path, monkeypatch):
     config = fixture_config(tmp_path, replications=20)
     serial = run_experiment(config)
-    made = record_pools(monkeypatch)
-    parallel = run_experiment(dataclasses.replace(config, workers=2))
-    assert made == [("fork", 2)]
-    assert parallel.context == serial.context._replace(config=parallel.context.config)
-    for name in serial._fields:
-        if name != "context":
-            assert getattr(parallel, name) == getattr(serial, name), name
+    forked = record_forks(monkeypatch)
+    for workers in (2, 3):  # 3 slices of 20 replications are uneven
+        forked.clear()
+        parallel = run_experiment(dataclasses.replace(config, workers=workers))
+        assert len(forked) == workers - 1  # the parent runs the first slice
+        assert parallel.context == serial.context._replace(config=parallel.context.config)
+        for name in serial._fields:
+            if name != "context":
+                assert getattr(parallel, name) == getattr(serial, name), (workers, name)
 
 
-def test_pool_starts_no_more_processes_than_replications(tmp_path, monkeypatch):
-    made = record_pools(monkeypatch)
+def test_run_forks_no_more_children_than_replications(tmp_path, monkeypatch):
+    forked = record_forks(monkeypatch)
     report = run_experiment(fixture_config(tmp_path, replications=1, workers=2))
-    assert made == [("fork", 1)]
+    assert forked == []
     assert [r.draw.replication for r in report.replications] == [0]
+
+
+def test_every_worker_process_runs_replications(tmp_path, monkeypatch):
+    # The benchmark's launcher marks each process's first replication by a
+    # wrapper that rebinds ``experiment.run_replication`` for one call.
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    real = experiment.run_replication
+
+    def mark_first(context, replication):
+        experiment.run_replication = real
+        (marks / str(os.getpid())).write_text(str(replication))
+        return real(context, replication)
+
+    monkeypatch.setattr(experiment, "run_replication", mark_first)
+    run_experiment(fixture_config(tmp_path, replications=6, workers=2))
+    first = {int(path.name): int(path.read_text()) for path in marks.iterdir()}
+    assert len(first) == 2 and first[os.getpid()] == 0
+    assert sorted(first.values()) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    ("error", "code"), [(ExperimentError, 2), (bootstrap.CalibrationError, 1)]
+)
+def test_a_failing_run_raises_its_lowest_replication_error_for_every_worker_count(
+    tmp_path, monkeypatch, capsys, error, code
+):
+    real = experiment.run_replication
+
+    def fail_at_5_and_8(context, replication):
+        if replication in (5, 8):
+            raise error(f"replication {replication} cannot be drawn")
+        return real(context, replication)
+
+    monkeypatch.setattr(experiment, "run_replication", fail_at_5_and_8)
+    path = write_config(tmp_path, replications=10)
+    for workers in (1, 2, 3):  # with 2, the parent fails at 8 and the child at 5
+        with pytest.raises(error, match=r"^replication 5 cannot be drawn$"):
+            run_experiment(fixture_config(tmp_path, replications=10, workers=workers))
+        assert main(["simulate", "--config", str(path), "--workers", str(workers)]) == code
+        assert "replication 5 cannot be drawn" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_worker_sends_an_unpicklable_error_as_an_experiment_error(tmp_path, monkeypatch):
+    class LocalError(Exception):  # a local class cannot be pickled by reference
+        pass
+
+    real = experiment.run_replication
+
+    def fail_at_1(context, replication):
+        if replication == 1:
+            raise LocalError("lost")
+        return real(context, replication)
+
+    monkeypatch.setattr(experiment, "run_replication", fail_at_1)
+    with pytest.raises(ExperimentError, match=re.escape("replication 1 failed: LocalError('lost')")):
+        run_experiment(fixture_config(tmp_path, replications=4, workers=2))
+
+
+def test_a_run_whose_parent_slice_fails_leaves_no_worker_running(tmp_path, monkeypatch):
+    real = experiment.run_replication
+
+    def fail_at_0(context, replication):
+        if replication == 0:
+            raise ExperimentError("replication 0 cannot be drawn")
+        return real(context, replication)
+
+    monkeypatch.setattr(experiment, "run_replication", fail_at_0)
+    with pytest.raises(ExperimentError, match="replication 0"):
+        run_experiment(fixture_config(tmp_path, replications=9, workers=3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +417,7 @@ def fixture_records(tmp_path_factory):
     ],
 )
 def test_records_are_immutable_and_survive_pickling(fixture_records, name):
-    # Contexts, draws and results cross the fork boundary by pickle.
+    # Results and errors cross the fork boundary by pickle.
     record = fixture_records[name]
     assert type(record).__name__ == name
     for attr in (*record._fields, "extra"):
@@ -601,7 +672,7 @@ def test_cli_verify_rejects_sample_below_1_with_exit_1(tmp_path, capsys):
 
 
 def test_cli_simulate_exits_1_when_fork_is_unavailable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     path = write_config(tmp_path, replications=4)
     assert main(["simulate", "--config", str(path), "--workers", "2"]) == 1
     err = capsys.readouterr().err
@@ -609,19 +680,11 @@ def test_cli_simulate_exits_1_when_fork_is_unavailable(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
-def simulate_in_fresh_interpreter(tmp_path, absent_module):
-    """Run a 1-worker fixture ``simulate`` in a new interpreter and assert
-    that it never imported ``absent_module``."""
-    code = (
-        "import sys\n"
-        "from phosmarket.cli import main\n"
-        f"assert main(['simulate', '--config', {str(DATA / 'fixture_bau.cfg')!r}, "
-        f"'--output-dir', {str(tmp_path / 'out')!r}]) == 0\n"
-        f"assert {absent_module!r} not in sys.modules, 'simulate imported {absent_module}'\n"
-    )
+def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    # the timeout turns a run that hangs into a failure
+    return subprocess.run(
         [sys.executable, "-c", code],
         cwd=ROOT,
         env=env,
@@ -629,8 +692,23 @@ def simulate_in_fresh_interpreter(tmp_path, absent_module):
         text=True,
         timeout=120,
     )
+
+
+def simulate_in_fresh_interpreter(tmp_path, absent_module, workers=1):
+    """Run a fixture ``simulate`` in a new interpreter, assert that it never
+    imported ``absent_module`` and that it printed each report line once."""
+    code = (
+        "import sys\n"
+        "from phosmarket.cli import main\n"
+        f"assert main(['simulate', '--config', {str(DATA / 'fixture_bau.cfg')!r}, "
+        f"'--output-dir', {str(tmp_path / 'out')!r}, '--workers', '{workers}']) == 0\n"
+        f"assert {absent_module!r} not in sys.modules, 'simulate imported {absent_module}'\n"
+    )
+    done = run_in_fresh_interpreter(code)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "manifest.txt").exists()
+    lines = done.stdout.splitlines()
+    assert len(set(lines)) == len(lines) == 2 + len(FIXTURE_REPORT_SHA256), done.stdout
 
 
 def test_cli_simulate_does_not_import_numpy(tmp_path):
@@ -639,6 +717,42 @@ def test_cli_simulate_does_not_import_numpy(tmp_path):
 
 def test_cli_simulate_on_one_worker_does_not_import_multiprocessing(tmp_path):
     simulate_in_fresh_interpreter(tmp_path, "multiprocessing")
+
+
+def test_cli_simulate_on_one_worker_does_not_import_pickle(tmp_path):
+    simulate_in_fresh_interpreter(tmp_path, "pickle")
+
+
+def test_cli_simulate_on_two_workers_does_not_import_multiprocessing(tmp_path):
+    simulate_in_fresh_interpreter(tmp_path, "multiprocessing", workers=2)
+
+
+def test_cli_simulate_fails_when_a_worker_dies_and_leaves_none_running(tmp_path):
+    path = write_config(tmp_path, replications=8)
+    for workers in (2, 3):  # with 3, the last worker is still unreaped when the first dies
+        code = (
+            "import os, sys\n"
+            "from phosmarket import experiment\n"
+            "from phosmarket.cli import main\n"
+            "real = experiment.run_replication\n"
+            "def die_at_1(context, replication):\n"
+            "    if replication == 1:\n"
+            "        os._exit(9)\n"
+            "    return real(context, replication)\n"
+            "experiment.run_replication = die_at_1\n"
+            f"code = main(['simulate', '--config', {str(path)!r}, '--workers', '{workers}'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(code)\n"
+            "sys.exit('a worker process was left running')\n"
+        )
+        done = run_in_fresh_interpreter(code)
+        assert done.returncode == 2, done.stderr
+        assert re.search(
+            r"failure: worker process \d+ ended without reporting .*exit code 9\)", done.stderr
+        ), done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_does_not_import_the_raw_pipeline(tmp_path):
