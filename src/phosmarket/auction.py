@@ -24,19 +24,19 @@ residual network of paired arcs (:class:`_Network`).  The paper's ascending
 auction (:func:`run_english_auction`) is kept as the reference mechanism.
 It raises markups along steepest-descent directions of the aggregate
 objective ``sum_j V_j(p) + p . s`` (indirect buyer surplus plus the value of
-unsold capacity).  Raising every overdemanded supplier by one tick is the
-generic special case of this rule; near cost ties the naive rule can
-overshoot the minimal equilibrium, so the direction set is chosen as the
-unique minimal minimizer of the one-tick objective change.  Both solvers
+unsold capacity).  Near cost ties, raising every overdemanded supplier can
+overshoot the minimal equilibrium, so each tick raises the minimal
+overdemanded set (Demange, Gale & Sotomayor 1986): the smallest minimizer of
+the one-tick objective change, one min cut (:func:`_tie_cut`).  Both solvers
 take their flows from :func:`_allocate`.  The flow's market potentials are
 the waterlines at the minimal markups and seed :func:`_allocate`.
 
 :func:`verify_equilibrium` returns one witness per violated condition, so an
 empty list means an equilibrium; it accepts a market's purchase by an
 exchange certificate on the instance alone before comparing utilities.
-:func:`certify_minimal_markups` proves markups minimal at full scale by
-one-tick steps of the auction's objective, which is L-natural-convex
-(Murota 2003, *Discrete Convex Analysis*, ch. 7).
+:func:`certify_minimal_markups` proves markups minimal at full scale by two
+such cuts: no one-tick step of the auction's objective, which is
+L-natural-convex (Murota 2003, *Discrete Convex Analysis*, ch. 7), lowers it.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ def _min_spend(
     The counts are each source's units strictly below the waterline.
     ``sources`` must be able to supply at least ``d`` units in total.  A hint
     is the waterline itself or one below it (a previous call's waterline
-    after each base rose by at most one minor unit, or that waterline minus
-    one after each fell by at most one), so only those two values are tried
-    and anything else raises; without a hint a binary search over the
-    integer cost grid is used.
+    after each base rose by at most one minor unit), so only those two values
+    are tried and anything else raises; without a hint a binary search over
+    the integer cost grid is used.
     """
     if d <= 0:
         return 0, 0, [0] * len(sources)
@@ -473,19 +472,37 @@ def _markup_bound(inst: MarketInstance) -> int:
     return max(inst.c_o[j] + inst.a * (2 * inst.d[j] - 1) for j in range(inst.n))
 
 
-def _lyapunov(inst: MarketInstance, markups: Sequence[int], waterlines: list[int | None]) -> int:
-    """The auction's objective ``L(p) = p.s - sum_j minspend_j(p)``.
+def _tie_cut(
+    inst: MarketInstance,
+    structures: Sequence[_MarketDemand],
+    suppliers: Sequence[int],
+    market_caps: Sequence[int],
+) -> tuple[int, list[int]]:
+    """Minimum of ``spare(A) + sum_j min(cap_j, T_j(suppliers - A))``, and its smallest A.
 
-    Up to a constant, ``L`` is the indirect buyer surplus plus the value of
-    unsold capacity.  ``waterlines`` holds one :func:`_min_spend` hint (or
-    None) per market and receives each market's waterline at ``markups``.
+    A ranges over subsets of ``suppliers``.  From ``structures``, ``T_ij`` are
+    tie units and ``spare_i = s_i - sum_j F_ij`` is capacity beyond forced
+    units.  This is the min cut of source -> market j (``cap_j``) -> supplier
+    i (``T_ij``) -> sink (``spare_i``, or ``-spare_i`` from the source and an
+    offset); its smallest A is the suppliers a max flow's residual reaches.
     """
-    value = sum(p * cap for p, cap in zip(markups, inst.s))
-    for j in range(inst.n):
-        sources = _market_sources(inst, j, markups)
-        spend, waterlines[j], _ = _min_spend(sources, inst.a, inst.d[j], waterlines[j])
-        value -= spend
-    return value
+    m = inst.m
+    source, sink = m + inst.n, m + inst.n + 1
+    net, offset = _Network(sink + 1), 0
+    for j, cap in enumerate(market_caps):
+        net.add(source, m + j, cap)
+        for i in suppliers:
+            if structures[j].tie[i]:
+                net.add(m + j, i, structures[j].tie[i])
+    for i in suppliers:
+        spare = inst.s[i] - sum(structure.forced[i] for structure in structures)
+        if spare >= 0:
+            net.add(i, sink, spare)
+        else:
+            net.add(source, i, -spare)
+            offset += spare
+    flow, via = net.max_flow(source, sink)
+    return flow + offset, [i for i in suppliers if via[i] >= 0]
 
 
 def run_english_auction(
@@ -494,45 +511,35 @@ def run_english_auction(
     """Compute the equilibrium with the componentwise smallest markup vector.
 
     Markups start at zero and never decrease.  Each tick raises by one minor
-    unit the minimal set of suppliers that steepest-descends the aggregate
-    objective; the auction stops when no one-tick raise improves it, at which
-    point a feasible allocation (capacity caps plus at least one unit sold per
-    positively marked supplier) is assembled from the tie structure.
+    unit the smallest S minimizing ``L(p + e_S) - L(p)``, which is the
+    :func:`_tie_cut` with market caps ``(r_j - TL_j)^+`` (remainder less local
+    ties) less their sum.  When S is empty, a feasible allocation (capacity
+    caps plus at least one unit sold per positively marked supplier) is
+    assembled from the tie structure.  Each tick's ``L(p) = p.s - sum_j
+    minspend_j(p)`` must be the last one's plus that change, or this raises.
 
     A ``trace`` list, when given, receives the markup vector at every tick.
     """
     require_valid(inst)
-    m = inst.m
-    markups = [0] * m
-    max_ticks = m * (_markup_bound(inst) + 1)
-    # Per raise set, each market's waterline at the previous tick: markups
-    # rise by at most one per tick, so it is a valid hint at the next.
-    waterlines: list[list[int | None]] = [[None] * inst.n for _ in range(1 << m)]
-
-    def objective(bits: int) -> int:
-        raised = [p + (bits >> i & 1) for i, p in enumerate(markups)]
-        return _lyapunov(inst, raised, waterlines[bits])
-
-    for _ in range(max_ticks + 1):
+    markups = [0] * inst.m
+    # Markups rise by at most one per tick: each waterline hints the next.
+    waterlines: list[int | None] = [None] * inst.n
+    expected = None
+    for _ in range(inst.m * (_markup_bound(inst) + 1) + 1):
         if trace is not None:
             trace.append(tuple(markups))
-        base = objective(0)
-        best = 0
-        argmin = 0  # intersection of all minimizing direction sets
-        for bits in range(1, 1 << m):
-            delta = objective(bits) - base
-            if delta < best:
-                best = delta
-                argmin = bits
-            elif delta == best and best < 0:
-                argmin &= bits
-        if best >= 0:
-            return Equilibrium(tuple(markups), _allocate(inst, markups, waterlines[0]))
-        if objective(argmin) - base != best:
-            raise AuctionError("descent directions do not intersect; demand is not substitutable")
-        for i in range(m):
-            if argmin >> i & 1:
-                markups[i] += 1
+        structures = [_demand_structure(inst, j, markups, waterlines[j]) for j in range(inst.n)]
+        waterlines = [structure.mu for structure in structures]
+        objective = sum(p * c for p, c in zip(markups, inst.s)) - sum(x.spend for x in structures)
+        if expected is not None and objective != expected:
+            raise AuctionError("a tick changed the objective by other than its cut value")
+        caps = [max(0, x.remainder - x.tie_local) for x in structures]
+        minimum, raised = _tie_cut(inst, structures, range(inst.m), caps)
+        if not raised:
+            return Equilibrium(tuple(markups), _allocate(inst, markups, waterlines))
+        expected = objective + minimum - sum(caps)
+        for i in raised:
+            markups[i] += 1
     raise AuctionError("tick budget exhausted without reaching an equilibrium")
 
 
@@ -592,7 +599,7 @@ def _allocate(
             required += excess[node]
         elif excess[node] < 0:
             net.add(node, ssink, -excess[node])
-    if net.max_flow(ssource, ssink) != required:
+    if net.max_flow(ssource, ssink)[0] != required:
         raise AuctionError("no market-clearing allocation exists at terminal markups")
 
     rows = []
@@ -646,8 +653,8 @@ class _Network:
             path.append(v)
         return path
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Edmonds-Karp: augment along shortest residual s-t paths."""
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """Edmonds-Karp: the flow value and the last search's arc into each node (-1: unreached)."""
         adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
         total = 0
         while True:
@@ -659,7 +666,7 @@ class _Network:
                         via[v] = e
                         queue.append(v)
             if via[t] < 0:
-                return total
+                return total, via
             push, v = math.inf, t
             while v != s:
                 push = min(push, cap[via[v]] - flow[via[v]])
@@ -747,12 +754,15 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
 def certify_minimal_markups(inst: MarketInstance, markups: Sequence[int]) -> bool:
     """Whether ``markups >= 0`` are the componentwise smallest equilibrium markups.
 
-    Demand has gross substitutes, so the auction's objective ``L``
-    (:func:`_lyapunov`) is L-natural-convex on ``p >= 0``, and the minimal
+    Demand has gross substitutes, so the auction's objective ``L(p) = p.s -
+    sum_j minspend_j(p)`` is L-natural-convex on ``p >= 0``, and the minimal
     equilibrium markups are its minimal minimizer (Ausubel 2006; Murota,
     Shioura & Yang 2016).  With ``e_S`` the indicator of a nonempty supplier
     set S, the certificate requires ``L(p + e_S) >= L(p)`` and, whenever
-    ``p - e_S >= 0``, ``L(p - e_S) > L(p)``.
+    ``p - e_S >= 0``, ``L(p - e_S) > L(p)``.  Each is one tie cut at p: up,
+    the auction's stopping test; down, over A within ``P = {i: p_i >= 1}``
+    with market caps ``r_j``, the cut at A is ``spare(P) + L(p - e_{P-A}) -
+    L(p)``, so every step down raises L exactly when P is the smallest A.
 
     Proof: no step ``p +- e_S`` inside ``p >= 0`` lowers ``L``, so p
     minimizes it (L-optimality criterion, Murota 2003, *Discrete Convex
@@ -762,20 +772,10 @@ def certify_minimal_markups(inst: MarketInstance, markups: Sequence[int]) -> boo
     translation submodularity with shift ``k - 1`` (ibid.) gives ``L(p) +
     L(q) >= L(p - e_S) + L(q + e_S)``, so ``p - e_S >= q`` is a minimizer
     too, which the strict downward test excludes.
-
-    It shares only :func:`_min_spend` with the solvers; the stopping test of
-    :func:`run_english_auction` is its upward half.  A step moves every base
-    by at most one, so the waterlines at p (minus one downward) are hints.
     """
-    waterlines: list[int | None] = [None] * inst.n
-    here = _lyapunov(inst, markups, waterlines)
-    down_hints = [mu - 1 for mu in waterlines]  # type: ignore[operator]
-    for bits in range(1, 1 << inst.m):
-        step = [bits >> i & 1 for i in range(inst.m)]
-        raised = [p + e for p, e in zip(markups, step)]
-        if _lyapunov(inst, raised, list(waterlines)) < here:
-            return False
-        lowered = [p - e for p, e in zip(markups, step)]
-        if min(lowered) >= 0 and _lyapunov(inst, lowered, list(down_hints)) <= here:
-            return False
-    return True
+    structures = [_demand_structure(inst, j, markups) for j in range(inst.n)]
+    up = [max(0, x.remainder - x.tie_local) for x in structures]
+    if _tie_cut(inst, structures, range(inst.m), up)[1]:
+        return False
+    marked = [i for i, p in enumerate(markups) if p >= 1]
+    return _tie_cut(inst, structures, marked, [x.remainder for x in structures])[1] == marked

@@ -117,10 +117,6 @@ class FlowMatrix(NamedTuple):
     def market_total(self, j: int) -> int:
         return sum(row[j] for row in self.x)
 
-    @staticmethod
-    def from_rows(rows: list[list[int]]) -> FlowMatrix:
-        return FlowMatrix(tuple(tuple(row) for row in rows))
-
 
 def validate_flows(flows: FlowMatrix, inst: MarketInstance) -> list[str]:
     """Return violated flow invariants against the given instance."""

@@ -9,9 +9,9 @@ each child copies its parent's pool and absorbs one index word.
 2014) seeded from such a sequence.  Its 32-bit outputs are the low then the
 high half of each 64-bit output, as in NumPy.  The stream draws the bounded
 integers of ``Generator.integers``: 32-bit Lemire multiplication with
-rejection.  So ``Stream.from_seed(s)`` gives the
-draws of ``np.random.default_rng(s)``, and ``Stream(SeedSequence(e))`` those
-of ``np.random.default_rng(np.random.SeedSequence(e))``, without NumPy.
+rejection.  So ``Stream(SeedSequence(e))`` gives the draws of
+``np.random.default_rng(np.random.SeedSequence(e))``, which for an integer
+``e`` are those of ``np.random.default_rng(e)``, without NumPy.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ class Stream:
         self._inc = (initseq << 1 | 1) & _MASK128
         self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _MASK128
         self._high: int | None = None  # unused upper half of the last 64-bit output
-
-    @classmethod
-    def from_seed(cls, seed: int) -> Stream:
-        """The stream of ``np.random.default_rng(seed)``."""
-        return cls(SeedSequence(seed))
 
     def _next64(self) -> int:
         self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK128

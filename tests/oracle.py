@@ -1,18 +1,30 @@
-"""Brute-force reference oracle for small market instances (test-only code).
+"""Brute-force reference oracles for small market instances (test-only code).
 
 :func:`brute_force_equilibrium` finds the componentwise smallest equilibrium
 markups by scanning the integer markup grid and enumerating every bundle, so
 it shares nothing with the production solver but the instance type and
 :func:`~phosmarket.auction.local_spend`.  Its cost grows exponentially with
 the supplier count; the tests use it on instances with a few units.
+
+:func:`enumerating_auction` and :func:`enumerating_certificate` take the
+ascending auction's ticks and the minimality certificate's two tests by
+evaluating the auction's objective (:func:`lyapunov`) one tick away along
+every set of suppliers, 2^m sets per step, where the production code reads
+each step off one min cut.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from phosmarket.auction import AuctionError, _markup_bound, local_spend
+from phosmarket.auction import (
+    AuctionError,
+    _market_sources,
+    _markup_bound,
+    _min_spend,
+    local_spend,
+)
 from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance, require_valid
 
 
@@ -152,3 +164,70 @@ def _select_flows(
     if not search(0, inst.s, lacking0):
         return None
     return tuple(tuple(chosen[j][i] for j in range(n)) for i in range(m))
+
+
+# ---------------------------------------------------------------------------
+# The auction's objective, stepped along every supplier set
+
+
+def lyapunov(inst: MarketInstance, markups: Sequence[int]) -> int:
+    """The auction's objective ``L(p) = p.s - sum_j minspend_j(p)``."""
+    value = sum(p * cap for p, cap in zip(markups, inst.s))
+    for j in range(inst.n):
+        value -= _min_spend(_market_sources(inst, j, markups), inst.a, inst.d[j])[0]
+    return value
+
+
+def step_values(
+    inst: MarketInstance, markups: Sequence[int], suppliers: Sequence[int], sign: int
+) -> dict[tuple[int, ...], int]:
+    """``L(p + sign * e_S) - L(p)`` for every subset S of ``suppliers`` (sorted tuples)."""
+    here = lyapunov(inst, markups)
+    values = {}
+    for size in range(len(suppliers) + 1):
+        for subset in itertools.combinations(suppliers, size):
+            moved = [p + sign * (i in subset) for i, p in enumerate(markups)]
+            values[subset] = lyapunov(inst, moved) - here
+    return values
+
+
+def smallest_minimizer(values: dict[tuple[int, ...], int]) -> tuple[int, tuple[int, ...]]:
+    """The least of ``values`` and the intersection of the sets attaining it.
+
+    Raises :class:`AuctionError` when that intersection does not attain it:
+    then the objective is not submodular, and demand not substitutable.
+    """
+    best = min(values.values())
+    common = set.intersection(*(set(key) for key, value in values.items() if value == best))
+    smallest = tuple(sorted(common))
+    if values[smallest] != best:
+        raise AuctionError("descent directions do not intersect; demand is not substitutable")
+    return best, smallest
+
+
+def enumerating_auction(inst: MarketInstance, trace: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The ascending auction's minimal markups, each tick by enumeration.
+
+    Each tick raises the smallest supplier set that minimizes ``L(p + e_S)
+    - L(p)`` and appends the markups to ``trace``; it stops when that set is
+    empty.
+    """
+    require_valid(inst)
+    markups = [0] * inst.m
+    for _ in range(inst.m * (_markup_bound(inst) + 1) + 1):
+        trace.append(tuple(markups))
+        _, raised = smallest_minimizer(step_values(inst, markups, range(inst.m), 1))
+        if not raised:
+            return tuple(markups)
+        for i in raised:
+            markups[i] += 1
+    raise AuctionError("tick budget exhausted without reaching an equilibrium")
+
+
+def enumerating_certificate(inst: MarketInstance, markups: Sequence[int]) -> bool:
+    """Whether no one-tick step lowers L and every step down within ``p >= 0`` raises it."""
+    if min(step_values(inst, markups, range(inst.m), 1).values()) < 0:
+        return False
+    marked = [i for i, p in enumerate(markups) if p >= 1]
+    down = step_values(inst, markups, marked, -1)
+    return all(value > 0 for subset, value in down.items() if subset)

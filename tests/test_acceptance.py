@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import flow_matrix, seeded_stream
 from oracle import (
     _bundles,
     _enumerated_values,
@@ -42,7 +43,6 @@ from phosmarket.experiment import (
 )
 from phosmarket.metrics import concentration, diversification
 from phosmarket.pipeline import convert_to_p2o5
-from phosmarket.rng import Stream
 from report_rows import read_rows
 
 DATA = Path(__file__).parent / "data"
@@ -168,13 +168,13 @@ def test_criterion_4_index_identities():
     mono = MarketInstance(
         s=(6,), d=(6, 6), a=0, c_o=(10, 10), t=((0, 0),)
     )
-    assert concentration(0, FlowMatrix.from_rows([[6, 0]]), mono) == pytest.approx(1.0)
+    assert concentration(0, flow_matrix([[6, 0]]), mono) == pytest.approx(1.0)
 
     equal = MarketInstance(
         s=(1,) * 5, d=(6,), a=0, c_o=(10,), t=((0,),) * 5
     )
     assert concentration(
-        0, FlowMatrix.from_rows([[1]] * 5), equal
+        0, flow_matrix([[1]] * 5), equal
     ) == pytest.approx(0.0)
 
     rng = np.random.default_rng(20240404)
@@ -192,23 +192,23 @@ def test_criterion_4_index_identities():
             c_o=(10,),
             t=((0,),) * m,
         )
-        h = concentration(0, FlowMatrix.from_rows([[q] for q in imports]), inst)
+        h = concentration(0, flow_matrix([[q] for q in imports]), inst)
         assert -1e-12 <= h <= 1 + 1e-12
 
     single = MarketInstance(
         s=(4,), d=(4, 4), a=0, c_o=(9, 9), t=((0, 0),)
     )
-    assert diversification(0, FlowMatrix.from_rows([[4, 0]]), single) == pytest.approx(0.0)
+    assert diversification(0, flow_matrix([[4, 0]]), single) == pytest.approx(0.0)
 
     spread = MarketInstance(
         s=(8,), d=(2,) * 4, a=0, c_o=(9,) * 4, t=((0,) * 4,)
     )
-    assert diversification(0, FlowMatrix.from_rows([[2, 2, 2, 2]]), spread) == pytest.approx(1.0)
+    assert diversification(0, flow_matrix([[2, 2, 2, 2]]), spread) == pytest.approx(1.0)
 
     nine = MarketInstance(
         s=(8,), d=(8,) * 9, a=0, c_o=(9,) * 9, t=((0,) * 9,)
     )
-    two_way = FlowMatrix.from_rows([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
+    two_way = flow_matrix([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
     assert diversification(0, two_way, nine) == pytest.approx(0.5625, abs=1e-12)
     elapsed = time.time() - started
     print(f"ACCEPTANCE 4 (index identities): PASS [{elapsed:.1f}s]")
@@ -264,7 +264,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     exact = RegionSeries(
         "exact", y=tuple(6.0 * v for v in z), x=tuple(3.0 * v for v in z), z=z
     )
-    fit, stream = fit_two_stage(exact), Stream.from_seed(1)
+    fit, stream = fit_two_stage(exact), seeded_stream(1)
     pairs = [wild_bootstrap_demand(fit, 5.0, stream, min_value=0.0) for _ in range(200)]
     draws = [draw for draw, _ in pairs]
     rejected = sum(count for _, count in pairs)
@@ -279,7 +279,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     noisy = RegionSeries("noisy", y=tuple(ys), x=tuple(xs), z=tuple(zs))
     fit = fit_two_stage(noisy)
     point = fit.beta * fit.alpha * 3.0
-    stream = Stream.from_seed(5)
+    stream = seeded_stream(5)
     draws = [wild_bootstrap_demand(fit, 3.0, stream, min_value=0.0)[0] for _ in range(1000)]
     sample = np.asarray(draws)
     se = sample.std(ddof=1) / math.sqrt(len(sample))

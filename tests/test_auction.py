@@ -9,9 +9,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle import EnumerationBudgetError, brute_force_equilibrium, import_spend
+from builders import flow_matrix
+from oracle import (
+    EnumerationBudgetError,
+    brute_force_equilibrium,
+    enumerating_auction,
+    enumerating_certificate,
+    import_spend,
+    smallest_minimizer,
+    step_values,
+)
 from phosmarket import auction
-from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
+from phosmarket.core import Equilibrium, MarketInstance
 from phosmarket.auction import (
     FlowStart,
     bundle_utility,
@@ -284,7 +293,7 @@ def test_verifier_accepts_auction_output():
 
 def test_verifier_flags_unsold_at_positive_markup():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
-    zero_flows = FlowMatrix.from_rows([[0, 0]])
+    zero_flows = flow_matrix([[0, 0]])
     report = verify_equilibrium(inst, Equilibrium((5,), zero_flows))
     [clearance] = [w for w in report if "unsold at positive markup" in w]
     assert "supplier 0" in clearance
@@ -292,7 +301,7 @@ def test_verifier_flags_unsold_at_positive_markup():
 
 def test_verifier_flags_capacity_breach():
     inst = make([1], [1, 1], 0, [10, 10], [[2, 2]])
-    fat_flows = FlowMatrix.from_rows([[1, 1]])
+    fat_flows = flow_matrix([[1, 1]])
     report = verify_equilibrium(inst, Equilibrium((0,), fat_flows))
     assert any("capacity exceeded" in w for w in report)
 
@@ -328,13 +337,13 @@ def test_certificate_defers_free_disposal_to_the_exact_check():
     inst = make([2], [1], 0, [5], [[9]])
     assert not auction._buys_cheapest_units(inst, 0, (0,), (1,))
     assert bundle_utility((1,), 0, (0,), inst) == demand_bundle(0, (0,), inst).utility
-    assert verify_equilibrium(inst, Equilibrium((0,), FlowMatrix.from_rows([[1]]))) == []
+    assert verify_equilibrium(inst, Equilibrium((0,), flow_matrix([[1]]))) == []
 
 
 def test_verifier_flags_suboptimal_bundle():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
     # at zero markups, market 0 strictly prefers importing
-    lazy = FlowMatrix.from_rows([[0, 0]])
+    lazy = flow_matrix([[0, 0]])
     report = verify_equilibrium(inst, Equilibrium((0,), lazy))
     assert any("gets utility" in w for w in report)
 
@@ -391,6 +400,84 @@ def test_certificate_accepts_oracle_markups_and_rejects_unit_mutants(seed, flat)
             mutant[i] += step
             if mutant[i] >= 0:
                 assert not certify_minimal_markups(inst, mutant), (i, step)
+
+
+def unit_steps(markups):
+    """``markups`` and every vector one unit away from it in one coordinate, within ``p >= 0``."""
+    steps = [tuple(markups)]
+    for i in range(len(markups)):
+        for step in (1, -1):
+            mutant = list(markups)
+            mutant[i] += step
+            if mutant[i] >= 0:
+                steps.append(tuple(mutant))
+    return steps
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=100_000), flat=st.booleans())
+def test_tie_cuts_auction_and_certificate_match_enumeration_of_every_supplier_set(seed, flat):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, m_max=6, a_max=3)
+    if flat:
+        inst = inst._replace(a=0)
+    trace, enumerated = [], []
+    eq = run_english_auction(inst, trace=trace)
+    assert enumerating_auction(inst, enumerated) == eq.markups
+    assert trace == enumerated
+    drawn = [int(rng.integers(0, 20)) for _ in range(inst.m)]
+    everyone = range(inst.m)
+    for markups in unit_steps(eq.markups) + unit_steps(drawn):
+        structures = [auction._demand_structure(inst, j, markups) for j in range(inst.n)]
+        # Upward: the cut less its caps is the least step L(p + e_S) - L(p).
+        caps = [max(0, x.remainder - x.tie_local) for x in structures]
+        minimum, raised = auction._tie_cut(inst, structures, everyone, caps)
+        up = smallest_minimizer(step_values(inst, markups, everyone, 1))
+        assert (minimum - sum(caps), tuple(raised)) == up, markups
+        # Downward: the cut at A is spare(P) + L(p - e_{P - A}) - L(p).
+        marked = [i for i, p in enumerate(markups) if p >= 1]
+        spare = sum(inst.s[i] - sum(x.forced[i] for x in structures) for i in marked)
+        cuts = {
+            tuple(i for i in marked if i not in lowered): spare + value
+            for lowered, value in step_values(inst, markups, marked, -1).items()
+        }
+        remainders = [x.remainder for x in structures]
+        minimum, kept = auction._tie_cut(inst, structures, marked, remainders)
+        assert (minimum, tuple(kept)) == smallest_minimizer(cuts), markups
+        assert certify_minimal_markups(inst, markups) == enumerating_certificate(inst, markups)
+
+
+@pytest.mark.parametrize("seed", [2, 5, 7])
+def test_auction_and_certificate_at_twelve_suppliers(seed):
+    # 12 suppliers and 9 markets with ~80% of the pairs open: 4096 supplier
+    # sets per step, which only the cuts make affordable.
+    rng = np.random.default_rng(seed)
+    mask = [[bool(rng.random() < 0.8) for _ in range(9)] for _ in range(12)]
+    sizes = dict(s_max=30, d_max=40, cost_max=60, a_max=3)
+    first = random_instance(rng, mask=mask, **sizes)
+    inst = random_instance(rng, mask=mask, **sizes)
+    eq = run_english_auction(inst)
+    assert sum(p > 0 for p in eq.markups) >= 6
+    assert cold_solve(inst) == eq
+    assert solve_minimal_markups(inst, reference_start(first)) == eq
+    assert certify_minimal_markups(inst, eq.markups)
+    for mutant in unit_steps(eq.markups)[1:]:
+        assert not certify_minimal_markups(inst, mutant), mutant
+
+
+def test_auction_raises_when_a_tick_misses_its_cut_value(monkeypatch):
+    # The objective L read off the demand structures must move by exactly the
+    # cut value of each tick; a cut that misreports its minimum breaks that.
+    inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
+    tie_cut = auction._tie_cut
+
+    def misreported(*args):
+        minimum, smallest = tie_cut(*args)
+        return minimum + 1, smallest
+
+    monkeypatch.setattr(auction, "_tie_cut", misreported)
+    with pytest.raises(auction.AuctionError, match="other than its cut value"):
+        run_english_auction(inst)
 
 
 @settings(deadline=None, max_examples=100)

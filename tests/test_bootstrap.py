@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from builders import seeded_stream
 from phosmarket.bootstrap import (
     CalibrationError,
     RegionSeries,
@@ -17,7 +18,6 @@ from phosmarket.bootstrap import (
     smooth_cma3,
     wild_bootstrap_demand,
 )
-from phosmarket.rng import Stream
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,14 @@ def wild_bootstrap_draws(fit, z_scenario, B, rng):
 
 
 def test_wild_bootstrap_degenerates_to_point_prediction():
-    rng = Stream.from_seed(1)
+    rng = seeded_stream(1)
     draws, rejected = wild_bootstrap_draws(fit_two_stage(exact_series()), 4.0, 50, rng)
     assert rejected == 0
     assert all(d == pytest.approx(6.0 * 4.0) for d in draws)
 
 
 def test_wild_bootstrap_zero_scenario_exhausts_redraws():
-    rng = Stream.from_seed(2)
+    rng = seeded_stream(2)
     with pytest.raises(CalibrationError):
         wild_bootstrap_demand(fit_two_stage(exact_series()), 0.0, rng, min_value=0.0)
 
@@ -111,7 +111,7 @@ def test_wild_bootstrap_centering():
     series = noisy_series()
     fit = fit_two_stage(series)
     point = fit.beta * fit.alpha * 2.5
-    draws, _ = wild_bootstrap_draws(fit, 2.5, 1000, Stream.from_seed(7))
+    draws, _ = wild_bootstrap_draws(fit, 2.5, 1000, seeded_stream(7))
     draws = np.asarray(draws)
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - point) < 3 * se
@@ -140,7 +140,7 @@ def test_wild_bootstrap_matches_numpy_reference():
     series = noisy_series()
     fit = fit_two_stage(series)
     alpha, beta, expected = numpy_wild_bootstrap(series, 2.5, 200, np.random.default_rng(11))
-    draws, rejected = wild_bootstrap_draws(fit, 2.5, 200, Stream.from_seed(11))
+    draws, rejected = wild_bootstrap_draws(fit, 2.5, 200, seeded_stream(11))
     assert rejected == 0
     assert (fit.alpha, fit.beta) == pytest.approx((alpha, beta), rel=1e-14, abs=0)
     assert draws == pytest.approx(expected, rel=1e-13, abs=0)
@@ -174,17 +174,17 @@ def test_capacity_inputs_shares_and_pool():
 
 def test_sample_capacity_requires_pool():
     with pytest.raises(CalibrationError):
-        sample_capacity(100.0, [0.1], [], Stream.from_seed(0))
+        sample_capacity(100.0, [0.1], [], seeded_stream(0))
 
 
 def test_sample_capacity_zero_variance_pool():
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     caps = sample_capacity(1000.0, [0.10, 0.25], [0.0], rng)
     assert caps == (100, 250)
 
 
 def test_sample_capacity_two_sided_range():
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     values = {
         sample_capacity(1000.0, [0.10], [20.0], rng)[0] for _ in range(50)
     }
@@ -192,7 +192,7 @@ def test_sample_capacity_two_sided_range():
 
 
 def test_sample_capacity_clamps_to_one_unit():
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     caps = {sample_capacity(10.0, [0.1], [50.0], rng)[0] for _ in range(20)}
     assert min(caps) == 1
 
@@ -375,7 +375,7 @@ def test_trade_cost_regression_closed_forms():
 def test_sample_trade_costs_identity_and_mask():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])  # zero residuals
     base = ((0.10, None), (0.05, 0.08))
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     draw = sample_trade_costs(base, (0.0, 0.0), fit, rng, scale=100)
     assert draw == ((10, None), (5, 8))
 
@@ -383,14 +383,14 @@ def test_sample_trade_costs_identity_and_mask():
 def test_sample_trade_costs_negative_slope_cuts_costs():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
     base = ((0.10,),)
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     draw = sample_trade_costs(base, (0.02,), fit, rng, scale=100)
     assert draw[0][0] == 6  # 0.10 - 2.0 * 0.02
 
 
 def test_sample_trade_costs_clamps_at_zero():
     fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
-    rng = Stream.from_seed(0)
+    rng = seeded_stream(0)
     draw = sample_trade_costs(((0.01,),), (0.05,), fit, rng, scale=100)
     assert draw[0][0] == 0
 

@@ -21,7 +21,7 @@ from phosmarket.auction import (
 )
 from phosmarket.cli import main
 from phosmarket.config import ConfigError, ExperimentConfig, load_config
-from phosmarket.core import Equilibrium, FlowMatrix, validate_instance
+from phosmarket.core import Equilibrium, validate_instance
 from phosmarket.experiment import (
     ExperimentError,
     aggregate,
@@ -33,6 +33,7 @@ from phosmarket.experiment import (
     sampled_replications,
     verify_run,
 )
+from builders import flow_matrix
 from report_rows import read_rows
 
 ROOT = Path(__file__).parent.parent
@@ -552,7 +553,7 @@ def move_a_unit_to_a_dearer_supplier(inst, eq):
                 ):
                     x[i][j] -= 1
                     x[k][j] += 1
-                    return Equilibrium(p, FlowMatrix.from_rows(x))
+                    return Equilibrium(p, flow_matrix(x))
     return eq
 
 
@@ -579,7 +580,7 @@ def test_cli_simulate_names_a_capacity_breach_once_with_exit_2(tmp_path, monkeyp
         x = [list(row) for row in eq.flows.x]
         j = next(j for j in range(inst.n) if inst.t[0][j] is not None)
         x[0][j] += inst.s[0] + 1
-        return Equilibrium(eq.markups, FlowMatrix.from_rows(x))
+        return Equilibrium(eq.markups, flow_matrix(x))
 
     monkeypatch.setattr(experiment, "solve_minimal_markups", over_capacity)
     assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phosmarket.core import FlowMatrix, MarketInstance
+from builders import flow_matrix
+from phosmarket.core import MarketInstance
 from phosmarket.metrics import (
     concentration,
     diversification,
@@ -29,21 +30,21 @@ def instance(m, n, s, d):
 
 def test_concentration_monopoly_is_one():
     inst = instance(2, 1, [6, 6], [6])
-    sole = FlowMatrix.from_rows([[6], [0]])
+    sole = flow_matrix([[6], [0]])
     assert concentration(0, sole, inst) == pytest.approx(1.0)
-    all_local = FlowMatrix.from_rows([[0], [0]])
+    all_local = flow_matrix([[0], [0]])
     assert concentration(0, all_local, inst) == pytest.approx(1.0)
 
 
 def test_concentration_equal_shares_is_zero():
     inst = instance(5, 1, [1] * 5, [6])
-    flows = FlowMatrix.from_rows([[1]] * 5)  # five imports plus one local unit
+    flows = flow_matrix([[1]] * 5)  # five imports plus one local unit
     assert concentration(0, flows, inst) == pytest.approx(0.0)
 
 
 def test_concentration_half_local_half_single_supplier():
     inst = instance(5, 1, [5] * 5, [10])
-    flows = FlowMatrix.from_rows([[5], [0], [0], [0], [0]])
+    flows = flow_matrix([[5], [0], [0], [0], [0]])
     assert concentration(0, flows, inst) == pytest.approx(0.4)
 
 
@@ -57,60 +58,60 @@ def test_concentration_stays_in_unit_interval(imports, local):
         return
     m = len(imports)
     inst = instance(m, 1, [max(q, 1) for q in imports], [d])
-    flows = FlowMatrix.from_rows([[q] for q in imports])
+    flows = flow_matrix([[q] for q in imports])
     value = concentration(0, flows, inst)
     assert -1e-12 <= value <= 1 + 1e-12
 
 
 def test_diversification_single_market_is_zero():
     inst = instance(1, 3, [4], [4, 4, 4])
-    flows = FlowMatrix.from_rows([[4, 0, 0]])
+    flows = flow_matrix([[4, 0, 0]])
     assert diversification(0, flows, inst) == pytest.approx(0.0)
 
 
 def test_diversification_equal_split_is_one():
     inst = instance(1, 4, [8], [4, 4, 4, 4])
-    flows = FlowMatrix.from_rows([[2, 2, 2, 2]])
+    flows = flow_matrix([[2, 2, 2, 2]])
     assert diversification(0, flows, inst) == pytest.approx(1.0)
 
 
 def test_diversification_two_of_nine_split():
     inst = instance(1, 9, [8], [8] * 9)
-    flows = FlowMatrix.from_rows([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
+    flows = flow_matrix([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
     assert diversification(0, flows, inst) == pytest.approx(0.5625, abs=1e-12)
 
 
 def test_diversification_undefined_when_unsold():
     inst = instance(1, 2, [4], [4, 4])
-    flows = FlowMatrix.from_rows([[0, 0]])
+    flows = flow_matrix([[0, 0]])
     assert diversification(0, flows, inst) is None
 
 
 def test_diversification_requires_two_markets():
     inst = instance(1, 1, [4], [4])
-    flows = FlowMatrix.from_rows([[4]])
+    flows = flow_matrix([[4]])
     with pytest.raises(ValueError):
         diversification(0, flows, inst)
 
 
 def test_local_share_examples():
     inst = instance(1, 1, [4], [4])
-    assert local_share(0, FlowMatrix.from_rows([[0]]), inst) == pytest.approx(1.0)
-    assert local_share(0, FlowMatrix.from_rows([[4]]), inst) == pytest.approx(0.0)
-    assert local_share(0, FlowMatrix.from_rows([[1]]), inst) == pytest.approx(0.75)
+    assert local_share(0, flow_matrix([[0]]), inst) == pytest.approx(1.0)
+    assert local_share(0, flow_matrix([[4]]), inst) == pytest.approx(0.0)
+    assert local_share(0, flow_matrix([[1]]), inst) == pytest.approx(0.75)
 
 
 def test_global_share_examples():
-    flows = FlowMatrix.from_rows([[0, 0], [3, 2]])
+    flows = flow_matrix([[0, 0], [3, 2]])
     assert global_supplier_share(0, flows, (25, 25)) == pytest.approx(0.0)
     assert global_supplier_share(1, flows, (25, 25)) == pytest.approx(0.10)
-    sole = FlowMatrix.from_rows([[2, 3]])
+    sole = flow_matrix([[2, 3]])
     assert global_supplier_share(0, sole, (2, 3)) == pytest.approx(1.0)
 
 
 def test_shares_account_for_all_demand():
     inst = instance(2, 2, [3, 3], [4, 5])
-    flows = FlowMatrix.from_rows([[2, 1], [0, 3]])
+    flows = flow_matrix([[2, 1], [0, 3]])
     total = sum(inst.d)
     global_sum = sum(global_supplier_share(i, flows, inst.d) for i in range(2))
     local_weighted = sum(
@@ -121,7 +122,7 @@ def test_shares_account_for_all_demand():
 
 def test_structure_rows_are_consistent():
     inst = instance(2, 2, [3, 3], [4, 5])
-    flows = FlowMatrix.from_rows([[2, 1], [0, 3]])
+    flows = flow_matrix([[2, 1], [0, 3]])
     for j in range(inst.n):
         imported = sum(flows.x[i][j] for i in range(inst.m)) / inst.d[j]
         assert local_share(j, flows, inst) + imported == pytest.approx(1.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from builders import seeded_stream
 from phosmarket.bootstrap import replication_streams
 from phosmarket.rng import SeedSequence, Stream
 
@@ -76,21 +77,21 @@ def test_replication_streams_draw_what_numpy_draws(seed, replication, n_regions,
 @given(seed=SEEDS, calls=CALLS)
 @settings(max_examples=100, deadline=None)
 def test_from_seed_draws_what_default_rng_draws(seed, calls):
-    assert_same_draws(Stream.from_seed(seed), np.random.default_rng(seed), calls)
+    assert_same_draws(seeded_stream(seed), np.random.default_rng(seed), calls)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64])
 def test_lemire_rejection_redraws_like_numpy(seed):
-    stream, rng = Stream.from_seed(seed), np.random.default_rng(seed)
+    stream, rng = seeded_stream(seed), np.random.default_rng(seed)
     assert_same_draws(stream, rng, [("below", LEMIRE_REJECTS)] * 64)
-    unrejected = Stream.from_seed(seed)
+    unrejected = seeded_stream(seed)
     for _ in range(64):
         unrejected._next32()
     assert (unrejected._state, unrejected._high) != (stream._state, stream._high)
 
 
 def test_one_value_range_draws_nothing():
-    stream, rng = Stream.from_seed(5), np.random.default_rng(5)
+    stream, rng = seeded_stream(5), np.random.default_rng(5)
     assert_same_draws(stream, rng, [("below", 1)] * 3 + [("signs", 1), ("below", 1)])
     assert stream._high is not None  # only the sign drew a 32-bit half
 
@@ -98,7 +99,7 @@ def test_one_value_range_draws_nothing():
 @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
 def test_below_rejects_bounds_outside_32_bits(k):
     with pytest.raises(ValueError, match="outside"):
-        Stream.from_seed(0).below(k)
+        seeded_stream(0).below(k)
 
 
 def test_negative_entropy_is_rejected():
