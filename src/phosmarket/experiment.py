@@ -22,8 +22,9 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 from . import bootstrap as bs
 from . import metrics
@@ -279,16 +280,20 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
     )
 
 
+#: One report table: its name (the CSV's stem), its header and its rows.
+Table = tuple[str, tuple[str, ...], tuple[tuple[object, ...], ...]]
+
+
 class ScenarioReport(NamedTuple):
-    """Replication statistics in the shape of the published scenario tables."""
+    """The report tables of one run and the replications they summarize.
+
+    ``tables`` holds one ``(name, header, rows)`` per report CSV, in the
+    order :func:`emit_tables` writes them.  Past its label, a cell is an
+    int, a float, or ``None`` where no replication defines the value.
+    """
 
     context: ExperimentContext
-    demand_mt: tuple[tuple[float, float], ...]  # per region (mean, sd)
-    concentration: tuple[tuple[float, float], ...]
-    local_share: tuple[tuple[float, float], ...]
-    diversification: tuple[tuple[float, float, int], ...]  # mean, sd, defined count
-    global_share: tuple[tuple[float, float], ...]
-    trade_costs: metrics.TradeCostSummary
+    tables: tuple[Table, ...]
     replications: tuple[ReplicationResult, ...]
     rejections: int
 
@@ -395,47 +400,83 @@ def _run_child(context: ExperimentContext, first: int, step: int, write_fd: int)
         os._exit(status)
 
 
+def _summary(values: Iterable[float | None]) -> tuple[float | None, float | None, int]:
+    """Mean, SD and count of the values that are not ``None``; ``(None, None, 0)`` if none."""
+    defined = [value for value in values if value is not None]
+    if not defined:
+        return None, None, 0
+    return (*metrics.mean_sd(defined), len(defined))
+
+
 def aggregate(
     context: ExperimentContext, results: list[ReplicationResult]
 ) -> ScenarioReport:
-    config = context.config
-    n = len(context.regions)
-    m = len(context.suppliers)
-    unit_mt = config.unit_kt / 1000.0
+    """Build every report table from the results, listed in replication order.
 
-    demand_stats = tuple(
-        metrics.mean_sd([r.draw.d[j] * unit_mt for r in results]) for j in range(n)
+    A summary cell is the mean or SD over the replications that define the
+    value, and ``None`` where none does.  A region's entry floor is the
+    mean over draws of its cheapest open trade cost, ``nan`` when no pair
+    into the region is open.
+    """
+    if not results:
+        raise ExperimentError("cannot aggregate a run without replications")
+    config = context.config
+    regions, suppliers = context.regions, context.suppliers
+    unit_mt = config.unit_kt / 1000.0
+    scale = config.money_scale
+    tables: list[Table] = []
+
+    demand_mt = [[d * unit_mt for d in r.draw.d] for r in results]
+    for name, key, columns, per_result in (
+        ("demand", "region", ("mean_mt", "sd_mt"), demand_mt),
+        ("concentration", "region", ("mean", "sd"), [r.concentration for r in results]),
+        ("local_share", "region", ("mean", "sd"), [r.local_share for r in results]),
+        ("global_share", "supplier", ("mean", "sd"), [r.global_share for r in results]),
+        ("diversification", "supplier", ("mean", "sd", "defined"),
+         [r.diversification for r in results]),
+    ):
+        labels = regions if key == "region" else suppliers
+        rows = tuple(
+            (label, *_summary(values)[: len(columns)])
+            for label, values in zip(labels, zip(*per_result))
+        )
+        tables.append((name, (key, *columns), rows))
+
+    cost_rows, floor_rows = [], []
+    for j, region in enumerate(regions):
+        # each draw's costs into the region, None on pairs closed to trade
+        into = [[row[j] for row in r.draw.t] for r in results]
+        cells: list[object] = [region]
+        for i in range(len(suppliers)):
+            cells += _summary([costs[i] / scale for costs in into if costs[i] is not None])[:2]
+        cost_rows.append(tuple(cells))
+        open_costs = ([cost for cost in costs if cost is not None] for costs in into)
+        floors = [min(costs) / scale for costs in open_costs if costs]
+        floor_rows.append((region, sum(floors) / len(floors) if floors else math.nan))
+    cost_header = [f"{supplier}_{stat}" for supplier in suppliers for stat in ("mean", "sd")]
+    tables.append(("trade_costs", ("region", *cost_header), tuple(cost_rows)))
+    tables.append(("entry_floor", ("region", "mean_min_cost"), tuple(floor_rows)))
+
+    def named(prefix: str, labels: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(f"{prefix}_{label}" for label in labels)
+
+    replication_columns = (
+        (("replication",), [(r.draw.replication,) for r in results]),
+        (named("demand_units", regions), [r.draw.d for r in results]),
+        (named("capacity", suppliers), [r.draw.s for r in results]),
+        (("a",), [(r.draw.a,) for r in results]),
+        (named("local_cost", regions), [r.draw.c_o for r in results]),
+        (named("markup", suppliers), [r.markups for r in results]),
+        (named("sold", suppliers), [r.sold for r in results]),
+        (named("concentration", regions), [r.concentration for r in results]),
+        (named("local_share", regions), [r.local_share for r in results]),
     )
-    concentration_stats = tuple(
-        metrics.mean_sd([r.concentration[j] for r in results]) for j in range(n)
-    )
-    local_stats = tuple(
-        metrics.mean_sd([r.local_share[j] for r in results]) for j in range(n)
-    )
-    diversification_stats = []
-    for i in range(m):
-        defined = [
-            r.diversification[i] for r in results if r.diversification[i] is not None
-        ]
-        if defined:
-            mean, sd = metrics.mean_sd(defined)  # type: ignore[arg-type]
-        else:
-            mean, sd = math.nan, math.nan
-        diversification_stats.append((mean, sd, len(defined)))
-    global_stats = tuple(
-        metrics.mean_sd([r.global_share[i] for r in results]) for i in range(m)
-    )
-    cost_summary = metrics.entry_floor_summary(
-        [r.draw.t for r in results], config.money_scale
-    )
+    header = tuple(chain.from_iterable(names for names, _ in replication_columns))
+    parts = zip(*(values for _, values in replication_columns))  # one tuple of parts per row
+    tables.append(("replications", header, tuple(tuple(chain.from_iterable(p)) for p in parts)))
     return ScenarioReport(
         context=context,
-        demand_mt=demand_stats,
-        concentration=concentration_stats,
-        local_share=local_stats,
-        diversification=tuple(diversification_stats),
-        global_share=global_stats,
-        trade_costs=cost_summary,
+        tables=tuple(tables),
         replications=tuple(results),
         rejections=sum(r.draw.rejections for r in results),
     )
@@ -445,96 +486,28 @@ def aggregate(
 # Output tables
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
-    """Write one CSV per table shape plus the run manifest."""
-    if not report.replications:
-        raise ExperimentError("cannot emit tables for an empty report")
+    """Write each report table as a CSV, then the run manifest.
+
+    A float cell is written with 6 decimals, ``None`` as a blank, and any
+    other cell as is.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     context = report.context
     config = context.config
-    regions = context.regions
-    suppliers = context.suppliers
     outputs: dict[str, Path] = {}
-
-    def table(name: str, header: list[str], rows: list[list[object]]) -> None:
-        path = outdir / f"{name}.csv"
-        write_csv(path, header, rows)
-        outputs[name] = path
-
-    for name, key, labels, stats, columns in (
-        ("demand", "region", regions, report.demand_mt, ["mean_mt", "sd_mt"]),
-        ("concentration", "region", regions, report.concentration, ["mean", "sd"]),
-        ("local_share", "region", regions, report.local_share, ["mean", "sd"]),
-        ("global_share", "supplier", suppliers, report.global_share, ["mean", "sd"]),
-    ):
-        table(
-            name,
-            [key, *columns],
-            [[label, _fmt(mean), _fmt(sd)] for label, (mean, sd) in zip(labels, stats)],
+    for name, header, rows in report.tables:
+        outputs[name] = outdir / f"{name}.csv"
+        write_csv(
+            outputs[name],
+            header,
+            (
+                [f"{cell:.6f}" if type(cell) is float else "" if cell is None else cell
+                 for cell in row]
+                for row in rows
+            ),
         )
-    table(
-        "diversification",
-        ["supplier", "mean", "sd", "defined"],
-        [
-            [
-                suppliers[i],
-                _fmt(report.diversification[i][0]) if report.diversification[i][2] else "",
-                _fmt(report.diversification[i][1]) if report.diversification[i][2] else "",
-                report.diversification[i][2],
-            ]
-            for i in range(len(suppliers))
-        ],
-    )
-
-    cost_header = ["region"]
-    for supplier in suppliers:
-        cost_header += [f"{supplier}_mean", f"{supplier}_sd"]
-    cost_rows = []
-    for j in range(len(regions)):
-        row: list[object] = [regions[j]]
-        for i in range(len(suppliers)):
-            mean = report.trade_costs.mean[i][j]
-            sd = report.trade_costs.sd[i][j]
-            row += ["" if mean is None else _fmt(mean), "" if sd is None else _fmt(sd)]
-        cost_rows.append(row)
-    table("trade_costs", cost_header, cost_rows)
-
-    table(
-        "entry_floor",
-        ["region", "mean_min_cost"],
-        [
-            [regions[j], _fmt(report.trade_costs.entry_floor[j])]
-            for j in range(len(regions))
-        ],
-    )
-
-    rep_header = ["replication"]
-    rep_header += [f"demand_units_{region}" for region in regions]
-    rep_header += [f"capacity_{supplier}" for supplier in suppliers]
-    rep_header += ["a"]
-    rep_header += [f"local_cost_{region}" for region in regions]
-    rep_header += [f"markup_{supplier}" for supplier in suppliers]
-    rep_header += [f"sold_{supplier}" for supplier in suppliers]
-    rep_header += [f"concentration_{region}" for region in regions]
-    rep_header += [f"local_share_{region}" for region in regions]
-    rep_rows: list[list[object]] = []
-    for result in report.replications:
-        row = [result.draw.replication]
-        row += list(result.draw.d)
-        row += list(result.draw.s)
-        row.append(result.draw.a)
-        row += list(result.draw.c_o)
-        row += list(result.markups)
-        row += list(result.sold)
-        row += [_fmt(value) for value in result.concentration]
-        row += [_fmt(value) for value in result.local_share]
-        rep_rows.append(row)
-    table("replications", rep_header, rep_rows)
 
     manifest = outdir / "manifest.txt"
     lines = [
@@ -547,8 +520,8 @@ def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
         f"capacity_share_base: {config.capacity_share_base}",
         f"reference_market: {config.reference_market}",
         f"reference_year: {config.reference_year}",
-        f"suppliers: {','.join(suppliers)}",
-        f"regions: {','.join(regions)}",
+        f"suppliers: {','.join(context.suppliers)}",
+        f"regions: {','.join(context.regions)}",
         f"rejected_draws: {report.rejections}",
     ]
     lines += [f"digest_{name}: {digest}" for name, digest in context.input_digests]

@@ -7,7 +7,7 @@ flows themselves never leave integer arithmetic.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import FlowMatrix, MarketInstance
 
@@ -60,59 +60,3 @@ def mean_sd(values: Sequence[float]) -> tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (b - 1)
     return mean, math.sqrt(var)
-
-
-class TradeCostSummary(NamedTuple):
-    """Replication statistics of sampled trade costs, in relative units.
-
-    Masked supplier-market cells are ``None`` in both tables.  The entry
-    floor of a market is the replication mean of the cheapest unmasked trade
-    cost into it.
-    """
-
-    mean: tuple[tuple[float | None, ...], ...]
-    sd: tuple[tuple[float | None, ...], ...]
-    entry_floor: tuple[float, ...]
-
-
-def entry_floor_summary(
-    cost_draws: Sequence[Sequence[Sequence[int | None]]], scale: int
-) -> TradeCostSummary:
-    """Summarize per-cell trade-cost draws over bootstrap replications.
-
-    ``cost_draws`` holds one m x n table per replication, in minor units with
-    ``None`` exactly at masked cells.  Every draw is sampled from one base
-    cost table, so the masked cells are those of the first draw.
-    """
-    if not cost_draws:
-        raise ValueError("at least one replication is required")
-    m = len(cost_draws[0])
-    n = len(cost_draws[0][0]) if m else 0
-    mean_rows: list[tuple[float | None, ...]] = []
-    sd_rows: list[tuple[float | None, ...]] = []
-    for i in range(m):
-        means: list[float | None] = []
-        sds: list[float | None] = []
-        for j in range(n):
-            cells = [draw[i][j] for draw in cost_draws]
-            if cells[0] is None:
-                means.append(None)
-                sds.append(None)
-            else:
-                mu, sd = mean_sd([c / scale for c in cells])  # type: ignore[operator]
-                means.append(mu)
-                sds.append(sd)
-        mean_rows.append(tuple(means))
-        sd_rows.append(tuple(sds))
-
-    floors = []
-    for j in range(n):
-        per_draw = []
-        for draw in cost_draws:
-            open_costs = [draw[i][j] for i in range(m) if draw[i][j] is not None]
-            if open_costs:
-                per_draw.append(min(open_costs) / scale)
-        floors.append(sum(per_draw) / len(per_draw) if per_draw else math.nan)
-    return TradeCostSummary(
-        mean=tuple(mean_rows), sd=tuple(sd_rows), entry_floor=tuple(floors)
-    )

@@ -34,7 +34,7 @@ from phosmarket.experiment import (
     verify_run,
 )
 from builders import flow_matrix
-from report_rows import read_rows
+from report_rows import read_rows, table_rows
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data" / "fixture_small"
@@ -249,8 +249,9 @@ def test_fixture_replications_pass_the_cheapest_units_certificate():
 def test_single_replication_report_has_zero_sd(tmp_path):
     config = fixture_config(tmp_path, replications=1)
     report = run_experiment(config)
-    assert all(sd == 0.0 for _, sd in report.demand_mt)
-    assert all(sd == 0.0 for _, sd in report.concentration)
+    assert all(row["sd_mt"] == 0.0 for row in table_rows(report, "demand"))
+    for name in ("concentration", "local_share", "global_share"):
+        assert all(row["sd"] == 0.0 for row in table_rows(report, name)), name
 
 
 def record_forks(monkeypatch):
@@ -393,7 +394,6 @@ def fixture_records(tmp_path_factory):
         "ExperimentContext": report.context,
         "ReplicationResult": result,
         "ScenarioReport": report,
-        "TradeCostSummary": report.trade_costs,
         "FlowStart": report.context.start,
     }
 
@@ -413,7 +413,6 @@ def fixture_records(tmp_path_factory):
         "ExperimentContext",
         "ReplicationResult",
         "ScenarioReport",
-        "TradeCostSummary",
         "FlowStart",
     ],
 )
@@ -427,6 +426,7 @@ def test_records_are_immutable_and_survive_pickling(fixture_records, name):
     restored = pickle.loads(pickle.dumps(record))
     assert type(restored) is type(record)
     assert restored == record
+    assert hash(restored) == hash(record)
 
 
 def test_emit_tables_rerun_is_byte_identical(tmp_path):
@@ -461,23 +461,32 @@ def test_emit_tables_blanks_masked_trade_cost_cells(tmp_path):
     assert north["atlaschem_mean"] != ""
 
 
-def test_emit_tables_rejects_empty_report(tmp_path):
-    config = fixture_config(tmp_path)
-    context = load_context(config)
-    report = aggregate(context, [run_replication(context, 0)])
-    empty = report.__class__(
-        context=report.context,
-        demand_mt=report.demand_mt,
-        concentration=report.concentration,
-        local_share=report.local_share,
-        diversification=report.diversification,
-        global_share=report.global_share,
-        trade_costs=report.trade_costs,
-        replications=(),
-        rejections=0,
-    )
-    with pytest.raises(ExperimentError):
-        emit_tables(empty, tmp_path / "x")
+def test_a_region_no_supplier_ever_served_is_reported_as_all_local(tmp_path):
+    # ``island`` has local supply, a demand series and scenario use, but no
+    # flows row: every pair into it is closed to trade in every draw.
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    for name in ("local_supply", "demand_series", "scenario_use"):
+        path = data / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        island = [re.sub(r"\bwest\b", "island", line) for line in lines if ",west," in f",{line}"]
+        path.write_text("\n".join(lines + island) + "\n")
+    config = write_config(tmp_path, data_dir=data)
+    assert main(["simulate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert "island,nan" in (out / "entry_floor.csv").read_text().splitlines()
+    assert "island,,,,,," in (out / "trade_costs.csv").read_text().splitlines()
+    for name in ("local_share", "concentration"):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert "island,1.000000,0.000000" in lines, name
+    for row in read_rows(out / "replications.csv"):
+        assert row["local_share_island"] == "1.000000"
+
+
+def test_aggregate_rejects_an_empty_run(tmp_path):
+    context = load_context(fixture_config(tmp_path))
+    with pytest.raises(ExperimentError, match="without replications"):
+        aggregate(context, [])
 
 
 def test_missing_input_table_is_reported(tmp_path):
@@ -491,11 +500,14 @@ def test_aggregated_means_stay_inside_replication_envelope(tmp_path):
     config = fixture_config(tmp_path, replications=12)
     report = run_experiment(config)
     unit_mt = config.unit_kt / 1000.0
-    for j in range(len(report.context.regions)):
+    demand = table_rows(report, "demand")
+    concentration = table_rows(report, "concentration")
+    for j, region in enumerate(report.context.regions):
+        assert demand[j]["region"] == concentration[j]["region"] == region
         demands = [r.draw.d[j] * unit_mt for r in report.replications]
-        assert min(demands) - eps <= report.demand_mt[j][0] <= max(demands) + eps
+        assert min(demands) - eps <= demand[j]["mean_mt"] <= max(demands) + eps
         spreads = [r.concentration[j] for r in report.replications]
-        assert min(spreads) - eps <= report.concentration[j][0] <= max(spreads) + eps
+        assert min(spreads) - eps <= concentration[j]["mean"] <= max(spreads) + eps
 
 
 def test_verify_rejects_run_with_changed_inputs(tmp_path):

@@ -1,6 +1,7 @@
 """Concentration, diversification and replication statistics."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,20 @@ from hypothesis import strategies as st
 
 from builders import flow_matrix
 from phosmarket.core import MarketInstance
+from phosmarket.experiment import (
+    BootstrapDraw,
+    ExperimentError,
+    ReplicationResult,
+    aggregate,
+)
 from phosmarket.metrics import (
     concentration,
     diversification,
-    entry_floor_summary,
     global_supplier_share,
     local_share,
     mean_sd,
 )
+from report_rows import table_rows
 
 
 def instance(m, n, s, d):
@@ -141,25 +148,55 @@ def test_mean_sd_conventions():
         mean_sd([])
 
 
+def cost_report(cost_draws, *, m, n, scale):
+    """The report ``aggregate`` builds from replications that differ only in trade costs.
+
+    ``cost_draws`` holds one m x n table per replication, in minor units
+    with ``None`` on pairs closed to trade.
+    """
+    config = SimpleNamespace(unit_kt=1000.0, money_scale=scale)
+    context = SimpleNamespace(
+        config=config,
+        suppliers=tuple(f"s{i}" for i in range(m)),
+        regions=tuple(f"r{j}" for j in range(n)),
+    )
+    results = [
+        ReplicationResult(
+            draw=BootstrapDraw(b, (1,) * n, (1,) * m, t, 0, (0,) * n, 0),
+            markups=(0,) * m,
+            flows=((0,) * n,) * m,
+            concentration=(1.0,) * n,
+            local_share=(1.0,) * n,
+            diversification=(None,) * m,
+            global_share=(0.0,) * m,
+            sold=(0,) * m,
+        )
+        for b, t in enumerate(cost_draws)
+    ]
+    return aggregate(context, results)
+
+
 def test_entry_floor_summary_two_replications():
     draws = [
         ((10, None), (14, 20)),
         ((14, None), (10, 22)),
     ]
-    summary = entry_floor_summary(draws, scale=100)
-    assert summary.mean[0][0] == pytest.approx(0.12)
-    assert summary.sd[0][0] == pytest.approx(math.sqrt(0.0008), abs=1e-12)
-    assert summary.mean[0][1] is None and summary.sd[0][1] is None
+    report = cost_report(draws, m=2, n=2, scale=100)
+    costs = table_rows(report, "trade_costs")
+    assert costs[0]["s0_mean"] == pytest.approx(0.12)
+    assert costs[0]["s0_sd"] == pytest.approx(math.sqrt(0.0008), abs=1e-12)
+    assert costs[1]["s0_mean"] is None and costs[1]["s0_sd"] is None
     # per-market floor: mean over draws of the cheapest open cost
-    assert summary.entry_floor[0] == pytest.approx((0.10 + 0.10) / 2)
-    assert summary.entry_floor[1] == pytest.approx((0.20 + 0.22) / 2)
+    floors = table_rows(report, "entry_floor")
+    assert floors[0]["mean_min_cost"] == pytest.approx((0.10 + 0.10) / 2)
+    assert floors[1]["mean_min_cost"] == pytest.approx((0.20 + 0.22) / 2)
 
 
 def test_entry_floor_summary_single_replication_has_zero_sd():
-    summary = entry_floor_summary([((10, 20),)], scale=100)
-    assert summary.sd[0] == (0.0, 0.0)
+    report = cost_report([((10, 20),)], m=1, n=2, scale=100)
+    assert [row["s0_sd"] for row in table_rows(report, "trade_costs")] == [0.0, 0.0]
 
 
 def test_entry_floor_summary_needs_replications():
-    with pytest.raises(ValueError):
-        entry_floor_summary([], scale=100)
+    with pytest.raises(ExperimentError):
+        cost_report([], m=1, n=2, scale=100)
