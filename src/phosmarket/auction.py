@@ -46,13 +46,7 @@ import math
 from collections import deque
 from typing import NamedTuple, Sequence
 
-from .core import (
-    Equilibrium,
-    FlowMatrix,
-    MarketInstance,
-    require_valid,
-    validate_flows,
-)
+from .core import Equilibrium, Flows, MarketInstance, require_valid, validate_flows
 
 
 class AuctionError(RuntimeError):
@@ -545,7 +539,7 @@ def run_english_auction(
 
 def _allocate(
     inst: MarketInstance, markups: Sequence[int], waterlines: Sequence[int]
-) -> FlowMatrix:
+) -> Flows:
     """Select per-market optimal bundles that jointly satisfy all conditions.
 
     Each of ``waterlines`` is a market's waterline at ``markups``.
@@ -559,7 +553,7 @@ def _allocate(
     if all(sold[i] <= inst.s[i] for i in range(m)) and all(
         sold[i] > 0 or markups[i] == 0 for i in range(m)
     ):
-        return FlowMatrix(tuple(tuple(minimal[j][i] for j in range(n)) for i in range(m)))
+        return tuple(tuple(minimal[j][i] for j in range(n)) for i in range(m))
 
     forced_total = [sum(structures[j].forced[i] for j in range(n)) for i in range(m)]
     needs = [
@@ -609,7 +603,7 @@ def _allocate(
             take = net.flow[take_edges[(j, i)]] if (j, i) in take_edges else 0
             row.append(structures[j].forced[i] + take)
         rows.append(tuple(row))
-    return FlowMatrix(tuple(rows))
+    return tuple(rows)
 
 
 class _Network:
@@ -738,7 +732,7 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
     if witnesses:
         return witnesses
     for j in range(inst.n):
-        bundle = tuple(eq.flows.x[i][j] for i in range(inst.m))
+        bundle = tuple(row[j] for row in eq.flows)
         if _buys_cheapest_units(inst, j, eq.markups, bundle):
             continue
         attained = bundle_utility(bundle, j, eq.markups, inst)
@@ -746,7 +740,7 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
         if attained != best:
             witnesses.append(f"market {j} gets utility {attained}, maximum is {best}")
     for i in range(inst.m):
-        if eq.flows.supplier_total(i) == 0 and eq.markups[i] > 0:
+        if sum(eq.flows[i]) == 0 and eq.markups[i] > 0:
             witnesses.append(f"supplier {i} unsold at positive markup {eq.markups[i]}")
     return witnesses
 

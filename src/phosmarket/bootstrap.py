@@ -286,9 +286,9 @@ def infer_relative_trade_costs(
                 f"reference market {j0!r} has no local supply in {year}"
             )
 
+    total_demand = {year: sum(demand[(region, year)] for region in regions) for year in years}
     a_by_year = {}
-    for year in years:
-        total = sum(demand[(region, year)] for region in regions)
+    for year, total in total_demand.items():
         if total <= 0:
             raise CalibrationError(f"no demand recorded in {year}")
         a_by_year[year] = theta / total
@@ -336,8 +336,7 @@ def infer_relative_trade_costs(
                     base[(supplier, region)] = sum(active) / len(active)
 
     share = {
-        (region, year): demand[(region, year)]
-        / sum(demand[(r, year)] for r in regions)
+        (region, year): demand[(region, year)] / total_demand[year]
         for region in regions
         for year in years
     }

@@ -21,6 +21,11 @@ from typing import NamedTuple
 #: Supplier markups in minor units, one entry per international supplier.
 MarkupVector = tuple[int, ...]
 
+#: Integer goods flows: one row per international supplier, one entry per
+#: market in it, so supplier i sells ``sum(flows[i])`` and market j imports
+#: ``sum(row[j] for row in flows)``.
+Flows = tuple[tuple[int, ...], ...]
+
 
 def quantize(value: float, unit: float) -> int:
     """Round a physical value onto the integer goods grid (half away up)."""
@@ -103,44 +108,33 @@ def require_valid(inst: MarketInstance) -> None:
         raise ValueError("invalid market instance: " + "; ".join(issues))
 
 
-class FlowMatrix(NamedTuple):
-    """Integer goods flows from each international supplier to each market.
-
-    Local supply is derived, never stored: ``x_o[j] = d[j] - imports into j``.
-    """
-
-    x: tuple[tuple[int, ...], ...]
-
-    def supplier_total(self, i: int) -> int:
-        return sum(self.x[i])
-
-    def market_total(self, j: int) -> int:
-        return sum(row[j] for row in self.x)
-
-
-def validate_flows(flows: FlowMatrix, inst: MarketInstance) -> list[str]:
+def validate_flows(flows: Flows, inst: MarketInstance) -> list[str]:
     """Return violated flow invariants against the given instance."""
     issues: list[str] = []
     m, n = inst.m, inst.n
-    if len(flows.x) != m or any(len(row) != n for row in flows.x):
+    if len(flows) != m or any(len(row) != n for row in flows):
         return ["flow matrix must be m x n"]
     for i in range(m):
         for j in range(n):
-            q = flows.x[i][j]
+            q = flows[i][j]
             if q < 0:
                 issues.append(f"negative flow on pair ({i}, {j})")
             if q > 0 and inst.t[i][j] is None:
                 issues.append(f"flow crosses masked pair ({i}, {j})")
-        if flows.supplier_total(i) > inst.s[i]:
+        if sum(flows[i]) > inst.s[i]:
             issues.append(f"capacity exceeded (supplier {i})")
     for j in range(n):
-        if flows.market_total(j) > inst.d[j]:
+        if sum(row[j] for row in flows) > inst.d[j]:
             issues.append(f"imports exceed demand (market {j})")
     return issues
 
 
 class Equilibrium(NamedTuple):
-    """Markups and flows jointly satisfying the three market conditions."""
+    """Markups and flows jointly satisfying the three market conditions.
+
+    Local supply is derived, never stored: market j buys
+    ``d[j] - sum(row[j] for row in flows)`` units locally.
+    """
 
     markups: MarkupVector
-    flows: FlowMatrix
+    flows: Flows

@@ -37,7 +37,7 @@ from .auction import (
     verify_equilibrium,
 )
 from .config import ConfigError, ExperimentConfig
-from .core import MarketInstance, quantize
+from .core import Flows, MarketInstance, quantize
 from .tables import quantity, read_csv, write_csv
 
 #: Each harmonized input table's columns with the parsers of their cells,
@@ -244,7 +244,7 @@ class ReplicationResult(NamedTuple):
 
     draw: BootstrapDraw
     markups: tuple[int, ...]
-    flows: tuple[tuple[int, ...], ...]
+    flows: Flows
     concentration: tuple[float, ...]
     local_share: tuple[float, ...]
     diversification: tuple[float | None, ...]
@@ -265,7 +265,7 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
     return ReplicationResult(
         draw=draw,
         markups=equilibrium.markups,
-        flows=flows.x,
+        flows=flows,
         concentration=tuple(
             metrics.concentration(j, flows, inst) for j in range(inst.n)
         ),
@@ -276,7 +276,7 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
         global_share=tuple(
             metrics.global_supplier_share(i, flows, inst.d) for i in range(inst.m)
         ),
-        sold=tuple(flows.supplier_total(i) for i in range(inst.m)),
+        sold=tuple(map(sum, flows)),
     )
 
 
@@ -577,8 +577,6 @@ def verify_run(config: ExperimentConfig, *, sample: int) -> list[tuple[int, bool
         result = run_replication(context, b)  # raises on verifier failure
         inst = result.draw.instance()
         reference = run_english_auction(inst)
-        auction_match = (
-            reference.markups == result.markups and reference.flows.x == result.flows
-        )
+        auction_match = reference == (result.markups, result.flows)
         outcomes.append((b, auction_match, certify_minimal_markups(inst, result.markups)))
     return outcomes

@@ -9,22 +9,22 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import FlowMatrix, MarketInstance
+from .core import Flows, MarketInstance
 
 
-def concentration(j: int, flows: FlowMatrix, inst: MarketInstance) -> float:
+def concentration(j: int, flows: Flows, inst: MarketInstance) -> float:
     """Normalized concentration of market j over its m + 1 sources.
 
     Zero when all sources hold equal shares, one under monopoly.
     """
     d = inst.d[j]
-    local = d - flows.market_total(j)
-    shares_sq = (local / d) ** 2 + sum((flows.x[i][j] / d) ** 2 for i in range(inst.m))
+    local = d - sum(row[j] for row in flows)
+    shares_sq = (local / d) ** 2 + sum((row[j] / d) ** 2 for row in flows)
     k = inst.m + 1
     return (shares_sq - 1 / k) / (1 - 1 / k)
 
 
-def diversification(i: int, flows: FlowMatrix, inst: MarketInstance) -> float | None:
+def diversification(i: int, flows: Flows, inst: MarketInstance) -> float | None:
     """Normalized spread of supplier i's sales across markets.
 
     Zero when active on a single market, one for an equal n-way split of the
@@ -33,21 +33,21 @@ def diversification(i: int, flows: FlowMatrix, inst: MarketInstance) -> float | 
     """
     if inst.n < 2:
         raise ValueError("diversification needs at least two markets")
-    if flows.supplier_total(i) == 0:
+    if sum(flows[i]) == 0:
         return None
     cap = inst.s[i]
-    shares_sq = sum((flows.x[i][j] / cap) ** 2 for j in range(inst.n))
+    shares_sq = sum((q / cap) ** 2 for q in flows[i])
     return 1 - (shares_sq - 1 / inst.n) / (1 - 1 / inst.n)
 
 
-def local_share(j: int, flows: FlowMatrix, inst: MarketInstance) -> float:
+def local_share(j: int, flows: Flows, inst: MarketInstance) -> float:
     """Share of market j's demand served by local suppliers."""
-    return (inst.d[j] - flows.market_total(j)) / inst.d[j]
+    return (inst.d[j] - sum(row[j] for row in flows)) / inst.d[j]
 
 
-def global_supplier_share(i: int, flows: FlowMatrix, demands: Sequence[int]) -> float:
+def global_supplier_share(i: int, flows: Flows, demands: Sequence[int]) -> float:
     """Supplier i's sales as a share of total demand across all markets."""
-    return flows.supplier_total(i) / sum(demands)
+    return sum(flows[i]) / sum(demands)
 
 
 def mean_sd(values: Sequence[float]) -> tuple[float, float]:

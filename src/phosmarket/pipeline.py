@@ -323,6 +323,7 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
             )
         )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: dict[str, Path] = {}
     for name, header, table_rows, table_provenance in tables:
         outputs[name] = out_dir / f"{name}.csv"

@@ -84,7 +84,6 @@ def write_csv(
     provenance: Mapping[str, str] | None = None,
 ) -> None:
     """Write a CSV file with optional ``#``-prefixed provenance lines."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         for key, value in (provenance or {}).items():
             handle.write(f"# {key}: {value}\n")

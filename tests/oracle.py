@@ -25,7 +25,7 @@ from phosmarket.auction import (
     _min_spend,
     local_spend,
 )
-from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance, require_valid
+from phosmarket.core import Equilibrium, Flows, MarketInstance, require_valid
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -130,7 +130,7 @@ def brute_force_equilibrium(
             )
         selection = _select_flows(inst, markups, argmax)
         if selection is not None:
-            return Equilibrium(markups, FlowMatrix(selection))
+            return Equilibrium(markups, selection)
     raise AuctionError("no equilibrium found on the markup grid")
 
 
@@ -138,7 +138,7 @@ def _select_flows(
     inst: MarketInstance,
     markups: tuple[int, ...],
     argmax: list[list[tuple[int, ...]]],
-) -> tuple[tuple[int, ...], ...] | None:
+) -> Flows | None:
     """Pick one argmax bundle per market meeting capacity and clearance."""
     m, n = inst.m, inst.n
     chosen: list[tuple[int, ...]] = []

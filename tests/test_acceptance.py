@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from builders import flow_matrix, seeded_stream
+from builders import seeded_stream
 from oracle import (
     _bundles,
     _enumerated_values,
@@ -34,7 +34,7 @@ from phosmarket.auction import (
 )
 from phosmarket.bootstrap import RegionSeries, fit_two_stage, wild_bootstrap_demand
 from phosmarket.config import ExperimentConfig
-from phosmarket.core import Equilibrium, FlowMatrix, MarketInstance
+from phosmarket.core import Equilibrium, MarketInstance
 from phosmarket.experiment import (
     assemble_draw,
     emit_tables,
@@ -168,13 +168,13 @@ def test_criterion_4_index_identities():
     mono = MarketInstance(
         s=(6,), d=(6, 6), a=0, c_o=(10, 10), t=((0, 0),)
     )
-    assert concentration(0, flow_matrix([[6, 0]]), mono) == pytest.approx(1.0)
+    assert concentration(0, ((6, 0),), mono) == pytest.approx(1.0)
 
     equal = MarketInstance(
         s=(1,) * 5, d=(6,), a=0, c_o=(10,), t=((0,),) * 5
     )
     assert concentration(
-        0, flow_matrix([[1]] * 5), equal
+        0, ((1,),) * 5, equal
     ) == pytest.approx(0.0)
 
     rng = np.random.default_rng(20240404)
@@ -192,23 +192,23 @@ def test_criterion_4_index_identities():
             c_o=(10,),
             t=((0,),) * m,
         )
-        h = concentration(0, flow_matrix([[q] for q in imports]), inst)
+        h = concentration(0, tuple((q,) for q in imports), inst)
         assert -1e-12 <= h <= 1 + 1e-12
 
     single = MarketInstance(
         s=(4,), d=(4, 4), a=0, c_o=(9, 9), t=((0, 0),)
     )
-    assert diversification(0, flow_matrix([[4, 0]]), single) == pytest.approx(0.0)
+    assert diversification(0, ((4, 0),), single) == pytest.approx(0.0)
 
     spread = MarketInstance(
         s=(8,), d=(2,) * 4, a=0, c_o=(9,) * 4, t=((0,) * 4,)
     )
-    assert diversification(0, flow_matrix([[2, 2, 2, 2]]), spread) == pytest.approx(1.0)
+    assert diversification(0, ((2, 2, 2, 2),), spread) == pytest.approx(1.0)
 
     nine = MarketInstance(
         s=(8,), d=(8,) * 9, a=0, c_o=(9,) * 9, t=((0,) * 9,)
     )
-    two_way = flow_matrix([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
+    two_way = ((4, 4, 0, 0, 0, 0, 0, 0, 0),)
     assert diversification(0, two_way, nine) == pytest.approx(0.5625, abs=1e-12)
     elapsed = time.time() - started
     print(f"ACCEPTANCE 4 (index identities): PASS [{elapsed:.1f}s]")
@@ -324,7 +324,7 @@ def test_criterion_9_end_to_end_determinism(deterministic_runs):
         assert outputs["parallel"][name].read_bytes() == reference, name
     for result in reports["first"].replications:
         inst = result.draw.instance()
-        equilibrium = Equilibrium(result.markups, FlowMatrix(result.flows))
+        equilibrium = Equilibrium(result.markups, result.flows)
         assert verify_equilibrium(inst, equilibrium) == []
     elapsed = time.time() - started
     print(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from builders import flow_matrix
 from oracle import (
     EnumerationBudgetError,
     brute_force_equilibrium,
@@ -235,7 +234,7 @@ def test_auction_two_market_example():
     for solve in SOLVERS:
         eq = solve(inst)
         assert eq.markups == (5,)
-        assert eq.flows.x == ((1, 0),)
+        assert eq.flows == ((1, 0),)
         assert verify_equilibrium(inst, eq) == []
 
 
@@ -245,7 +244,7 @@ def test_auction_no_scarcity_keeps_zero_markups():
     for solve in SOLVERS:
         eq = solve(inst)
         assert eq.markups == (0, 0)
-        assert eq.flows.x == tuple(
+        assert eq.flows == tuple(
             tuple(bundles[j].z[i] for j in range(inst.n)) for i in range(inst.m)
         )
 
@@ -255,7 +254,7 @@ def test_auction_masked_supplier_stays_at_zero():
     for solve in SOLVERS:
         eq = solve(inst)
         assert eq.markups == (0,)
-        assert eq.flows.x == ((0, 0),)
+        assert eq.flows == ((0, 0),)
         assert verify_equilibrium(inst, eq) == []
 
 
@@ -293,7 +292,7 @@ def test_verifier_accepts_auction_output():
 
 def test_verifier_flags_unsold_at_positive_markup():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
-    zero_flows = flow_matrix([[0, 0]])
+    zero_flows = ((0, 0),)
     report = verify_equilibrium(inst, Equilibrium((5,), zero_flows))
     [clearance] = [w for w in report if "unsold at positive markup" in w]
     assert "supplier 0" in clearance
@@ -301,7 +300,7 @@ def test_verifier_flags_unsold_at_positive_markup():
 
 def test_verifier_flags_capacity_breach():
     inst = make([1], [1, 1], 0, [10, 10], [[2, 2]])
-    fat_flows = flow_matrix([[1, 1]])
+    fat_flows = ((1, 1),)
     report = verify_equilibrium(inst, Equilibrium((0,), fat_flows))
     assert any("capacity exceeded" in w for w in report)
 
@@ -337,13 +336,13 @@ def test_certificate_defers_free_disposal_to_the_exact_check():
     inst = make([2], [1], 0, [5], [[9]])
     assert not auction._buys_cheapest_units(inst, 0, (0,), (1,))
     assert bundle_utility((1,), 0, (0,), inst) == demand_bundle(0, (0,), inst).utility
-    assert verify_equilibrium(inst, Equilibrium((0,), flow_matrix([[1]]))) == []
+    assert verify_equilibrium(inst, Equilibrium((0,), ((1,),))) == []
 
 
 def test_verifier_flags_suboptimal_bundle():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
     # at zero markups, market 0 strictly prefers importing
-    lazy = flow_matrix([[0, 0]])
+    lazy = ((0, 0),)
     report = verify_equilibrium(inst, Equilibrium((0,), lazy))
     assert any("gets utility" in w for w in report)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from builders import flow_matrix
 from phosmarket.core import (
     MarketInstance,
     quantize,
@@ -51,22 +50,22 @@ def test_nonpositive_local_cost_is_reported():
 
 def test_flow_validation_catches_each_violation():
     inst = small_instance(t=((2, None), (3, 5)))
-    ok = flow_matrix([[1, 0], [1, 1]])
+    ok = ((1, 0), (1, 1))
     assert validate_flows(ok, inst) == []
 
-    over_capacity = flow_matrix([[2, 0], [2, 2]])
+    over_capacity = ((2, 0), (2, 2))
     assert any("capacity exceeded" in v for v in validate_flows(over_capacity, inst))
 
-    masked = flow_matrix([[0, 1], [0, 0]])
+    masked = ((0, 1), (0, 0))
     assert any("masked pair" in v for v in validate_flows(masked, inst))
 
-    too_much = flow_matrix([[2, 0], [2, 0]])
+    too_much = ((2, 0), (2, 0))
     assert any("imports exceed demand" in v for v in validate_flows(too_much, inst))
 
 
 def test_local_supply_is_derived_from_demand():
     inst = small_instance()
-    flows = flow_matrix([[1, 0], [1, 1]])
+    flows = ((1, 0), (1, 1))
     assert [local_share(j, flows, inst) * inst.d[j] for j in range(inst.n)] == [1, 1]
 
 

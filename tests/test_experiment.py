@@ -33,7 +33,7 @@ from phosmarket.experiment import (
     sampled_replications,
     verify_run,
 )
-from builders import flow_matrix
+from phosmarket.pipeline import run_pipeline
 from report_rows import read_rows, table_rows
 
 ROOT = Path(__file__).parent.parent
@@ -242,7 +242,7 @@ def test_fixture_replications_pass_the_cheapest_units_certificate():
         inst = assemble_draw(context, b).instance()
         eq = solve_minimal_markups(inst, context.start)
         for j in range(inst.n):
-            bundle = tuple(row[j] for row in eq.flows.x)
+            bundle = tuple(row[j] for row in eq.flows)
             assert auction._buys_cheapest_units(inst, j, eq.markups, bundle), (b, j)
 
 
@@ -383,7 +383,6 @@ def fixture_records(tmp_path_factory):
     equilibrium = solve_minimal_markups(inst, report.context.start)
     return {
         "MarketInstance": inst,
-        "FlowMatrix": equilibrium.flows,
         "Equilibrium": equilibrium,
         "_MarketDemand": auction._demand_structure(inst, 0, equilibrium.markups),
         "DemandBundle": auction.demand_bundle(0, equilibrium.markups, inst),
@@ -402,7 +401,6 @@ def fixture_records(tmp_path_factory):
     "name",
     [
         "MarketInstance",
-        "FlowMatrix",
         "Equilibrium",
         "_MarketDemand",
         "DemandBundle",
@@ -436,6 +434,15 @@ def test_emit_tables_rerun_is_byte_identical(tmp_path):
     second = emit_tables(report, tmp_path / "b")
     for name in first:
         assert first[name].read_bytes() == second[name].read_bytes()
+
+
+def test_report_and_pipeline_write_into_new_nested_directories(tmp_path):
+    report_dir = tmp_path / "report" / "nested"
+    written = emit_tables(run_experiment(fixture_config(tmp_path, replications=2)), report_dir)
+    assert sorted(report_dir.iterdir()) == sorted(written.values())
+    pipeline_dir = tmp_path / "pipeline" / "nested"
+    written = run_pipeline(ROOT / "tests" / "data" / "raw_small", pipeline_dir)
+    assert sorted(pipeline_dir.iterdir()) == sorted(written.values())
 
 
 def test_fixture_report_matches_pinned_digests(tmp_path):
@@ -549,7 +556,7 @@ def raise_first_markup(inst, eq):
 def move_a_unit_to_a_dearer_supplier(inst, eq):
     """Move one imported unit to another open supplier with spare capacity
     whose next unit, markup included, costs more; unchanged if none exists."""
-    x = [list(row) for row in eq.flows.x]
+    x = [list(row) for row in eq.flows]
     p, a = eq.markups, inst.a
     for j in range(inst.n):
         for i in range(inst.m):
@@ -565,7 +572,7 @@ def move_a_unit_to_a_dearer_supplier(inst, eq):
                 ):
                     x[i][j] -= 1
                     x[k][j] += 1
-                    return Equilibrium(p, flow_matrix(x))
+                    return Equilibrium(p, tuple(map(tuple, x)))
     return eq
 
 
@@ -589,10 +596,10 @@ def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypa
 def test_cli_simulate_names_a_capacity_breach_once_with_exit_2(tmp_path, monkeypatch, capsys):
     def over_capacity(inst, start):
         eq = solve_minimal_markups(inst, start)
-        x = [list(row) for row in eq.flows.x]
+        x = [list(row) for row in eq.flows]
         j = next(j for j in range(inst.n) if inst.t[0][j] is not None)
         x[0][j] += inst.s[0] + 1
-        return Equilibrium(eq.markups, flow_matrix(x))
+        return Equilibrium(eq.markups, tuple(map(tuple, x)))
 
     monkeypatch.setattr(experiment, "solve_minimal_markups", over_capacity)
     assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
@@ -766,6 +773,16 @@ def test_cli_simulate_fails_when_a_worker_dies_and_leaves_none_running(tmp_path)
             r"failure: worker process \d+ ended without reporting .*exit code 9\)", done.stderr
         ), done.stderr
         assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    done = run_in_fresh_interpreter(
+        "import sys\n"
+        "import phosmarket\n"
+        "print(sorted(name for name in sys.modules if name.startswith('phosmarket.')))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cli_simulate_does_not_import_the_raw_pipeline(tmp_path):

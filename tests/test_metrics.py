@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import flow_matrix
 from phosmarket.core import MarketInstance
 from phosmarket.experiment import (
     BootstrapDraw,
@@ -37,21 +36,21 @@ def instance(m, n, s, d):
 
 def test_concentration_monopoly_is_one():
     inst = instance(2, 1, [6, 6], [6])
-    sole = flow_matrix([[6], [0]])
+    sole = ((6,), (0,))
     assert concentration(0, sole, inst) == pytest.approx(1.0)
-    all_local = flow_matrix([[0], [0]])
+    all_local = ((0,), (0,))
     assert concentration(0, all_local, inst) == pytest.approx(1.0)
 
 
 def test_concentration_equal_shares_is_zero():
     inst = instance(5, 1, [1] * 5, [6])
-    flows = flow_matrix([[1]] * 5)  # five imports plus one local unit
+    flows = ((1,),) * 5  # five imports plus one local unit
     assert concentration(0, flows, inst) == pytest.approx(0.0)
 
 
 def test_concentration_half_local_half_single_supplier():
     inst = instance(5, 1, [5] * 5, [10])
-    flows = flow_matrix([[5], [0], [0], [0], [0]])
+    flows = ((5,), (0,), (0,), (0,), (0,))
     assert concentration(0, flows, inst) == pytest.approx(0.4)
 
 
@@ -65,60 +64,60 @@ def test_concentration_stays_in_unit_interval(imports, local):
         return
     m = len(imports)
     inst = instance(m, 1, [max(q, 1) for q in imports], [d])
-    flows = flow_matrix([[q] for q in imports])
+    flows = tuple((q,) for q in imports)
     value = concentration(0, flows, inst)
     assert -1e-12 <= value <= 1 + 1e-12
 
 
 def test_diversification_single_market_is_zero():
     inst = instance(1, 3, [4], [4, 4, 4])
-    flows = flow_matrix([[4, 0, 0]])
+    flows = ((4, 0, 0),)
     assert diversification(0, flows, inst) == pytest.approx(0.0)
 
 
 def test_diversification_equal_split_is_one():
     inst = instance(1, 4, [8], [4, 4, 4, 4])
-    flows = flow_matrix([[2, 2, 2, 2]])
+    flows = ((2, 2, 2, 2),)
     assert diversification(0, flows, inst) == pytest.approx(1.0)
 
 
 def test_diversification_two_of_nine_split():
     inst = instance(1, 9, [8], [8] * 9)
-    flows = flow_matrix([[4, 4, 0, 0, 0, 0, 0, 0, 0]])
+    flows = ((4, 4, 0, 0, 0, 0, 0, 0, 0),)
     assert diversification(0, flows, inst) == pytest.approx(0.5625, abs=1e-12)
 
 
 def test_diversification_undefined_when_unsold():
     inst = instance(1, 2, [4], [4, 4])
-    flows = flow_matrix([[0, 0]])
+    flows = ((0, 0),)
     assert diversification(0, flows, inst) is None
 
 
 def test_diversification_requires_two_markets():
     inst = instance(1, 1, [4], [4])
-    flows = flow_matrix([[4]])
+    flows = ((4,),)
     with pytest.raises(ValueError):
         diversification(0, flows, inst)
 
 
 def test_local_share_examples():
     inst = instance(1, 1, [4], [4])
-    assert local_share(0, flow_matrix([[0]]), inst) == pytest.approx(1.0)
-    assert local_share(0, flow_matrix([[4]]), inst) == pytest.approx(0.0)
-    assert local_share(0, flow_matrix([[1]]), inst) == pytest.approx(0.75)
+    assert local_share(0, ((0,),), inst) == pytest.approx(1.0)
+    assert local_share(0, ((4,),), inst) == pytest.approx(0.0)
+    assert local_share(0, ((1,),), inst) == pytest.approx(0.75)
 
 
 def test_global_share_examples():
-    flows = flow_matrix([[0, 0], [3, 2]])
+    flows = ((0, 0), (3, 2))
     assert global_supplier_share(0, flows, (25, 25)) == pytest.approx(0.0)
     assert global_supplier_share(1, flows, (25, 25)) == pytest.approx(0.10)
-    sole = flow_matrix([[2, 3]])
+    sole = ((2, 3),)
     assert global_supplier_share(0, sole, (2, 3)) == pytest.approx(1.0)
 
 
 def test_shares_account_for_all_demand():
     inst = instance(2, 2, [3, 3], [4, 5])
-    flows = flow_matrix([[2, 1], [0, 3]])
+    flows = ((2, 1), (0, 3))
     total = sum(inst.d)
     global_sum = sum(global_supplier_share(i, flows, inst.d) for i in range(2))
     local_weighted = sum(
@@ -129,12 +128,12 @@ def test_shares_account_for_all_demand():
 
 def test_structure_rows_are_consistent():
     inst = instance(2, 2, [3, 3], [4, 5])
-    flows = flow_matrix([[2, 1], [0, 3]])
+    flows = ((2, 1), (0, 3))
     for j in range(inst.n):
-        imported = sum(flows.x[i][j] for i in range(inst.m)) / inst.d[j]
+        imported = sum(row[j] for row in flows) / inst.d[j]
         assert local_share(j, flows, inst) + imported == pytest.approx(1.0)
     for i in range(inst.m):
-        assert flows.supplier_total(i) == inst.s[i] == 3
+        assert sum(flows[i]) == inst.s[i] == 3
         assert global_supplier_share(i, flows, inst.d) == pytest.approx(3 / 9)
 
 
@@ -176,7 +175,7 @@ def cost_report(cost_draws, *, m, n, scale):
     return aggregate(context, results)
 
 
-def test_entry_floor_summary_two_replications():
+def test_cost_tables_two_replications():
     draws = [
         ((10, None), (14, 20)),
         ((14, None), (10, 22)),
@@ -192,11 +191,11 @@ def test_entry_floor_summary_two_replications():
     assert floors[1]["mean_min_cost"] == pytest.approx((0.20 + 0.22) / 2)
 
 
-def test_entry_floor_summary_single_replication_has_zero_sd():
+def test_cost_tables_single_replication_has_zero_sd():
     report = cost_report([((10, 20),)], m=1, n=2, scale=100)
     assert [row["s0_sd"] for row in table_rows(report, "trade_costs")] == [0.0, 0.0]
 
 
-def test_entry_floor_summary_needs_replications():
+def test_cost_tables_need_replications():
     with pytest.raises(ExperimentError):
         cost_report([], m=1, n=2, scale=100)

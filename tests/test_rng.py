@@ -76,7 +76,7 @@ def test_replication_streams_draw_what_numpy_draws(seed, replication, n_regions,
 
 @given(seed=SEEDS, calls=CALLS)
 @settings(max_examples=100, deadline=None)
-def test_from_seed_draws_what_default_rng_draws(seed, calls):
+def test_seeded_stream_draws_what_default_rng_draws(seed, calls):
     assert_same_draws(seeded_stream(seed), np.random.default_rng(seed), calls)
 
 
