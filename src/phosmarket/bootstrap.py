@@ -18,7 +18,6 @@ dot products sum sequentially in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import quantize, to_minor
@@ -60,39 +59,6 @@ def smooth_cma3(series: Sequence[float]) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class RegionSeries:
-    """Aligned smoothed series for one region (Mt P2O5 per year).
-
-    ``y`` is apparent DAP/MAP consumption, ``x`` total fertilizer consumption,
-    ``z`` fertilizer use in application to crops.
-    """
-
-    region: str
-    y: tuple[float, ...]
-    x: tuple[float, ...]
-    z: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        p = len(self.y)
-        if p < 3 or len(self.x) != p or len(self.z) != p:
-            raise ValueError(f"series for {self.region}: equal lengths >= 3 required")
-        if min(min(self.y), min(self.x), min(self.z)) <= 0:
-            raise ValueError(f"series for {self.region}: all values must be positive")
-
-    @staticmethod
-    def from_raw(
-        region: str, y: Sequence[float], x: Sequence[float], z: Sequence[float]
-    ) -> RegionSeries:
-        """Build a region series by span-3 smoothing of the raw observations."""
-        return RegionSeries(
-            region=region,
-            y=tuple(smooth_cma3(y)),
-            x=tuple(smooth_cma3(x)),
-            z=tuple(smooth_cma3(z)),
-        )
-
-
 class TwoStageFit(NamedTuple):
     """Instrumental-variables fit of the two demand equations (no intercepts).
 
@@ -109,20 +75,31 @@ class TwoStageFit(NamedTuple):
     zz: float  # z . z, reused by every bootstrap draw
 
 
-def fit_two_stage(series: RegionSeries) -> TwoStageFit:
-    """Fit ``x = alpha z`` and ``y = beta x`` with instrument ``z``."""
-    z, x, y = series.z, series.x, series.y
+def fit_two_stage(
+    region: str, y: Sequence[float], x: Sequence[float], z: Sequence[float]
+) -> TwoStageFit:
+    """Fit ``x = alpha z`` and ``y = beta x`` with instrument ``z``.
+
+    The columns are one region's aligned, smoothed series (Mt P2O5 per
+    year): ``y`` apparent DAP/MAP consumption, ``x`` total fertilizer
+    consumption and ``z`` fertilizer use in application to crops.
+    """
+    p = len(y)
+    if p < 3 or len(x) != p or len(z) != p:
+        raise ValueError(f"series for {region}: equal lengths >= 3 required")
+    if min(min(y), min(x), min(z)) <= 0:
+        raise ValueError(f"series for {region}: all values must be positive")
     zz = _dot(z, z)
     zx = _dot(z, x)
     if zz == 0.0:
-        raise CalibrationError(f"{series.region}: instrument series is all zero")
+        raise CalibrationError(f"{region}: instrument series is all zero")
     if zx == 0.0:
-        raise CalibrationError(f"{series.region}: degenerate first stage (z.x = 0)")
+        raise CalibrationError(f"{region}: degenerate first stage (z.x = 0)")
     alpha = zx / zz
     beta = _dot(z, y) / zx
     return TwoStageFit(
-        region=series.region,
-        z=z,
+        region=region,
+        z=tuple(z),
         alpha=alpha,
         beta=beta,
         u1=tuple(yk - beta * xk for yk, xk in zip(y, x)),

@@ -56,8 +56,9 @@ _REQUIRED = tuple(field.name for field in fields(ExperimentConfig) if field.defa
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    """Parse a ``key = value`` file, one entry per line, ``#`` comments."""
+    """Parse a ``key = value`` file, one entry per line, each key once, ``#`` comments."""
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -69,6 +70,9 @@ def load_config(path: Path) -> ExperimentConfig:
         parser = _PARSERS.get(key)
         if parser is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        first = key_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: repeats key {key!r} of line {first}")
         try:
             values[key] = parser(value.strip())
         except ValueError as exc:

@@ -123,8 +123,8 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         if not rows:
             raise bs.CalibrationError(f"no demand series for region {region!r}")
         _, _, dapmap, fert, crop_use = zip(*rows)
-        series = bs.RegionSeries.from_raw(region, dapmap, fert, crop_use)
-        demand_fits.append(bs.fit_two_stage(series))
+        smoothed = (bs.smooth_cma3(column) for column in (dapmap, fert, crop_use))
+        demand_fits.append(bs.fit_two_stage(region, *smoothed))
 
     z_scenario = {
         region: use for name, region, use in tables["scenario_use"] if name == config.scenario
@@ -249,7 +249,6 @@ class ReplicationResult(NamedTuple):
     local_share: tuple[float, ...]
     diversification: tuple[float | None, ...]
     global_share: tuple[float, ...]
-    sold: tuple[int, ...]
 
 
 def run_replication(context: ExperimentContext, replication: int) -> ReplicationResult:
@@ -276,7 +275,6 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
         global_share=tuple(
             metrics.global_supplier_share(i, flows, inst.d) for i in range(inst.m)
         ),
-        sold=tuple(map(sum, flows)),
     )
 
 
@@ -467,7 +465,7 @@ def aggregate(
         (("a",), [(r.draw.a,) for r in results]),
         (named("local_cost", regions), [r.draw.c_o for r in results]),
         (named("markup", suppliers), [r.markups for r in results]),
-        (named("sold", suppliers), [r.sold for r in results]),
+        (named("sold", suppliers), [tuple(map(sum, r.flows)) for r in results]),
         (named("concentration", regions), [r.concentration for r in results]),
         (named("local_share", regions), [r.local_share for r in results]),
     )

@@ -53,24 +53,13 @@ def convert_to_p2o5(mass: float, kind: str) -> float:
         raise PipelineError(f"unknown product kind {kind!r}") from None
 
 
-class TradeFlowRecord(NamedTuple):
-    """One raw trade observation: product mass shipped into a country."""
-
-    year: int
-    supplier: str
-    country: str
-    kind: str
-    mass: float  # tonnes of product
-
-
 class ApplicationRate(NamedTuple):
     """Phosphorus application rate for one crop in one country.
 
+    :func:`derive_application_rates` keys each rate by ``(country, crop)``;
     ``fallback`` marks rates imputed by the regional-minimum rule.
     """
 
-    country: str
-    crop: str
     rate: float  # kg P2O5 per tonne of crop produced
     fallback: bool = False
 
@@ -92,20 +81,22 @@ def _totals(items: Iterable[tuple[Hashable, float]]) -> dict:
 
 
 def compile_trade_flows(
-    records: Iterable[TradeFlowRecord],
+    records: Iterable[tuple[int, str, str, str, float]],
     country_to_region: Mapping[str, str],
 ) -> dict[tuple[str, str, int], float]:
     """Aggregate converted flows by (supplier, region, year), in kt P2O5.
 
+    A record is one raw trade observation, ``(year, supplier, country, kind,
+    mass)``: ``mass`` tonnes of product ``kind`` shipped into ``country``.
     Records that share a (year, supplier, country, kind) add up;
     ``run_pipeline`` rejects them when it reads the table.
     """
     return _totals(
         (
-            (rec.supplier, _region_of(rec.country, country_to_region), rec.year),
-            convert_to_p2o5(rec.mass, rec.kind) / 1000.0,
+            (supplier, _region_of(country, country_to_region), year),
+            convert_to_p2o5(mass, kind) / 1000.0,
         )
-        for rec in records
+        for year, supplier, country, kind, mass in records
     )
 
 
@@ -177,7 +168,7 @@ def derive_application_rates(
             raise PipelineError(f"use reported for {reporter}/{crop} with no production")
         rate = 1000.0 * use_kt / sum(sorted(prod for _, prod in covered))
         for country, _ in covered:
-            rates[(country, crop)] = ApplicationRate(country, crop, rate)
+            rates[(country, crop)] = ApplicationRate(rate)
 
     # Regional-minimum imputation for produced crops with no use data.
     regional_min: dict[tuple[str, str], float] = {}
@@ -190,9 +181,7 @@ def derive_application_rates(
             continue
         key = (_region_of(country, country_to_region), crop)
         if key in regional_min:
-            rates[(country, crop)] = ApplicationRate(
-                country, crop, regional_min[key], fallback=True
-            )
+            rates[(country, crop)] = ApplicationRate(regional_min[key], fallback=True)
     return rates
 
 
@@ -254,12 +243,12 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     for name, path in inputs.items():
         rows[name], digests[name] = read_csv(path, *RAW_TABLES[name])
     residence = dict(rows["residence"])
-    records = [TradeFlowRecord(*row) for row in rows["trade_flows"]]
+    records = list(rows["trade_flows"])
     # domestic supply ships into its supplier's residence country
     for year, supplier, kind, mass in rows["domestic_supply"]:
         if supplier not in residence:
             raise PipelineError(f"supplier {supplier!r} has no residence mapping")
-        records.append(TradeFlowRecord(year, supplier, residence[supplier], kind, mass))
+        records.append((year, supplier, residence[supplier], kind, mass))
     regions = dict(rows["regions"])
     consumption = {(region, year): kt for region, year, kt in rows["consumption"]}
 
@@ -316,8 +305,8 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
                 "application_rates",
                 ("country", "crop", "rate_kg_per_t", "fallback"),
                 [
-                    (rate.country, rate.crop, f"{rate.rate:.6f}", int(rate.fallback))
-                    for rate in sorted(rates.values(), key=lambda r: (r.country, r.crop))
+                    (country, crop, f"{rate.rate:.6f}", int(rate.fallback))
+                    for (country, crop), rate in sorted(rates.items())
                 ],
                 derived,
             )

@@ -32,7 +32,7 @@ from phosmarket.auction import (
     valuation,
     verify_equilibrium,
 )
-from phosmarket.bootstrap import RegionSeries, fit_two_stage, wild_bootstrap_demand
+from phosmarket.bootstrap import fit_two_stage, wild_bootstrap_demand
 from phosmarket.config import ExperimentConfig
 from phosmarket.core import Equilibrium, MarketInstance
 from phosmarket.experiment import (
@@ -261,10 +261,8 @@ def test_criterion_6_conversion_exactness():
 def test_criterion_7_bootstrap_degeneracy_and_centering():
     started = time.time()
     z = (1.0, 2.0, 3.0, 4.0)
-    exact = RegionSeries(
-        "exact", y=tuple(6.0 * v for v in z), x=tuple(3.0 * v for v in z), z=z
-    )
-    fit, stream = fit_two_stage(exact), seeded_stream(1)
+    fit = fit_two_stage("exact", [6.0 * v for v in z], [3.0 * v for v in z], z)
+    stream = seeded_stream(1)
     pairs = [wild_bootstrap_demand(fit, 5.0, stream, min_value=0.0) for _ in range(200)]
     draws = [draw for draw, _ in pairs]
     rejected = sum(count for _, count in pairs)
@@ -276,8 +274,7 @@ def test_criterion_7_bootstrap_degeneracy_and_centering():
     zs = np.linspace(1.0, 2.5, 9)
     xs = 3.0 * zs + rng.normal(0.0, 0.06, 9)
     ys = 2.0 * xs + rng.normal(0.0, 0.06, 9)
-    noisy = RegionSeries("noisy", y=tuple(ys), x=tuple(xs), z=tuple(zs))
-    fit = fit_two_stage(noisy)
+    fit = fit_two_stage("noisy", tuple(ys), tuple(xs), tuple(zs))
     point = fit.beta * fit.alpha * 3.0
     stream = seeded_stream(5)
     draws = [wild_bootstrap_demand(fit, 3.0, stream, min_value=0.0)[0] for _ in range(1000)]

@@ -278,6 +278,23 @@ def test_auction_resolves_demand_ties_without_overshoot():
         assert verify_equilibrium(inst, eq) == []
 
 
+def test_reported_flows_are_the_minimal_demanded_bundles_among_equilibrium_flows():
+    # Equilibrium flows are not unique at the minimal markups; the reports
+    # pin the tie rule: where they clear the market, every market takes its
+    # minimal demanded bundle (ties go local first, then by supplier index).
+    inst = make(
+        [1, 7, 3], [2, 2, 1, 6], 1, [18, 4, 29, 6],
+        [[20, 3, None, 10], [7, None, 17, 11], [16, None, 16, None]],
+    )
+    reported = ((0, 0, 0, 1), (2, 0, 0, 1), (0, 0, 1, 0))
+    for solve in SOLVERS:
+        assert solve(inst) == Equilibrium((3, 0, 0), reported)
+    minimal = [auction._demand_structure(inst, j, (3, 0, 0)).minimal_imports() for j in range(4)]
+    assert tuple(zip(*minimal)) == reported
+    other = ((0, 1, 0, 0), (2, 0, 0, 2), (0, 0, 1, 0))
+    assert verify_equilibrium(inst, Equilibrium((3, 0, 0), other)) == []
+
+
 # ---------------------------------------------------------------------------
 # Verification
 

@@ -6,7 +6,6 @@ import pytest
 from builders import seeded_stream
 from phosmarket.bootstrap import (
     CalibrationError,
-    RegionSeries,
     calibrate_local_costs,
     capacity_inputs,
     fit_trade_cost_regression,
@@ -37,13 +36,11 @@ def test_cma3_rejects_short_series():
         smooth_cma3([1.0, 2.0])
 
 
-def test_region_series_validation():
-    with pytest.raises(ValueError):
-        RegionSeries("r", y=(1.0, 1.0), x=(1.0, 1.0), z=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        RegionSeries("r", y=(1.0, 0.0, 1.0), x=(1.0, 1.0, 1.0), z=(1.0, 1.0, 1.0))
-    raw = RegionSeries.from_raw("r", [1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [1, 2, 3, 4, 5])
-    assert raw.y == (2.0, 3.0, 4.0)
+def test_fit_two_stage_validates_series():
+    with pytest.raises(ValueError, match="equal lengths >= 3 required"):
+        fit_two_stage("r", (1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="all values must be positive"):
+        fit_two_stage("r", (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +48,15 @@ def test_region_series_validation():
 
 
 def exact_series():
-    # y = 2x, x = 3z: noiseless identification
+    # fit_two_stage's arguments for y = 2x, x = 3z: noiseless identification
     z = (1.0, 2.0, 3.0)
     x = tuple(3 * v for v in z)
     y = tuple(2 * v for v in x)
-    return RegionSeries("exact", y=y, x=x, z=z)
+    return "exact", y, x, z
 
 
 def test_fit_two_stage_noiseless():
-    fit = fit_two_stage(exact_series())
+    fit = fit_two_stage(*exact_series())
     assert fit.alpha == pytest.approx(3.0)
     assert fit.beta == pytest.approx(2.0)
     assert all(abs(u) < 1e-12 for u in fit.u1)
@@ -67,17 +64,15 @@ def test_fit_two_stage_noiseless():
 
 
 def test_fit_two_stage_closed_form():
-    series = RegionSeries("cf", y=(3.0, 6.0, 4.5), x=(2.0, 4.0, 3.0), z=(1.0, 2.0, 1.5))
-    fit = fit_two_stage(series)
+    fit = fit_two_stage("cf", (3.0, 6.0, 4.5), (2.0, 4.0, 3.0), (1.0, 2.0, 1.5))
     assert fit.alpha == pytest.approx(2.0)
     assert fit.beta == pytest.approx(1.5)
 
 
 def test_fit_two_stage_degenerate_instrument():
-    series = exact_series()
-    broken = RegionSeries("z0", y=series.y, x=series.x, z=(1e-300,) * 3)
+    _, y, x, _ = exact_series()
     with pytest.raises(CalibrationError):
-        fit_two_stage(broken)
+        fit_two_stage("z0", y, x, (1e-300,) * 3)
 
 
 def wild_bootstrap_draws(fit, z_scenario, B, rng):
@@ -88,7 +83,7 @@ def wild_bootstrap_draws(fit, z_scenario, B, rng):
 
 def test_wild_bootstrap_degenerates_to_point_prediction():
     rng = seeded_stream(1)
-    draws, rejected = wild_bootstrap_draws(fit_two_stage(exact_series()), 4.0, 50, rng)
+    draws, rejected = wild_bootstrap_draws(fit_two_stage(*exact_series()), 4.0, 50, rng)
     assert rejected == 0
     assert all(d == pytest.approx(6.0 * 4.0) for d in draws)
 
@@ -96,7 +91,7 @@ def test_wild_bootstrap_degenerates_to_point_prediction():
 def test_wild_bootstrap_zero_scenario_exhausts_redraws():
     rng = seeded_stream(2)
     with pytest.raises(CalibrationError):
-        wild_bootstrap_demand(fit_two_stage(exact_series()), 0.0, rng, min_value=0.0)
+        wild_bootstrap_demand(fit_two_stage(*exact_series()), 0.0, rng, min_value=0.0)
 
 
 def noisy_series():
@@ -104,12 +99,12 @@ def noisy_series():
     z = np.linspace(1.0, 2.0, 9)
     x = 3.0 * z + rng.normal(0, 0.05, 9)
     y = 2.0 * x + rng.normal(0, 0.05, 9)
-    return RegionSeries("noisy", y=tuple(y), x=tuple(x), z=tuple(z))
+    return "noisy", tuple(y), tuple(x), tuple(z)
 
 
 def test_wild_bootstrap_centering():
     series = noisy_series()
-    fit = fit_two_stage(series)
+    fit = fit_two_stage(*series)
     point = fit.beta * fit.alpha * 2.5
     draws, _ = wild_bootstrap_draws(fit, 2.5, 1000, seeded_stream(7))
     draws = np.asarray(draws)
@@ -119,7 +114,7 @@ def test_wild_bootstrap_centering():
 
 def numpy_wild_bootstrap(series, z_scenario, B, rng):
     """The wild bootstrap on NumPy arrays, drawing from a NumPy generator."""
-    z, x, y = (np.asarray(v) for v in (series.z, series.x, series.y))
+    y, x, z = (np.asarray(v) for v in series[1:])
     alpha = (z @ x) / (z @ z)
     beta = (z @ y) / (z @ x)
     u1, u2 = y - beta * x, x - alpha * z
@@ -138,7 +133,7 @@ def test_wild_bootstrap_matches_numpy_reference():
     # Sequential dot products may sum in another order than BLAS, so the
     # floats agree to a few ulps, not bit for bit; the signs must be equal.
     series = noisy_series()
-    fit = fit_two_stage(series)
+    fit = fit_two_stage(*series)
     alpha, beta, expected = numpy_wild_bootstrap(series, 2.5, 200, np.random.default_rng(11))
     draws, rejected = wild_bootstrap_draws(fit, 2.5, 200, seeded_stream(11))
     assert rejected == 0

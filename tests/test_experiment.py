@@ -141,14 +141,31 @@ def test_config_rejects_bad_values(tmp_path):
         fixture_config(tmp_path, unit_kt=0.0)
     with pytest.raises(ConfigError):
         fixture_config(tmp_path, capacity_share_base="median")
+    with pytest.raises(ConfigError, match="money_scale must be >= 1"):
+        fixture_config(tmp_path, money_scale=0)
+    with pytest.raises(ConfigError, match="theta must be nonnegative"):
+        fixture_config(tmp_path, theta=-1)
     path = tmp_path / "c.cfg"
     path.write_text("scenario = BAU\nseed = 1.5\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:2: bad value for 'seed'")):
         load_config(path)
+    path.write_text("scenario = BAU\nseed\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: expected 'key = value'")):
+        load_config(path)
     path = write_config(tmp_path)
-    path.write_text(path.read_text() + "workers = 0\n")
+    path.write_text(path.read_text().replace("workers = 1\n", "workers = 0\n"))
     with pytest.raises(ConfigError, match=re.escape(f"{path}: workers must be >= 1")):
         load_config(path)
+
+
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text() + "# a later run\nseed = 5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:13: repeats key 'seed' of line 3")):
+        load_config(path)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:13: repeats key 'seed'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_sets_every_field(tmp_path):
@@ -218,7 +235,7 @@ def test_replication_passes_verifier_and_masks_flows(tmp_path):
     capechem = context.suppliers.index("capechem")
     north = context.regions.index("north")
     assert result.flows[capechem][north] == 0
-    assert sum(result.sold) > 0
+    assert sum(map(sum, result.flows)) > 0
 
 
 def test_dual_solver_matches_auction_on_fixture_draws():
@@ -804,23 +821,28 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("overrides", "table", "error"),
+    ("overrides", "table", "cells", "error"),
     [
-        (dict(reference_market="nowhere"), None, "unknown reference market 'nowhere'"),
-        ({}, "demand_series.csv", "no demand series for region 'west'"),
-        ({}, "scenario_use.csv", "scenario 'BAU' lacks fertilizer use for: west"),
+        (dict(reference_market="nowhere"), None, (), "unknown reference market 'nowhere'"),
+        (dict(reference_year=1999), None, (), "reference year 1999 outside history"),
+        ({}, "demand_series.csv", ("west",), "no demand series for region 'west'"),
+        ({}, "scenario_use.csv", ("west",), "scenario 'BAU' lacks fertilizer use for: west"),
+        ({}, "local_supply.csv", ("east", "2014"),
+         "reference market 'east' has no local supply in 2014"),
     ],
-    ids=["reference_market", "demand_series", "scenario_use"],
+    ids=["reference_market", "reference_year", "demand_series", "scenario_use", "local_supply"],
 )
 def test_cli_reports_inputs_that_do_not_cover_the_run_with_exit_1(
-    tmp_path, capsys, overrides, table, error
+    tmp_path, capsys, overrides, table, cells, error
 ):
     data = tmp_path / "data"
     shutil.copytree(DATA, data)
-    if table is not None:  # drop every row of the west region
+    if table is not None:  # drop every row that holds all of the cells
         path = data / table
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if "west" not in line.split(",")))
+        path.write_text(
+            "".join(line for line in lines if not set(cells) <= set(line.rstrip("\n").split(",")))
+        )
     path = write_config(tmp_path, data_dir=data, **overrides)
     assert main(["simulate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"

@@ -168,7 +168,6 @@ def cost_report(cost_draws, *, m, n, scale):
             local_share=(1.0,) * n,
             diversification=(None,) * m,
             global_share=(0.0,) * m,
-            sold=(0,) * m,
         )
         for b, t in enumerate(cost_draws)
     ]

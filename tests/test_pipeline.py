@@ -11,7 +11,6 @@ from phosmarket.experiment import INPUT_TABLES
 from phosmarket.pipeline import (
     RAW_TABLES,
     PipelineError,
-    TradeFlowRecord,
     compile_trade_flows,
     convert_to_p2o5,
     derive_application_rates,
@@ -57,8 +56,8 @@ def test_compile_empty_input():
 
 def test_compile_sums_rows_within_region():
     records = [
-        TradeFlowRecord(2016, "acme", "eastland", "DAP", 10_000),
-        TradeFlowRecord(2016, "acme", "eastisle", "MAP", 10_000),
+        (2016, "acme", "eastland", "DAP", 10_000),
+        (2016, "acme", "eastisle", "MAP", 10_000),
     ]
     table = compile_trade_flows(records, REGIONS)
     assert table == {("acme", "east", 2016): pytest.approx(4.6 + 5.2)}
@@ -66,7 +65,7 @@ def test_compile_sums_rows_within_region():
 
 def test_compile_rejects_unmapped_countries():
     with pytest.raises(PipelineError, match="region mapping"):
-        compile_trade_flows([TradeFlowRecord(2016, "acme", "atlantis", "DAP", 1.0)], REGIONS)
+        compile_trade_flows([(2016, "acme", "atlantis", "DAP", 1.0)], REGIONS)
 
 
 def test_compile_adds_domestic_supply_to_residence_region(tmp_path):
@@ -90,9 +89,9 @@ def test_compile_adds_domestic_supply_to_residence_region(tmp_path):
 
 def test_compile_golden_fixture():
     residence = dict(raw_rows("residence"))
-    records = [TradeFlowRecord(*row) for row in raw_rows("trade_flows")]
+    records = raw_rows("trade_flows")
     records += [
-        TradeFlowRecord(year, supplier, residence[supplier], kind, mass)
+        (year, supplier, residence[supplier], kind, mass)
         for year, supplier, kind, mass in raw_rows("domestic_supply")
     ]
     table = compile_trade_flows(records, REGIONS)
@@ -199,8 +198,8 @@ def test_eu_rate_replaces_a_members_own_report():
     use = [(("northland", "wheat"), 10.0), (("EU", "wheat"), 90.0)]
     for order in (use, use[::-1]):
         rates = derive_application_rates(dict(order), production, eu, REGIONS)
-        assert rates[("northland", "wheat")] == ("northland", "wheat", 150.0, False)
-        assert rates[("northisle", "wheat")] == ("northisle", "wheat", 150.0, False)
+        assert rates[("northland", "wheat")] == (150.0, False)
+        assert rates[("northisle", "wheat")] == (150.0, False)
 
 
 def test_scenario_use_matches_hand_aggregation():
