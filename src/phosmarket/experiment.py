@@ -5,10 +5,11 @@ computes its minimal markups as min-cost-flow duals
 (:func:`~phosmarket.auction.solve_minimal_markups`, warm-started from the
 optimum of replication 0's draw, which :func:`load_context` solves),
 verifies the equilibrium (a verifier failure aborts the whole run) and
-contributes one row of market-structure statistics.  :func:`verify_run`
-re-solves sampled replications with the paper's tick-by-tick ascending
-auction, the reference mechanism, and certifies their markups minimal at
-full scale (:func:`~phosmarket.auction.certify_minimal_markups`).
+returns it with its draw; :func:`aggregate` computes the market-structure
+statistics of every equilibrium and builds the report tables.
+:func:`verify_run` re-solves sampled replications with the paper's
+tick-by-tick ascending auction, the reference mechanism, and certifies
+their markups minimal at full scale (:func:`~phosmarket.auction.certify_minimal_markups`).
 Replications are independent.  With ``W`` workers (never more than there
 are replications) the process forks ``W - 1`` children after loading the
 context (POSIX only); each child inherits the loaded context and runs every
@@ -24,7 +25,7 @@ import math
 import os
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import bootstrap as bs
 from . import metrics
@@ -122,6 +123,14 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         rows = sorted(row for row in tables["demand_series"] if row[0] == region)
         if not rows:
             raise bs.CalibrationError(f"no demand series for region {region!r}")
+        found = [row[1] for row in rows]
+        gaps = sorted(set(range(found[0], found[-1] + 1)) - set(found))
+        if gaps or len(rows) < 5:  # 5 rows smooth to 3 values, the fewest a fit takes
+            problem = f"has no row for {gaps[0]}" if gaps else f"has {len(rows)} rows"
+            raise bs.CalibrationError(
+                f"{paths['demand_series']}: region {region!r} {problem}; "
+                "it needs at least 5 rows, in consecutive years"
+            )
         _, _, dapmap, fert, crop_use = zip(*rows)
         smoothed = (bs.smooth_cma3(column) for column in (dapmap, fert, crop_use))
         demand_fits.append(bs.fit_two_stage(region, *smoothed))
@@ -240,15 +249,11 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
 
 
 class ReplicationResult(NamedTuple):
-    """Inputs, equilibrium and structure statistics of one replication."""
+    """Inputs and equilibrium of one replication."""
 
     draw: BootstrapDraw
     markups: tuple[int, ...]
     flows: Flows
-    concentration: tuple[float, ...]
-    local_share: tuple[float, ...]
-    diversification: tuple[float | None, ...]
-    global_share: tuple[float, ...]
 
 
 def run_replication(context: ExperimentContext, replication: int) -> ReplicationResult:
@@ -260,22 +265,7 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
         raise ExperimentError(
             f"replication {replication} failed verification: " + "; ".join(witnesses)
         )
-    flows = equilibrium.flows
-    return ReplicationResult(
-        draw=draw,
-        markups=equilibrium.markups,
-        flows=flows,
-        concentration=tuple(
-            metrics.concentration(j, flows, inst) for j in range(inst.n)
-        ),
-        local_share=tuple(metrics.local_share(j, flows, inst) for j in range(inst.n)),
-        diversification=tuple(
-            metrics.diversification(i, flows, inst) for i in range(inst.m)
-        ),
-        global_share=tuple(
-            metrics.global_supplier_share(i, flows, inst.d) for i in range(inst.m)
-        ),
-    )
+    return ReplicationResult(draw, *equilibrium)
 
 
 #: One report table: its name (the CSV's stem), its header and its rows.
@@ -398,23 +388,17 @@ def _run_child(context: ExperimentContext, first: int, step: int, write_fd: int)
         os._exit(status)
 
 
-def _summary(values: Iterable[float | None]) -> tuple[float | None, float | None, int]:
-    """Mean, SD and count of the values that are not ``None``; ``(None, None, 0)`` if none."""
-    defined = [value for value in values if value is not None]
-    if not defined:
-        return None, None, 0
-    return (*metrics.mean_sd(defined), len(defined))
-
-
 def aggregate(
     context: ExperimentContext, results: list[ReplicationResult]
 ) -> ScenarioReport:
     """Build every report table from the results, listed in replication order.
 
-    A summary cell is the mean or SD over the replications that define the
-    value, and ``None`` where none does.  A region's entry floor is the
-    mean over draws of its cheapest open trade cost, ``nan`` when no pair
-    into the region is open.
+    Each result's structure statistics are computed here, once
+    (:func:`~phosmarket.metrics.structure`, which raises ``ValueError`` on
+    fewer than two regions).  A summary cell is the mean or SD over the
+    replications that define the value, and ``None`` where none does.  A
+    region's entry floor is the mean over draws of its cheapest open trade
+    cost, ``nan`` when no pair into the region is open.
     """
     if not results:
         raise ExperimentError("cannot aggregate a run without replications")
@@ -424,18 +408,19 @@ def aggregate(
     scale = config.money_scale
     tables: list[Table] = []
 
+    structures = (metrics.structure(r.flows, r.draw.instance()) for r in results)
+    stats = metrics.MarketStructure(*zip(*structures))  # each field: one entry per result
     demand_mt = [[d * unit_mt for d in r.draw.d] for r in results]
     for name, key, columns, per_result in (
         ("demand", "region", ("mean_mt", "sd_mt"), demand_mt),
-        ("concentration", "region", ("mean", "sd"), [r.concentration for r in results]),
-        ("local_share", "region", ("mean", "sd"), [r.local_share for r in results]),
-        ("global_share", "supplier", ("mean", "sd"), [r.global_share for r in results]),
-        ("diversification", "supplier", ("mean", "sd", "defined"),
-         [r.diversification for r in results]),
+        ("concentration", "region", ("mean", "sd"), stats.concentration),
+        ("local_share", "region", ("mean", "sd"), stats.local_share),
+        ("global_share", "supplier", ("mean", "sd"), stats.global_share),
+        ("diversification", "supplier", ("mean", "sd", "defined"), stats.diversification),
     ):
         labels = regions if key == "region" else suppliers
         rows = tuple(
-            (label, *_summary(values)[: len(columns)])
+            (label, *metrics.summary(values)[: len(columns)])
             for label, values in zip(labels, zip(*per_result))
         )
         tables.append((name, (key, *columns), rows))
@@ -446,7 +431,8 @@ def aggregate(
         into = [[row[j] for row in r.draw.t] for r in results]
         cells: list[object] = [region]
         for i in range(len(suppliers)):
-            cells += _summary([costs[i] / scale for costs in into if costs[i] is not None])[:2]
+            scaled = [costs[i] / scale for costs in into if costs[i] is not None]
+            cells += metrics.summary(scaled)[:2]
         cost_rows.append(tuple(cells))
         open_costs = ([cost for cost in costs if cost is not None] for costs in into)
         floors = [min(costs) / scale for costs in open_costs if costs]
@@ -466,8 +452,8 @@ def aggregate(
         (named("local_cost", regions), [r.draw.c_o for r in results]),
         (named("markup", suppliers), [r.markups for r in results]),
         (named("sold", suppliers), [tuple(map(sum, r.flows)) for r in results]),
-        (named("concentration", regions), [r.concentration for r in results]),
-        (named("local_share", regions), [r.local_share for r in results]),
+        (named("concentration", regions), stats.concentration),
+        (named("local_share", regions), stats.local_share),
     )
     header = tuple(chain.from_iterable(names for names, _ in replication_columns))
     parts = zip(*(values for _, values in replication_columns))  # one tuple of parts per row
@@ -482,6 +468,14 @@ def aggregate(
 
 # ---------------------------------------------------------------------------
 # Output tables
+
+
+#: The config keys that determine a run's report, in the order the manifest
+#: records them; :func:`verify_run` requires a saved run's to be the config's.
+RUN_SETTINGS = (
+    "scenario", "replications", "seed", "money_scale", "unit_kt", "theta",
+    "capacity_share_base", "reference_market", "reference_year",
+)
 
 
 def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
@@ -508,16 +502,8 @@ def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
         )
 
     manifest = outdir / "manifest.txt"
-    lines = [
-        f"scenario: {config.scenario}",
-        f"replications: {config.replications}",
-        f"seed: {config.seed}",
-        f"money_scale: {config.money_scale}",
-        f"unit_kt: {config.unit_kt}",
-        f"theta: {config.theta}",
-        f"capacity_share_base: {config.capacity_share_base}",
-        f"reference_market: {config.reference_market}",
-        f"reference_year: {config.reference_year}",
+    lines = [f"{key}: {getattr(config, key)}" for key in RUN_SETTINGS]
+    lines += [
         f"suppliers: {','.join(context.suppliers)}",
         f"regions: {','.join(context.regions)}",
         f"rejected_draws: {report.rejections}",
@@ -550,26 +536,33 @@ def verify_run(config: ExperimentConfig, *, sample: int) -> list[tuple[int, bool
     flows must equal the production solver's.  Its markups must also pass
     :func:`~phosmarket.auction.certify_minimal_markups` on the full instance.
 
-    When the configured output directory holds a run manifest, its input
-    digests must match the current input tables (the saved run would not be
-    reproducible otherwise).  Returns ``(replication, auction_match,
-    certificate_ok)`` per sampled index.
+    When the configured output directory holds a run manifest, its run
+    settings (:data:`RUN_SETTINGS`) and input digests must match the config
+    and the input tables, or :class:`ExperimentError` is raised: the sample
+    would re-check another run, or the saved run would not be reproducible.
+    Returns ``(replication, auction_match, certificate_ok)`` per sampled index.
     """
     indices = sampled_replications(config.replications, sample)
-    context = load_context(config)
     manifest = Path(config.output_dir) / "manifest.txt"
+    recorded = {}
     if manifest.exists():
-        recorded = {}
         for line in manifest.read_text(encoding="utf-8").splitlines():
             key, _, value = line.partition(":")
-            if key.startswith("digest_"):
-                recorded[key.removeprefix("digest_")] = value.strip()
-        for name, digest in context.input_digests:
-            if name in recorded and recorded[name] != digest:
+            recorded[key] = value.strip()
+        for key in RUN_SETTINGS:
+            if recorded.get(key) != str(getattr(config, key)):
                 raise ExperimentError(
-                    f"input table {name!r} changed since the saved run "
-                    f"(digest {digest} != recorded {recorded[name]})"
+                    f"the saved run in {manifest.parent} has {key} {recorded.get(key)}, "
+                    f"the config {getattr(config, key)}"
                 )
+    context = load_context(config)
+    for name, digest in context.input_digests:
+        saved = recorded.get(f"digest_{name}")
+        if saved is not None and saved != digest:
+            raise ExperimentError(
+                f"input table {name!r} changed since the saved run "
+                f"(digest {digest} != recorded {saved})"
+            )
     outcomes = []
     for b in indices:
         result = run_replication(context, b)  # raises on verifier failure

@@ -1,4 +1,4 @@
-"""Market-structure statistics computed on equilibrium flows.
+"""Market-structure statistics computed on equilibrium flows, and their summaries.
 
 Indices are computed in floating point from the exact integer flows; the
 flows themselves never leave integer arithmetic.
@@ -7,56 +7,60 @@ flows themselves never leave integer arithmetic.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, NamedTuple
 
 from .core import Flows, MarketInstance
 
 
-def concentration(j: int, flows: Flows, inst: MarketInstance) -> float:
-    """Normalized concentration of market j over its m + 1 sources.
+class MarketStructure(NamedTuple):
+    """The structure statistics of one equilibrium.
 
-    Zero when all sources hold equal shares, one under monopoly.
+    Per market: ``concentration`` over its m + 1 sources (0 at equal
+    shares, 1 under monopoly) and ``local_share``, the share of its demand
+    served locally.  Per supplier: ``diversification``, the spread of its
+    sales over markets (0 on one market, 1 for an equal n-way split of its
+    full capacity, unclamped at partial use, ``None`` if it sold nothing),
+    and ``global_share``, its sales as a share of total demand.
     """
-    d = inst.d[j]
-    local = d - sum(row[j] for row in flows)
-    shares_sq = (local / d) ** 2 + sum((row[j] / d) ** 2 for row in flows)
-    k = inst.m + 1
-    return (shares_sq - 1 / k) / (1 - 1 / k)
+
+    concentration: tuple[float, ...]
+    local_share: tuple[float, ...]
+    diversification: tuple[float | None, ...]
+    global_share: tuple[float, ...]
 
 
-def diversification(i: int, flows: Flows, inst: MarketInstance) -> float | None:
-    """Normalized spread of supplier i's sales across markets.
-
-    Zero when active on a single market, one for an equal n-way split of the
-    full capacity; ``None`` (undefined) when the supplier sold nothing.  At
-    partial utilization the raw value is reported unclamped.
-    """
-    if inst.n < 2:
+def structure(flows: Flows, inst: MarketInstance) -> MarketStructure:
+    """Every structure statistic of ``flows``, summing each market and supplier once."""
+    n, k = inst.n, inst.m + 1
+    if n < 2:
         raise ValueError("diversification needs at least two markets")
-    if sum(flows[i]) == 0:
-        return None
-    cap = inst.s[i]
-    shares_sq = sum((q / cap) ** 2 for q in flows[i])
-    return 1 - (shares_sq - 1 / inst.n) / (1 - 1 / inst.n)
+    concentration, local_share = [], []
+    for j, d in enumerate(inst.d):
+        imports = [row[j] for row in flows]
+        local = d - sum(imports)
+        shares_sq = (local / d) ** 2 + sum((q / d) ** 2 for q in imports)
+        concentration.append((shares_sq - 1 / k) / (1 - 1 / k))
+        local_share.append(local / d)
+    sold = [sum(row) for row in flows]
+    diversification = tuple(
+        None if total == 0 else 1 - (sum((q / cap) ** 2 for q in row) - 1 / n) / (1 - 1 / n)
+        for cap, row, total in zip(inst.s, flows, sold)
+    )
+    total_demand = sum(inst.d)
+    global_share = tuple(total / total_demand for total in sold)
+    return MarketStructure(tuple(concentration), tuple(local_share), diversification, global_share)
 
 
-def local_share(j: int, flows: Flows, inst: MarketInstance) -> float:
-    """Share of market j's demand served by local suppliers."""
-    return (inst.d[j] - sum(row[j] for row in flows)) / inst.d[j]
+def summary(values: Iterable[float | None]) -> tuple[float | None, float | None, int]:
+    """Mean, sample SD (0.0 for one value) and count of the values that are not ``None``.
 
-
-def global_supplier_share(i: int, flows: Flows, demands: Sequence[int]) -> float:
-    """Supplier i's sales as a share of total demand across all markets."""
-    return sum(flows[i]) / sum(demands)
-
-
-def mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and standard deviation (denominator B - 1; 0.0 when B = 1)."""
-    if not values:
-        raise ValueError("at least one replication is required")
-    b = len(values)
-    mean = sum(values) / b
+    Returns ``(None, None, 0)`` when no value is defined.
+    """
+    defined = [value for value in values if value is not None]
+    b = len(defined)
+    if not b:
+        return None, None, 0
+    mean = sum(defined) / b
     if b == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (b - 1)
-    return mean, math.sqrt(var)
+        return mean, 0.0, b
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in defined) / (b - 1)), b

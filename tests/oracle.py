@@ -11,6 +11,11 @@ ascending auction's ticks and the minimality certificate's two tests by
 evaluating the auction's objective (:func:`lyapunov`) one tick away along
 every set of suppliers, 2^m sets per step, where the production code reads
 each step off one min cut.
+
+:func:`concentration`, :func:`diversification`, :func:`local_share` and
+:func:`global_supplier_share` compute one structure index at a time, each
+summing the flows it reads afresh, where
+:func:`~phosmarket.metrics.structure` sums every market and supplier once.
 """
 
 from __future__ import annotations
@@ -231,3 +236,45 @@ def enumerating_certificate(inst: MarketInstance, markups: Sequence[int]) -> boo
     marked = [i for i, p in enumerate(markups) if p >= 1]
     down = step_values(inst, markups, marked, -1)
     return all(value > 0 for subset, value in down.items() if subset)
+
+
+# ---------------------------------------------------------------------------
+# Market-structure indices, one at a time
+
+
+def concentration(j: int, flows: Flows, inst: MarketInstance) -> float:
+    """Normalized concentration of market j over its m + 1 sources.
+
+    Zero when all sources hold equal shares, one under monopoly.
+    """
+    d = inst.d[j]
+    local = d - sum(row[j] for row in flows)
+    shares_sq = (local / d) ** 2 + sum((row[j] / d) ** 2 for row in flows)
+    k = inst.m + 1
+    return (shares_sq - 1 / k) / (1 - 1 / k)
+
+
+def diversification(i: int, flows: Flows, inst: MarketInstance) -> float | None:
+    """Normalized spread of supplier i's sales across markets.
+
+    Zero when active on a single market, one for an equal n-way split of the
+    full capacity; ``None`` (undefined) when the supplier sold nothing.  At
+    partial utilization the raw value is reported unclamped.
+    """
+    if inst.n < 2:
+        raise ValueError("diversification needs at least two markets")
+    if sum(flows[i]) == 0:
+        return None
+    cap = inst.s[i]
+    shares_sq = sum((q / cap) ** 2 for q in flows[i])
+    return 1 - (shares_sq - 1 / inst.n) / (1 - 1 / inst.n)
+
+
+def local_share(j: int, flows: Flows, inst: MarketInstance) -> float:
+    """Share of market j's demand served by local suppliers."""
+    return (inst.d[j] - sum(row[j] for row in flows)) / inst.d[j]
+
+
+def global_supplier_share(i: int, flows: Flows, demands: Sequence[int]) -> float:
+    """Supplier i's sales as a share of total demand across all markets."""
+    return sum(flows[i]) / sum(demands)

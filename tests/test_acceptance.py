@@ -41,7 +41,7 @@ from phosmarket.experiment import (
     load_context,
     run_experiment,
 )
-from phosmarket.metrics import concentration, diversification
+from phosmarket.metrics import structure
 from phosmarket.pipeline import convert_to_p2o5
 from report_rows import read_rows
 
@@ -168,14 +168,12 @@ def test_criterion_4_index_identities():
     mono = MarketInstance(
         s=(6,), d=(6, 6), a=0, c_o=(10, 10), t=((0, 0),)
     )
-    assert concentration(0, ((6, 0),), mono) == pytest.approx(1.0)
+    assert structure(((6, 0),), mono).concentration[0] == pytest.approx(1.0)
 
-    equal = MarketInstance(
-        s=(1,) * 5, d=(6,), a=0, c_o=(10,), t=((0,),) * 5
+    equal = MarketInstance(  # market 1 buys locally: a structure needs two markets
+        s=(1,) * 5, d=(6, 1), a=0, c_o=(10, 10), t=((0, 0),) * 5
     )
-    assert concentration(
-        0, ((1,),) * 5, equal
-    ) == pytest.approx(0.0)
+    assert structure(((1, 0),) * 5, equal).concentration[0] == pytest.approx(0.0)
 
     rng = np.random.default_rng(20240404)
     for _ in range(10_000):
@@ -185,31 +183,31 @@ def test_criterion_4_index_identities():
         d = sum(imports) + local
         if d == 0:
             continue
-        inst = MarketInstance(
+        inst = MarketInstance(  # market 1 buys locally: a structure needs two markets
             s=tuple(max(q, 1) for q in imports),
-            d=(d,),
+            d=(d, 1),
             a=0,
-            c_o=(10,),
-            t=((0,),) * m,
+            c_o=(10, 10),
+            t=((0, 0),) * m,
         )
-        h = concentration(0, tuple((q,) for q in imports), inst)
+        h = structure(tuple((q, 0) for q in imports), inst).concentration[0]
         assert -1e-12 <= h <= 1 + 1e-12
 
     single = MarketInstance(
         s=(4,), d=(4, 4), a=0, c_o=(9, 9), t=((0, 0),)
     )
-    assert diversification(0, ((4, 0),), single) == pytest.approx(0.0)
+    assert structure(((4, 0),), single).diversification[0] == pytest.approx(0.0)
 
     spread = MarketInstance(
         s=(8,), d=(2,) * 4, a=0, c_o=(9,) * 4, t=((0,) * 4,)
     )
-    assert diversification(0, ((2, 2, 2, 2),), spread) == pytest.approx(1.0)
+    assert structure(((2, 2, 2, 2),), spread).diversification[0] == pytest.approx(1.0)
 
     nine = MarketInstance(
         s=(8,), d=(8,) * 9, a=0, c_o=(9,) * 9, t=((0,) * 9,)
     )
     two_way = ((4, 4, 0, 0, 0, 0, 0, 0, 0),)
-    assert diversification(0, two_way, nine) == pytest.approx(0.5625, abs=1e-12)
+    assert structure(two_way, nine).diversification[0] == pytest.approx(0.5625, abs=1e-12)
     elapsed = time.time() - started
     print(f"ACCEPTANCE 4 (index identities): PASS [{elapsed:.1f}s]")
 

@@ -9,7 +9,7 @@ from phosmarket.core import (
     validate_flows,
     validate_instance,
 )
-from phosmarket.metrics import local_share
+from phosmarket.metrics import structure
 
 
 def small_instance(**overrides):
@@ -66,7 +66,8 @@ def test_flow_validation_catches_each_violation():
 def test_local_supply_is_derived_from_demand():
     inst = small_instance()
     flows = ((1, 0), (1, 1))
-    assert [local_share(j, flows, inst) * inst.d[j] for j in range(inst.n)] == [1, 1]
+    local_share = structure(flows, inst).local_share
+    assert [share * d for share, d in zip(local_share, inst.d)] == [1, 1]
 
 
 def test_quantize_rounds_half_up():

@@ -526,11 +526,12 @@ def test_aggregated_means_stay_inside_replication_envelope(tmp_path):
     unit_mt = config.unit_kt / 1000.0
     demand = table_rows(report, "demand")
     concentration = table_rows(report, "concentration")
+    replications = table_rows(report, "replications")
     for j, region in enumerate(report.context.regions):
         assert demand[j]["region"] == concentration[j]["region"] == region
         demands = [r.draw.d[j] * unit_mt for r in report.replications]
         assert min(demands) - eps <= demand[j]["mean_mt"] <= max(demands) + eps
-        spreads = [r.concentration[j] for r in report.replications]
+        spreads = [row[f"concentration_{region}"] for row in replications]
         assert min(spreads) - eps <= concentration[j]["mean"] <= max(spreads) + eps
 
 
@@ -542,6 +543,14 @@ def test_verify_rejects_run_with_changed_inputs(tmp_path):
     assert "digest_flows" in text
     manifest.write_text(re.sub(r"digest_flows: \w+", "digest_flows: 0000", text))
     with pytest.raises(ExperimentError, match="changed since the saved run"):
+        verify_run(config, sample=1)
+
+
+def test_verify_rejects_a_saved_run_of_other_settings(tmp_path):
+    # simulate --seed 7 into the config's output directory, then verify
+    config = fixture_config(tmp_path, replications=2)
+    emit_tables(run_experiment(dataclasses.replace(config, seed=7)), config.output_dir)
+    with pytest.raises(ExperimentError, match=f"has seed 7, the config {config.seed}$"):
         verify_run(config, sample=1)
 
 
@@ -660,6 +669,13 @@ def test_cli_simulate_and_verify(tmp_path, capsys):
     assert main(["verify", "--config", str(path), "--sample", "2"]) == 0
     out = capsys.readouterr().out
     assert "verified" in out
+
+    # a saved run of other settings is not the config's run
+    assert main(["simulate", "--config", str(path), "--replications", "3"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(path), "--sample", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure:") and "has replications 3, the config 4" in err
 
 
 def test_cli_simulate_overrides(tmp_path):
@@ -847,6 +863,44 @@ def test_cli_reports_inputs_that_do_not_cover_the_run_with_exit_1(
     assert main(["simulate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()
+
+
+def copy_fixture_with_west_demand_years(tmp_path, keep) -> Path:
+    """A copy of the fixture whose ``demand_series.csv`` keeps the ``west`` years ``keep`` admits."""
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    path = data / "demand_series.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    kept = [row for row in rows if not row.startswith("west,") or keep(int(row.split(",")[1]))]
+    path.write_text(header + "".join(kept))
+    return data
+
+
+@pytest.mark.parametrize(
+    ("keep", "problem"),
+    [
+        (lambda year: year <= 2008, "has 2 rows"),
+        (lambda year: year <= 2010, "has 4 rows"),
+        (lambda year: year != 2010, "has no row for 2010"),
+    ],
+    ids=["two_rows", "four_rows", "missing_year"],
+)
+def test_cli_names_a_short_or_gapped_demand_series_with_exit_1(tmp_path, capsys, keep, problem):
+    data = copy_fixture_with_west_demand_years(tmp_path, keep)
+    path = write_config(tmp_path, data_dir=data)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'demand_series.csv'}: region 'west' {problem}; "
+        "it needs at least 5 rows, in consecutive years\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_five_consecutive_demand_rows_suffice(tmp_path):
+    data = copy_fixture_with_west_demand_years(tmp_path, lambda year: 2011 <= year <= 2015)
+    context = load_context(fixture_config(tmp_path, data_dir=data))
+    west = context.demand_fits[context.regions.index("west")]
+    assert len(west.z) == 3
 
 
 def cli_in_fresh_interpreter(*args):
