@@ -207,22 +207,40 @@ def sample_capacity(
 # Trade and production costs
 
 
-class TradeCostInversion(NamedTuple):
-    """Relative-cost regression inputs recovered from observed flows.
+def real_share_changes(
+    shares: Sequence[float], ref_shares: Sequence[float], reference: int
+) -> tuple[float, ...]:
+    """Each market's real share change against the reference year.
 
-    ``w`` pools changes in relative trade costs against the reference year and
-    ``v`` the matching changes in real (reference-adjusted) market shares.
-    ``base_costs`` holds each open pair's reference relative cost and
-    ``ref_shares`` each market's share of global demand in the reference year.
+    A market's share is deflated by the reference market's share growth,
+    then its reference-year share is subtracted; the reference market's own
+    change is zero up to rounding.  The history's regressor and every draw's
+    predicted cost shift read share changes through this one rule.
+    """
+    growth = shares[reference] / ref_shares[reference]
+    return tuple(share / growth - ref for share, ref in zip(shares, ref_shares))
+
+
+class TradeCostFit(NamedTuple):
+    """Relative trade costs and their regression on real market-share changes.
+
+    ``base_costs`` holds each pair's reference relative cost, ``None`` on
+    pairs closed to trade; ``ref_shares`` is each market's share of global
+    demand in the reference year and ``reference`` the reference market's
+    index.  ``v`` pools the history's real share changes, ``gamma`` is the
+    slope of cost changes on them and ``residuals`` its residuals.
     """
 
-    w: tuple[float, ...]
-    v: tuple[float, ...]
     base_costs: tuple[tuple[float | None, ...], ...]
     ref_shares: tuple[float, ...]
+    reference: int
+    gamma: float
+    residuals: tuple[float, ...]
+    v: tuple[float, ...]
+    vv: float  # v . v, reused by every bootstrap draw
 
 
-def infer_relative_trade_costs(
+def fit_trade_costs(
     flows: Mapping[tuple[str, str, int], float],
     local_supply: Mapping[tuple[str, int], float],
     suppliers: Sequence[str],
@@ -232,8 +250,8 @@ def infer_relative_trade_costs(
     reference_year: int,
     *,
     theta: float,
-) -> TradeCostInversion:
-    """Back out relative trade costs and share changes from observed flows.
+) -> TradeCostFit:
+    """Back out relative trade costs from observed flows and fit their shifts.
 
     For each year the market price proxy is the average local unit cost under
     the unit-price calibration applied to that year's totals; the cost value
@@ -242,7 +260,10 @@ def infer_relative_trade_costs(
     reference market itself sits near zero, matching the entry-floor reading
     of costs).  A pair that is never active is closed to trade (its base cost
     is ``None``); a pair inactive in the reference year anchors at its mean
-    relative cost over active years.
+    relative cost over active years.  Each active flow outside the reference
+    year pairs its cost change ``w`` against its base with its market's real
+    share change ``v`` that year; ``gamma`` is the least-squares slope of
+    ``w`` on ``v`` through the origin.
     """
     if reference_market not in regions:
         raise ValueError(f"unknown reference market {reference_market!r}")
@@ -312,76 +333,64 @@ def infer_relative_trade_costs(
                 if active:
                     base[(supplier, region)] = sum(active) / len(active)
 
-    share = {
-        (region, year): demand[(region, year)] / total_demand[year]
-        for region in regions
+    reference = regions.index(j0)
+    ref_shares = tuple(
+        demand[(region, reference_year)] / total_demand[reference_year] for region in regions
+    )
+    changes = {
+        year: real_share_changes(
+            [demand[(region, year)] / total_demand[year] for region in regions],
+            ref_shares,
+            reference,
+        )
         for year in years
     }
+    index = {region: j for j, region in enumerate(regions)}
     w: list[float] = []
     v: list[float] = []
     for (supplier, region, year), value in sorted(rel.items()):
-        if year == reference_year or (supplier, region) not in base:
-            continue
-        growth = share[(j0, year)] / share[(j0, reference_year)]
-        real_share = share[(region, year)] / growth
-        w.append(value - base[(supplier, region)])
-        v.append(real_share - share[(region, reference_year)])
+        if year != reference_year:  # every active pair has a base
+            w.append(value - base[(supplier, region)])
+            v.append(changes[year][index[region]])
 
-    base_rows = tuple(
-        tuple(base.get((supplier, region)) for region in regions)
-        for supplier in suppliers
-    )
-    return TradeCostInversion(
-        w=tuple(w),
-        v=tuple(v),
-        base_costs=base_rows,
-        ref_shares=tuple(share[(region, reference_year)] for region in regions),
-    )
-
-
-class TradeCostFit(NamedTuple):
-    """Regression of trade-cost changes on real market-share changes."""
-
-    gamma: float
-    residuals: tuple[float, ...]
-    v: tuple[float, ...]
-    vv: float  # v . v, reused by every bootstrap draw
-
-
-def fit_trade_cost_regression(w: Sequence[float], v: Sequence[float]) -> TradeCostFit:
-    """Ordinary least squares of ``w`` on ``v`` through the origin."""
-    if len(w) != len(v):
-        raise ValueError("w and v must have equal length")
     vv = _dot(v, v)
     if vv == 0.0:
         raise CalibrationError("degenerate share-change regressor (v.v = 0)")
     gamma = _dot(v, w) / vv
-    residuals = tuple(a - gamma * b for a, b in zip(w, v))
-    return TradeCostFit(gamma=gamma, residuals=residuals, v=tuple(v), vv=vv)
+    return TradeCostFit(
+        base_costs=tuple(
+            tuple(base.get((supplier, region)) for region in regions)
+            for supplier in suppliers
+        ),
+        ref_shares=ref_shares,
+        reference=reference,
+        gamma=gamma,
+        residuals=tuple(a - gamma * b for a, b in zip(w, v)),
+        v=tuple(v),
+        vv=vv,
+    )
 
 
 def sample_trade_costs(
-    base_costs: Sequence[Sequence[float | None]],
-    scenario_share_changes: Sequence[float],
-    fit: TradeCostFit,
-    rng: Stream,
-    *,
-    scale: int,
+    fit: TradeCostFit, demands: Sequence[int], rng: Stream, *, scale: int
 ) -> tuple[tuple[int | None, ...], ...]:
     """One trade-cost table draw in minor units; closed pairs stay ``None``.
 
     A pair is open exactly where its base cost is not ``None``.  The slope is
     re-estimated on a wild-bootstrap resample of the fitted regression, then
-    every open cell receives the predicted shift for its market's scenario
-    share change plus a sign-flipped resampled residual, clamped at zero cost.
+    every open cell receives the predicted shift for its market's real share
+    change under the drawn ``demands`` plus a sign-flipped resampled
+    residual, clamped at zero cost.
     """
+    total = sum(demands)
+    changes = real_share_changes([d / total for d in demands], fit.ref_shares, fit.reference)
     v, residuals = fit.v, fit.residuals
     signs = rng.signs(len(residuals))
     w_star = [fit.gamma * vk + sign * r for vk, sign, r in zip(v, signs, residuals)]
     gamma_star = _dot(v, w_star) / fit.vv
 
     rows: list[tuple[int | None, ...]] = []
-    for base_row in base_costs:
+    for base_row in fit.base_costs:
         row: list[int | None] = []
         for j, base in enumerate(base_row):
             if base is None:
@@ -389,7 +398,7 @@ def sample_trade_costs(
                 continue
             eps = residuals[rng.below(len(residuals))]
             noise = (rng.below(2) * 2 - 1) * eps
-            value = base + gamma_star * scenario_share_changes[j] + noise
+            value = base + gamma_star * changes[j] + noise
             row.append(max(0, to_minor(value, scale)))
         rows.append(tuple(row))
     return tuple(rows)

@@ -12,8 +12,8 @@ tick-by-tick ascending auction, the reference mechanism, and certifies
 their markups minimal at full scale (:func:`~phosmarket.auction.certify_minimal_markups`).
 Replications are independent.  With ``W`` workers (never more than there
 are replications) the process forks ``W - 1`` children after loading the
-context (POSIX only); each child inherits the loaded context and runs every
-``W``-th replication, while the parent runs the first slice itself.
+context (POSIX only); each child inherits the loaded context and runs one
+contiguous block of replications, while the parent runs the first block itself.
 Results, and the error a failing run raises, are a pure function of
 (inputs, config, seed) regardless of worker count.
 """
@@ -21,7 +21,6 @@ Results, and the error a failing run raises, are a pure function of
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from itertools import chain
 from pathlib import Path
@@ -92,10 +91,7 @@ class ExperimentContext(NamedTuple):
     z_scenario: tuple[float, ...]
     shares: tuple[float, ...]  # supplier share estimates, unitless
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
-    cost_fit: bs.TradeCostFit
-    base_costs: tuple[tuple[float | None, ...], ...]  # None on pairs without history
-    ref_shares: tuple[float, ...]
-    reference_index: int
+    cost_fit: bs.TradeCostFit  # all that a trade-cost draw reads
     input_digests: tuple[tuple[str, str], ...]
     start: FlowStart
 
@@ -116,6 +112,11 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     suppliers = tuple(sorted({key[0] for key in flows}))
     regions = tuple(sorted({key[1] for key in flows} | {key[0] for key in local}))
     years = sorted({key[2] for key in flows})
+    if len(years) < 2:
+        raise bs.CalibrationError(
+            f"{paths['flows']}: has {len(flows)} rows in {len(years)} years; the "
+            "trade-cost fit needs rows in at least 2 years"
+        )
 
     demand_fits = []
     for region in regions:
@@ -164,7 +165,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         supply_by_year, global_demand, base=config.capacity_share_base
     )
 
-    inversion = bs.infer_relative_trade_costs(
+    cost_fit = bs.fit_trade_costs(
         flows,
         local,
         suppliers,
@@ -174,7 +175,6 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         config.reference_year,
         theta=config.theta,
     )
-    cost_fit = bs.fit_trade_cost_regression(inversion.w, inversion.v)
 
     context = ExperimentContext(
         config=config,
@@ -185,9 +185,6 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         shares=tuple(share_map[supplier] for supplier in suppliers),
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
         cost_fit=cost_fit,
-        base_costs=inversion.base_costs,
-        ref_shares=inversion.ref_shares,
-        reference_index=regions.index(config.reference_market),
         input_digests=tuple(sorted(digests.items())),
         start=FlowStart((), ()),  # replaced below; assembling a draw does not read it
     )
@@ -214,25 +211,11 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
         )
         rejections += rejected
         d_units.append(quantize(draw * 1000.0, config.unit_kt))
-    total_units = sum(d_units)
-
     capacities = bs.sample_capacity(
-        float(total_units), context.shares, context.deviation_pool, capacity_rng
-    )
-
-    ref_growth = (d_units[context.reference_index] / total_units) / context.ref_shares[
-        context.reference_index
-    ]
-    share_changes = tuple(
-        (d_units[j] / total_units) / ref_growth - context.ref_shares[j]
-        for j in range(n)
+        float(sum(d_units)), context.shares, context.deviation_pool, capacity_rng
     )
     costs = bs.sample_trade_costs(
-        context.base_costs,
-        share_changes,
-        context.cost_fit,
-        cost_rng,
-        scale=config.money_scale,
+        context.cost_fit, d_units, cost_rng, scale=config.money_scale
     )
     a, c_o = bs.calibrate_local_costs(
         d_units, theta=config.theta, scale=config.money_scale
@@ -289,31 +272,37 @@ class ScenarioReport(NamedTuple):
 def run_experiment(config: ExperimentConfig) -> ScenarioReport:
     """Execute all replications and aggregate mean/SD statistics.
 
-    With ``W = min(workers, replications)``, the parent forks ``W - 1``
-    children; child ``k`` runs replications ``k, k + W, ...`` and pipes its
-    results back, while the parent runs slice 0 itself and then collects and
-    interleaves the parts.  ``W = 1`` forks nothing.  Forking is safe
-    because nothing on this path starts a thread.
+    With ``W = min(workers, replications)`` and ``B`` replications, block
+    ``k`` holds replications ``k * B // W`` up to ``(k + 1) * B // W``.  The
+    parent forks ``W - 1`` children; child ``k`` runs block ``k`` and pipes
+    its results back, while the parent runs block 0 itself and then reads
+    the children's parts in block order.  ``W = 1`` forks nothing.  Forking
+    is safe because nothing on this path starts a thread.
 
-    Each process stops at its first failing replication.  After every child
-    has reported, the failure with the lowest index is raised, which is the
-    error a 1-worker run raises.  A child that dies without reporting raises
-    :class:`ExperimentError` naming its pid.  No child outlives the call.
+    Each process stops at its first failing replication.  The parent raises
+    the first failure it meets in block order at once, without waiting for
+    later blocks: every earlier block succeeded, so it is the failure with
+    the lowest index, the error a 1-worker run raises.  A child that dies
+    without reporting raises :class:`ExperimentError` naming its pid.  No
+    child outlives the call.
     """
     if config.workers > 1 and not hasattr(os, "fork"):
         raise ConfigError("workers > 1 needs os.fork; set workers = 1")
     context = load_context(config)
-    slices = min(config.workers, config.replications)
-    children = []  # (pid, read end of its pipe), in slice order
+    blocks = min(config.workers, config.replications)
+    bounds = [k * config.replications // blocks for k in range(blocks + 1)]
+    children = []  # (pid, read end of its pipe), in block order
     try:
-        for k in range(1, slices):
+        for k in range(1, blocks):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_child(context, k, slices, write_fd)
+                _run_child(context, range(bounds[k], bounds[k + 1]), write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        parts = [_run_slice(context, 0, slices)]
+        # looked up at each call, so that a wrapper rebinding run_replication
+        # (as perfbench/launch_cli.py does) acts in every process
+        results = [run_replication(context, b) for b in range(bounds[1])]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -327,7 +316,10 @@ def run_experiment(config: ExperimentConfig) -> ScenarioReport:
                 )
             import pickle  # here, so that neither a replication nor a 1-worker run waits for it
 
-            parts.append(pickle.loads(data))
+            part, failure = pickle.loads(data)
+            if failure is not None:
+                raise failure
+            results += part
     finally:
         if children:  # an error or an interrupt left workers running
             import signal
@@ -337,50 +329,33 @@ def run_experiment(config: ExperimentConfig) -> ScenarioReport:
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [parts[b % slices][0][b // slices] for b in range(config.replications)]
     return aggregate(context, results)
 
 
-def _run_slice(
-    context: ExperimentContext, first: int, step: int
-) -> tuple[list[ReplicationResult], tuple[int, Exception] | None]:
-    """Run replications ``first, first + step, ...`` until the first failure.
+def _run_child(context: ExperimentContext, block: range, write_fd: int) -> NoReturn:
+    """Run one block in a forked child and pickle its part into ``write_fd``.
 
-    Returns the results so far and, when one failed, its index and error.
-    ``run_replication`` is looked up by name at each call, so a wrapper that
-    rebinds it (``perfbench/launch_cli.py`` marks each process's first
-    replication this way) acts in every process that runs a slice.
-    """
-    results = []
-    for b in range(first, context.config.replications, step):
-        try:
-            results.append(run_replication(context, b))
-        except Exception as exc:  # raised by the parent, if no lower index failed
-            return results, (b, exc)
-    return results, None
-
-
-def _run_child(context: ExperimentContext, first: int, step: int, write_fd: int) -> NoReturn:
-    """Run one slice in a forked child and pickle its part into ``write_fd``.
-
-    The child leaves only through ``os._exit``, so it runs no ``atexit``
-    handler and flushes no buffer inherited from the parent.  It exits 0
-    only once its whole part is written.
+    The part is the block's results and ``None``, or no results and the
+    error of the block's first failing replication.  The child leaves only
+    through ``os._exit``, so it runs no ``atexit`` handler and flushes no
+    buffer inherited from the parent.  It exits 0 only once its whole part
+    is written.
     """
     status = 1
     try:
-        results, failure = _run_slice(context, first, step)
+        results, failure = [], None
+        try:
+            for b in block:
+                results.append(run_replication(context, b))
+        except Exception as exc:  # raised by the parent, if no earlier block failed
+            results, failure = [], exc
         import pickle
 
         if failure is not None:
-            b, exc = failure
             try:
-                pickle.loads(pickle.dumps(exc))
+                pickle.loads(pickle.dumps(failure))
             except Exception:
-                failure = (b, ExperimentError(f"replication {b} failed: {exc!r}"))
+                failure = ExperimentError(f"replication {b} failed: {failure!r}")
         with open(write_fd, "wb") as pipe:
             pickle.dump((results, failure), pipe)
         status = 0
@@ -398,7 +373,7 @@ def aggregate(
     fewer than two regions).  A summary cell is the mean or SD over the
     replications that define the value, and ``None`` where none does.  A
     region's entry floor is the mean over draws of its cheapest open trade
-    cost, ``nan`` when no pair into the region is open.
+    cost, so it is ``None`` when no pair into the region is open.
     """
     if not results:
         raise ExperimentError("cannot aggregate a run without replications")
@@ -411,12 +386,21 @@ def aggregate(
     structures = (metrics.structure(r.flows, r.draw.instance()) for r in results)
     stats = metrics.MarketStructure(*zip(*structures))  # each field: one entry per result
     demand_mt = [[d * unit_mt for d in r.draw.d] for r in results]
+    # each draw's cheapest open trade cost into each region, None where no pair is open
+    floors = [
+        [
+            min(costs) / scale if costs else None
+            for costs in ([c for c in into if c is not None] for into in zip(*r.draw.t))
+        ]
+        for r in results
+    ]
     for name, key, columns, per_result in (
         ("demand", "region", ("mean_mt", "sd_mt"), demand_mt),
         ("concentration", "region", ("mean", "sd"), stats.concentration),
         ("local_share", "region", ("mean", "sd"), stats.local_share),
         ("global_share", "supplier", ("mean", "sd"), stats.global_share),
         ("diversification", "supplier", ("mean", "sd", "defined"), stats.diversification),
+        ("entry_floor", "region", ("mean_min_cost",), floors),
     ):
         labels = regions if key == "region" else suppliers
         rows = tuple(
@@ -425,7 +409,7 @@ def aggregate(
         )
         tables.append((name, (key, *columns), rows))
 
-    cost_rows, floor_rows = [], []
+    cost_rows = []
     for j, region in enumerate(regions):
         # each draw's costs into the region, None on pairs closed to trade
         into = [[row[j] for row in r.draw.t] for r in results]
@@ -434,12 +418,8 @@ def aggregate(
             scaled = [costs[i] / scale for costs in into if costs[i] is not None]
             cells += metrics.summary(scaled)[:2]
         cost_rows.append(tuple(cells))
-        open_costs = ([cost for cost in costs if cost is not None] for costs in into)
-        floors = [min(costs) / scale for costs in open_costs if costs]
-        floor_rows.append((region, sum(floors) / len(floors) if floors else math.nan))
     cost_header = [f"{supplier}_{stat}" for supplier in suppliers for stat in ("mean", "sd")]
     tables.append(("trade_costs", ("region", *cost_header), tuple(cost_rows)))
-    tables.append(("entry_floor", ("region", "mean_min_cost"), tuple(floor_rows)))
 
     def named(prefix: str, labels: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(f"{prefix}_{label}" for label in labels)

@@ -16,6 +16,11 @@ each step off one min cut.
 :func:`global_supplier_share` compute one structure index at a time, each
 summing the flows it reads afresh, where
 :func:`~phosmarket.metrics.structure` sums every market and supplier once.
+
+:func:`history_share_change` and :func:`draw_share_changes` spell out a
+real market-share change in the two forms the trade-cost model needs it: per
+flow of the history, and per market from one draw's demand units.
+:func:`~phosmarket.bootstrap.real_share_changes` must equal both.
 """
 
 from __future__ import annotations
@@ -278,3 +283,31 @@ def local_share(j: int, flows: Flows, inst: MarketInstance) -> float:
 def global_supplier_share(i: int, flows: Flows, demands: Sequence[int]) -> float:
     """Supplier i's sales as a share of total demand across all markets."""
     return sum(flows[i]) / sum(demands)
+
+
+# ---------------------------------------------------------------------------
+# Real market-share changes, spelled out
+
+
+def history_share_change(
+    share: dict[tuple[str, int], float],
+    region: str,
+    year: int,
+    reference_market: str,
+    reference_year: int,
+) -> float:
+    """``region``'s real share change in ``year``; ``share`` maps (region, year) to a share."""
+    growth = share[(reference_market, year)] / share[(reference_market, reference_year)]
+    real_share = share[(region, year)] / growth
+    return real_share - share[(region, reference_year)]
+
+
+def draw_share_changes(
+    d_units: Sequence[int], ref_shares: Sequence[float], reference: int
+) -> tuple[float, ...]:
+    """Every market's real share change under one draw's demand units."""
+    total_units = sum(d_units)
+    ref_growth = (d_units[reference] / total_units) / ref_shares[reference]
+    return tuple(
+        (d_units[j] / total_units) / ref_growth - ref_shares[j] for j in range(len(d_units))
+    )

@@ -333,7 +333,7 @@ def test_criterion_10_mask_faithfulness(deterministic_runs):
     report = reports["first"]
     context = report.context
     mask = tuple(
-        tuple(cost is not None for cost in row) for row in context.base_costs
+        tuple(cost is not None for cost in row) for row in context.cost_fit.base_costs
     )
     assert not mask[context.suppliers.index("capechem")][context.regions.index("north")]
 

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import seeded_stream
+from oracle import draw_share_changes, history_share_change
 from phosmarket.bootstrap import (
     CalibrationError,
+    TradeCostFit,
     calibrate_local_costs,
     capacity_inputs,
-    fit_trade_cost_regression,
+    fit_trade_costs,
     fit_two_stage,
-    infer_relative_trade_costs,
+    real_share_changes,
     replication_streams,
     sample_capacity,
     sample_trade_costs,
@@ -217,13 +221,9 @@ def two_year_history():
     return flows, local, suppliers, regions, years
 
 
-def test_inversion_two_year_fixture_recomputed_by_hand():
-    flows, local, suppliers, regions, years = two_year_history()
-    inv = infer_relative_trade_costs(
-        flows, local, suppliers, regions, years, "R1", 1, theta=0.5
-    )
-
-    # Spreadsheet-style recomputation, spelled out step by step.
+def two_year_history_by_hand():
+    """The two-year history's cost changes ``w`` and share changes ``v``,
+    recomputed spreadsheet-style, step by step, and its relative costs."""
     demand = {
         ("R1", 1): 46.0, ("R1", 2): 50.0, ("R2", 1): 14.0, ("R2", 2): 16.0,
     }
@@ -245,7 +245,7 @@ def test_inversion_two_year_fixture_recomputed_by_hand():
         2: (tau[("A", "R1", 2)] + tau[("B", "R1", 2)]) / 2,
     }
     rho = {key: value - level[key[2]] for key, value in tau.items()}
-    expected_w = [
+    w = [
         rho[("A", "R1", 2)] - rho[("A", "R1", 1)],
         rho[("A", "R2", 2)] - rho[("A", "R2", 1)],
         rho[("B", "R1", 2)] - rho[("B", "R1", 1)],
@@ -253,20 +253,27 @@ def test_inversion_two_year_fixture_recomputed_by_hand():
     share = {key: demand[key] / (demand[("R1", key[1])] + demand[("R2", key[1])])
              for key in demand}
     growth = share[("R1", 2)] / share[("R1", 1)]
-    expected_v = [
+    v = [
         share[("R1", 2)] / growth - share[("R1", 1)],
         share[("R2", 2)] / growth - share[("R2", 1)],
         share[("R1", 2)] / growth - share[("R1", 1)],
     ]
+    return w, v, rho
 
-    assert list(inv.w) == pytest.approx(expected_w)
-    assert list(inv.v) == pytest.approx(expected_v)
+
+def test_inversion_two_year_fixture_recomputed_by_hand():
+    flows, local, suppliers, regions, years = two_year_history()
+    fit = fit_trade_costs(flows, local, suppliers, regions, years, "R1", 1, theta=0.5)
+    _, expected_v, rho = two_year_history_by_hand()
+
+    assert list(fit.v) == pytest.approx(expected_v)
     assert expected_v[0] == pytest.approx(0.0)  # reference market by construction
     assert expected_v[1] == pytest.approx(0.012)
     # base costs anchor at the reference year; B->R2 is masked
-    assert inv.base_costs[0][0] == pytest.approx(rho[("A", "R1", 1)])
-    assert inv.base_costs[1][1] is None
-    assert inv.ref_shares == pytest.approx((46 / 60, 14 / 60))
+    assert fit.base_costs[0][0] == pytest.approx(rho[("A", "R1", 1)])
+    assert fit.base_costs[1][1] is None
+    assert fit.ref_shares == pytest.approx((46 / 60, 14 / 60))
+    assert fit.reference == 0
 
 
 def test_inversion_anchors_a_pair_inactive_in_the_reference_year_at_its_mean():
@@ -287,9 +294,7 @@ def test_inversion_anchors_a_pair_inactive_in_the_reference_year_at_its_mean():
         ("R1", 1): 30.0, ("R1", 2): 32.0, ("R1", 3): 31.0,
         ("R2", 1): 10.0, ("R2", 2): 12.0, ("R2", 3): 11.0,
     }
-    inv = infer_relative_trade_costs(
-        flows, local, suppliers, regions, [1, 2, 3], "R1", 1, theta=0.5
-    )
+    fit = fit_trade_costs(flows, local, suppliers, regions, [1, 2, 3], "R1", 1, theta=0.5)
 
     # year 2: demand R1 32 + 18 = 50, R2 12 + 4 = 16; year 3: R1 31 + 18 = 49, R2 11 + 5 = 16
     a2, a3 = 0.5 / 66.0, 0.5 / 65.0
@@ -298,31 +303,29 @@ def test_inversion_anchors_a_pair_inactive_in_the_reference_year_at_its_mean():
     rho2 = (1 - a2 * 4) - a2 * 4 - level2
     rho3 = (1 - a3 * 5) - a3 * 5 - level3
     base = (rho2 + rho3) / 2
-    assert inv.base_costs[0][1] == pytest.approx(base)
-    assert inv.base_costs[1][1] is None
+    assert fit.base_costs[0][1] == pytest.approx(base)
+    assert fit.base_costs[1][1] is None
 
     # w and v in (supplier, region, year) order; A->R2's entries are the 3rd and 4th
     share1 = {"R1": 46 / 56, "R2": 10 / 56}
     share2 = {"R1": 50 / 66, "R2": 16 / 66}
     share3 = {"R1": 49 / 65, "R2": 16 / 65}
     growth2, growth3 = share2["R1"] / share1["R1"], share3["R1"] / share1["R1"]
-    assert len(inv.w) == len(inv.v) == 6
-    assert inv.w[2:4] == pytest.approx([rho2 - base, rho3 - base])
-    assert inv.w[2] == pytest.approx(-inv.w[3])  # deviations from their own mean
-    assert inv.v[2:4] == pytest.approx(
+    assert len(fit.residuals) == len(fit.v) == 6
+    w = [r + fit.gamma * v for r, v in zip(fit.residuals, fit.v)]
+    assert w[2:4] == pytest.approx([rho2 - base, rho3 - base])
+    assert w[2] == pytest.approx(-w[3])  # deviations from their own mean
+    assert fit.v[2:4] == pytest.approx(
         [share2["R2"] / growth2 - share1["R2"], share3["R2"] / growth3 - share1["R2"]]
     )
 
 
-def test_inversion_single_year_yields_empty_changes():
+def test_inversion_of_a_single_year_is_degenerate():
     flows, local, suppliers, regions, _ = two_year_history()
     flows = {k: v for k, v in flows.items() if k[2] == 1}
     local = {k: v for k, v in local.items() if k[1] == 1}
-    inv = infer_relative_trade_costs(
-        flows, local, suppliers, regions, [1], "R1", 1, theta=0.5
-    )
-    assert inv.w == ()
-    assert inv.v == ()
+    with pytest.raises(CalibrationError, match=r"degenerate share-change regressor \(v.v = 0\)"):
+        fit_trade_costs(flows, local, suppliers, regions, [1], "R1", 1, theta=0.5)
 
 
 def test_inversion_uniform_growth_zeroes_share_changes():
@@ -340,10 +343,9 @@ def test_inversion_uniform_growth_zeroes_share_changes():
         ("R2", 1): 15.0,
         ("R2", 2): 16.5,
     }
-    inv = infer_relative_trade_costs(
-        flows, local, suppliers, regions, [1, 2], "R1", 1, theta=0.5
-    )
-    assert list(inv.v) == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert real_share_changes((44 / 66, 22 / 66), (40 / 60, 20 / 60), 0) == (0.0, 0.0)
+    with pytest.raises(CalibrationError, match=r"\(v.v = 0\)"):  # so no slope can be fitted
+        fit_trade_costs(flows, local, suppliers, regions, [1, 2], "R1", 1, theta=0.5)
 
 
 def test_inversion_requires_active_reference_market():
@@ -352,42 +354,79 @@ def test_inversion_requires_active_reference_market():
     flows = {("A", "R2", 1): 5.0}
     local = {("R1", 1): 30.0, ("R2", 1): 15.0}
     with pytest.raises(CalibrationError):
-        infer_relative_trade_costs(flows, local, suppliers, regions, [1], "R1", 1, theta=0.5)
+        fit_trade_costs(flows, local, suppliers, regions, [1], "R1", 1, theta=0.5)
 
 
 def test_trade_cost_regression_closed_forms():
-    fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
-    assert fit.gamma == pytest.approx(-2.0)
-    assert fit.residuals == pytest.approx((0.0, 0.0))
+    # least squares through the origin: gamma = v.w / v.v, residuals w - gamma v
+    flows, local, suppliers, regions, years = two_year_history()
+    fit = fit_trade_costs(flows, local, suppliers, regions, years, "R1", 1, theta=0.5)
+    w, v, _ = two_year_history_by_hand()
+    vv = sum(b * b for b in v)
+    gamma = sum(a * b for a, b in zip(v, w)) / vv
+    assert fit.vv == pytest.approx(vv)
+    assert fit.gamma == pytest.approx(gamma)
+    assert list(fit.residuals) == pytest.approx([a - gamma * b for a, b in zip(w, v)])
+    assert sum(r * b for r, b in zip(fit.residuals, fit.v)) == pytest.approx(0.0, abs=1e-15)
 
-    fit = fit_trade_cost_regression([-1.0, 1.0], [1.0, -1.0])
-    assert fit.gamma == pytest.approx(-1.0)
 
-    with pytest.raises(CalibrationError):
-        fit_trade_cost_regression([1.0], [0.0])
+@settings(deadline=None, max_examples=200)
+@given(
+    d_units=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=9),
+    ref_weights=st.lists(st.integers(min_value=1, max_value=10**6), min_size=9, max_size=9),
+    year_weights=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=9, max_size=9),
+    reference=st.integers(min_value=0, max_value=8),
+)
+def test_real_share_changes_equal_the_history_and_draw_forms(
+    d_units, ref_weights, year_weights, reference
+):
+    n = len(d_units)
+    reference %= n
+    ref_shares = [x / sum(ref_weights[:n]) for x in ref_weights[:n]]
+    assert real_share_changes(
+        [d / sum(d_units) for d in d_units], ref_shares, reference
+    ) == draw_share_changes(d_units, ref_shares, reference)
+
+    shares = [x / sum(year_weights[:n]) for x in year_weights[:n]]
+    share = {(j, 1): s for j, s in enumerate(ref_shares)}
+    share.update({(j, 2): s for j, s in enumerate(shares)})
+    assert real_share_changes(shares, ref_shares, reference) == tuple(
+        history_share_change(share, j, 2, reference, 1) for j in range(n)
+    )
+
+
+def zero_residual_fit(base_costs, ref_shares):
+    """A trade-cost fit of slope -2 with zero residuals, with reference market 0."""
+    return TradeCostFit(
+        base_costs=base_costs,
+        ref_shares=ref_shares,
+        reference=0,
+        gamma=-2.0,
+        residuals=(0.0, 0.0),
+        v=(1.0, 2.0),
+        vv=5.0,
+    )
 
 
 def test_sample_trade_costs_identity_and_mask():
-    fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])  # zero residuals
-    base = ((0.10, None), (0.05, 0.08))
+    fit = zero_residual_fit(((0.10, None), (0.05, 0.08)), (0.25, 0.75))
     rng = seeded_stream(0)
-    draw = sample_trade_costs(base, (0.0, 0.0), fit, rng, scale=100)
+    draw = sample_trade_costs(fit, (10, 30), rng, scale=100)  # no share changes
     assert draw == ((10, None), (5, 8))
 
 
 def test_sample_trade_costs_negative_slope_cuts_costs():
-    fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
-    base = ((0.10,),)
+    fit = zero_residual_fit(((None, 0.10),), (0.5, 0.5))
     rng = seeded_stream(0)
-    draw = sample_trade_costs(base, (0.02,), fit, rng, scale=100)
-    assert draw[0][0] == 6  # 0.10 - 2.0 * 0.02
+    draw = sample_trade_costs(fit, (50, 52), rng, scale=100)  # R2's share change: 0.02
+    assert draw[0][1] == 6  # 0.10 - 2.0 * 0.02
 
 
 def test_sample_trade_costs_clamps_at_zero():
-    fit = fit_trade_cost_regression([-2.0, -4.0], [1.0, 2.0])
+    fit = zero_residual_fit(((None, 0.01),), (0.5, 0.5))
     rng = seeded_stream(0)
-    draw = sample_trade_costs(((0.01,),), (0.05,), fit, rng, scale=100)
-    assert draw[0][0] == 0
+    draw = sample_trade_costs(fit, (50, 55), rng, scale=100)  # R2's share change: 0.05
+    assert draw[0][1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -210,7 +211,7 @@ def test_context_masks_pairs_without_history(tmp_path):
     assert context.regions == ("east", "north", "south", "west")
     capechem = context.suppliers.index("capechem")
     north = context.regions.index("north")
-    assert context.base_costs[capechem][north] is None
+    assert context.cost_fit.base_costs[capechem][north] is None
 
 
 def test_draws_are_deterministic_and_replication_indexed(tmp_path):
@@ -290,10 +291,10 @@ def test_parallel_run_forks_workers_and_equals_serial_run(tmp_path, monkeypatch)
     config = fixture_config(tmp_path, replications=20)
     serial = run_experiment(config)
     forked = record_forks(monkeypatch)
-    for workers in (2, 3):  # 3 slices of 20 replications are uneven
+    for workers in (2, 3):  # 3 blocks of 20 replications are uneven
         forked.clear()
         parallel = run_experiment(dataclasses.replace(config, workers=workers))
-        assert len(forked) == workers - 1  # the parent runs the first slice
+        assert len(forked) == workers - 1  # the parent runs the first block
         assert parallel.context == serial.context._replace(config=parallel.context.config)
         for name in serial._fields:
             if name != "context":
@@ -320,10 +321,10 @@ def test_every_worker_process_runs_replications(tmp_path, monkeypatch):
         return real(context, replication)
 
     monkeypatch.setattr(experiment, "run_replication", mark_first)
-    run_experiment(fixture_config(tmp_path, replications=6, workers=2))
+    run_experiment(fixture_config(tmp_path, replications=8, workers=2))
     first = {int(path.name): int(path.read_text()) for path in marks.iterdir()}
     assert len(first) == 2 and first[os.getpid()] == 0
-    assert sorted(first.values()) == [0, 1]
+    assert sorted(first.values()) == [0, 4]  # the blocks are [0, 4) and [4, 8)
 
 
 @pytest.mark.parametrize(
@@ -341,7 +342,7 @@ def test_a_failing_run_raises_its_lowest_replication_error_for_every_worker_coun
 
     monkeypatch.setattr(experiment, "run_replication", fail_at_5_and_8)
     path = write_config(tmp_path, replications=10)
-    for workers in (1, 2, 3):  # with 2, the parent fails at 8 and the child at 5
+    for workers in (1, 2, 3):  # with 3, the blocks are [0, 3), [3, 6) and [6, 10)
         with pytest.raises(error, match=r"^replication 5 cannot be drawn$"):
             run_experiment(fixture_config(tmp_path, replications=10, workers=workers))
         assert main(["simulate", "--config", str(path), "--workers", str(workers)]) == code
@@ -355,14 +356,14 @@ def test_a_worker_sends_an_unpicklable_error_as_an_experiment_error(tmp_path, mo
 
     real = experiment.run_replication
 
-    def fail_at_1(context, replication):
-        if replication == 1:
+    def fail_at_4(context, replication):
+        if replication == 4:  # the child's block is [4, 8)
             raise LocalError("lost")
         return real(context, replication)
 
-    monkeypatch.setattr(experiment, "run_replication", fail_at_1)
-    with pytest.raises(ExperimentError, match=re.escape("replication 1 failed: LocalError('lost')")):
-        run_experiment(fixture_config(tmp_path, replications=4, workers=2))
+    monkeypatch.setattr(experiment, "run_replication", fail_at_4)
+    with pytest.raises(ExperimentError, match=re.escape("replication 4 failed: LocalError('lost')")):
+        run_experiment(fixture_config(tmp_path, replications=8, workers=2))
 
 
 def test_a_run_whose_parent_slice_fails_leaves_no_worker_running(tmp_path, monkeypatch):
@@ -380,21 +381,29 @@ def test_a_run_whose_parent_slice_fails_leaves_no_worker_running(tmp_path, monke
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_failing_parent_block_does_not_wait_for_the_children(tmp_path, monkeypatch):
+    real = experiment.run_replication
+
+    def parent_fails_children_sleep(context, replication):
+        if replication == 1:  # the parent's block is [0, 2)
+            raise ExperimentError("replication 1 cannot be drawn")
+        if replication >= 2:
+            time.sleep(10)
+        return real(context, replication)
+
+    monkeypatch.setattr(experiment, "run_replication", parent_fails_children_sleep)
+    started = time.monotonic()
+    with pytest.raises(ExperimentError, match="replication 1 cannot be drawn"):
+        run_experiment(fixture_config(tmp_path, replications=6, workers=3))
+    assert time.monotonic() - started < 5  # each child's block sleeps for 20 s
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="module")
 def fixture_records(tmp_path_factory):
     """One record of each immutable record type, built from a fixture run."""
-    inversions = []
-    real_inversion = bootstrap.infer_relative_trade_costs
-
-    def recording_inversion(*args, **kwargs):
-        inversions.append(real_inversion(*args, **kwargs))
-        return inversions[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bootstrap, "infer_relative_trade_costs", recording_inversion)
-        report = run_experiment(
-            fixture_config(tmp_path_factory.mktemp("records"), replications=2)
-        )
+    report = run_experiment(fixture_config(tmp_path_factory.mktemp("records"), replications=2))
     result = report.replications[0]
     inst = result.draw.instance()
     equilibrium = solve_minimal_markups(inst, report.context.start)
@@ -404,7 +413,6 @@ def fixture_records(tmp_path_factory):
         "_MarketDemand": auction._demand_structure(inst, 0, equilibrium.markups),
         "DemandBundle": auction.demand_bundle(0, equilibrium.markups, inst),
         "TwoStageFit": report.context.demand_fits[0],
-        "TradeCostInversion": inversions[0],
         "TradeCostFit": report.context.cost_fit,
         "BootstrapDraw": result.draw,
         "ExperimentContext": report.context,
@@ -422,7 +430,6 @@ def fixture_records(tmp_path_factory):
         "_MarketDemand",
         "DemandBundle",
         "TwoStageFit",
-        "TradeCostInversion",
         "TradeCostFit",
         "BootstrapDraw",
         "ExperimentContext",
@@ -498,7 +505,7 @@ def test_a_region_no_supplier_ever_served_is_reported_as_all_local(tmp_path):
     config = write_config(tmp_path, data_dir=data)
     assert main(["simulate", "--config", str(config)]) == 0
     out = tmp_path / "out"
-    assert "island,nan" in (out / "entry_floor.csv").read_text().splitlines()
+    assert "island," in (out / "entry_floor.csv").read_text().splitlines()
     assert "island,,,,,," in (out / "trade_costs.csv").read_text().splitlines()
     for name in ("local_share", "concentration"):
         lines = (out / f"{name}.csv").read_text().splitlines()
@@ -782,17 +789,19 @@ def test_cli_simulate_on_two_workers_does_not_import_multiprocessing(tmp_path):
 
 def test_cli_simulate_fails_when_a_worker_dies_and_leaves_none_running(tmp_path):
     path = write_config(tmp_path, replications=8)
-    for workers in (2, 3):  # with 3, the last worker is still unreaped when the first dies
+    # 4 is in the first child's block for 2 and 3 workers; with 3, the last
+    # worker is still unreaped when the first dies
+    for workers in (2, 3):
         code = (
             "import os, sys\n"
             "from phosmarket import experiment\n"
             "from phosmarket.cli import main\n"
             "real = experiment.run_replication\n"
-            "def die_at_1(context, replication):\n"
-            "    if replication == 1:\n"
+            "def die_at_4(context, replication):\n"
+            "    if replication == 4:\n"
             "        os._exit(9)\n"
             "    return real(context, replication)\n"
-            "experiment.run_replication = die_at_1\n"
+            "experiment.run_replication = die_at_4\n"
             f"code = main(['simulate', '--config', {str(path)!r}, '--workers', '{workers}'])\n"
             "try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
@@ -948,10 +957,10 @@ def cli_error_on_edited_table(tmp_path, command, source, table, edit) -> tuple[P
     shutil.copytree(source, data)
     path = data / table
     path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-    if command == "simulate":
-        args = ["simulate", "--config", write_config(tmp_path, data_dir=data)]
-    else:
+    if command == "pipeline":
         args = ["pipeline", "--raw-dir", data, "--out-dir", tmp_path / "out"]
+    else:
+        args = [command, "--config", write_config(tmp_path, data_dir=data)]
     done = cli_in_fresh_interpreter(*args)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error:")
@@ -1000,3 +1009,20 @@ def test_cli_reports_a_repeated_row_with_exit_1(tmp_path, command, source, table
     path, error = cli_error_on_edited_table(tmp_path, command, source, table, repeat_row)
     last = len((source / table).read_text().splitlines()) + 1
     assert f"{path}, line {last}: repeats the key of line 2" in error
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "verify"])
+@pytest.mark.parametrize(
+    ("kept_year", "rows", "years"), [(None, 0, 0), ("2013", 11, 1)], ids=["no_rows", "one_year"]
+)
+def test_cli_names_a_flows_table_without_two_years_with_exit_1(
+    tmp_path, command, kept_year, rows, years
+):
+    def keep_year(lines):
+        return [lines[0], *(line for line in lines[1:] if line.split(",")[2] == kept_year)]
+
+    path, error = cli_error_on_edited_table(tmp_path, command, DATA, "flows.csv", keep_year)
+    assert error == (
+        f"error: {path}: has {rows} rows in {years} years; "
+        "the trade-cost fit needs rows in at least 2 years\n"
+    )
