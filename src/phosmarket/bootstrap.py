@@ -263,7 +263,7 @@ def fit_trade_costs(
     relative cost over active years.  Each active flow outside the reference
     year pairs its cost change ``w`` against its base with its market's real
     share change ``v`` that year; ``gamma`` is the least-squares slope of
-    ``w`` on ``v`` through the origin.
+    ``w`` on ``v`` through the origin.  ``years`` holds every year of ``flows``.
     """
     if reference_market not in regions:
         raise ValueError(f"unknown reference market {reference_market!r}")
@@ -284,24 +284,15 @@ def fit_trade_costs(
                 f"reference market {j0!r} has no local supply in {year}"
             )
 
+    # each total is positive: it holds the reference market's local supply
     total_demand = {year: sum(demand[(region, year)] for region in regions) for year in years}
-    a_by_year = {}
-    for year, total in total_demand.items():
-        if total <= 0:
-            raise CalibrationError(f"no demand recorded in {year}")
-        a_by_year[year] = theta / total
-    price = {
-        (region, year): 1.0 - a_by_year[year] * imports[(region, year)]
-        for region in regions
-        for year in years
-    }
+    a_by_year = {year: theta / total for year, total in total_demand.items()}
 
     cost_value: dict[tuple[str, str, int], float] = {}
     for (supplier, region, year), flow in flows.items():
-        if flow > 0 and year in a_by_year:
-            cost_value[(supplier, region, year)] = (
-                price[(region, year)] - a_by_year[year] * flow
-            )
+        if flow > 0:
+            a = a_by_year[year]
+            cost_value[(supplier, region, year)] = 1.0 - a * imports[(region, year)] - a * flow
     reference_level = {}
     for year in years:
         into_ref = [

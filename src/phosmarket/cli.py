@@ -16,6 +16,7 @@ from .experiment import (
     run_experiment,
     verify_run,
 )
+from .tables import cells
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,10 +65,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["fit", "key", "coef_1", "coef_2", "observations"])
     for fit in context.demand_fits:
-        writer.writerow(["demand", fit.region, f"{fit.alpha:.6f}", f"{fit.beta:.6f}", len(fit.u1)])
+        writer.writerow(cells(["demand", fit.region, fit.alpha, fit.beta, len(fit.u1)]))
     cost = context.cost_fit
     writer.writerow(
-        ["trade_cost", config.reference_market, f"{cost.gamma:.6f}", "", len(cost.residuals)]
+        cells(["trade_cost", config.reference_market, cost.gamma, None, len(cost.residuals)])
     )
     return 0
 

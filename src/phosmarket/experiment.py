@@ -38,7 +38,7 @@ from .auction import (
 )
 from .config import ConfigError, ExperimentConfig
 from .core import Flows, MarketInstance, quantize
-from .tables import quantity, read_csv, write_csv
+from .tables import Table, quantity, read_csv, write_tables
 
 #: Each harmonized input table's columns with the parsers of their cells,
 #: and how many leading columns form its key.
@@ -134,7 +134,10 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
             )
         _, _, dapmap, fert, crop_use = zip(*rows)
         smoothed = (bs.smooth_cma3(column) for column in (dapmap, fert, crop_use))
-        demand_fits.append(bs.fit_two_stage(region, *smoothed))
+        try:
+            demand_fits.append(bs.fit_two_stage(region, *smoothed))
+        except ValueError as exc:
+            raise bs.CalibrationError(f"{paths['demand_series']}: {exc}") from None
 
     z_scenario = {
         region: use for name, region, use in tables["scenario_use"] if name == config.scenario
@@ -143,6 +146,12 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     if missing:
         raise bs.CalibrationError(
             f"scenario {config.scenario!r} lacks fertilizer use for: {', '.join(missing)}"
+        )
+    zero = [region for region in regions if z_scenario[region] == 0]
+    if zero:
+        raise bs.CalibrationError(
+            f"{paths['scenario_use']}: scenario {config.scenario!r} has use_mt 0 for: "
+            f"{', '.join(zero)}; every demand draw of such a region is 0"
         )
 
     supply_by_year = {
@@ -249,10 +258,6 @@ def run_replication(context: ExperimentContext, replication: int) -> Replication
             f"replication {replication} failed verification: " + "; ".join(witnesses)
         )
     return ReplicationResult(draw, *equilibrium)
-
-
-#: One report table: its name (the CSV's stem), its header and its rows.
-Table = tuple[str, tuple[str, ...], tuple[tuple[object, ...], ...]]
 
 
 class ScenarioReport(NamedTuple):
@@ -459,29 +464,11 @@ RUN_SETTINGS = (
 
 
 def emit_tables(report: ScenarioReport, outdir: Path) -> dict[str, Path]:
-    """Write each report table as a CSV, then the run manifest.
-
-    A float cell is written with 6 decimals, ``None`` as a blank, and any
-    other cell as is.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write each report table (:func:`~phosmarket.tables.write_tables`), then the manifest."""
+    outputs = write_tables(outdir, report.tables)
     context = report.context
     config = context.config
-    outputs: dict[str, Path] = {}
-    for name, header, rows in report.tables:
-        outputs[name] = outdir / f"{name}.csv"
-        write_csv(
-            outputs[name],
-            header,
-            (
-                [f"{cell:.6f}" if type(cell) is float else "" if cell is None else cell
-                 for cell in row]
-                for row in rows
-            ),
-        )
-
-    manifest = outdir / "manifest.txt"
+    manifest = Path(outdir) / "manifest.txt"
     lines = [f"{key}: {getattr(config, key)}" for key in RUN_SETTINGS]
     lines += [
         f"suppliers: {','.join(context.suppliers)}",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .tables import quantity, read_csv, write_csv
+from .tables import quantity, read_csv, write_tables
 
 PIPELINE_VERSION = "1"
 
@@ -227,7 +227,6 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     output behind.
     """
     raw_dir = Path(raw_dir)
-    out_dir = Path(out_dir)
     trade_names = ("trade_flows", "domestic_supply", "residence", "regions", "consumption")
     scenario_names = ("fertilizer_use", "crop_production", "eu_members", "scenario_production")
     scenario = (raw_dir / "scenario_production.csv").exists()
@@ -258,28 +257,21 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
     provenance = {"pipeline_version": PIPELINE_VERSION}
     for name in sorted(trade_names):
         provenance[f"digest_{name}"] = digests[name]
-
-    tables = [
+    trade_tables = [
         (
             "flows",
             ("supplier", "region", "year", "kt"),
-            [
-                (supplier, region, year, f"{kt:.6f}")
-                for (supplier, region, year), kt in sorted(flows.items())
-            ],
-            provenance,
+            [(*key, kt) for key, kt in sorted(flows.items())],
         ),
         (
             "local_supply",
             ("region", "year", "kt", "clamped_residual_kt"),
-            [
-                (region, year, f"{kt:.6f}", f"{residuals.get((region, year), 0.0):.6f}")
-                for (region, year), kt in sorted(local.items())
-            ],
-            provenance,
+            [(*key, kt, residuals.get(key, 0.0)) for key, kt in sorted(local.items())],
         ),
     ]
 
+    crop_tables = []
+    crop_provenance = dict(provenance)
     if scenario:
         use = {(country, crop): kt for country, crop, kt in rows["fertilizer_use"]}
         production = {(country, crop): kt for country, crop, kt in rows["crop_production"]}
@@ -293,28 +285,18 @@ def run_pipeline(raw_dir: Path, out_dir: Path) -> dict[str, Path]:
                 if label == name
             }
             totals = scenario_fertilizer_use(rates, volumes, regions)
-            use_rows.extend(
-                (name, region, f"{mt:.6f}") for region, mt in sorted(totals.items())
-            )
-        derived = dict(provenance)
+            use_rows.extend((name, region, mt) for region, mt in sorted(totals.items()))
         for name in sorted(scenario_names):
-            derived[f"digest_{name}"] = digests[name]
-        tables.append(("scenario_use", ("scenario", "region", "use_mt"), use_rows, derived))
-        tables.append(
+            crop_provenance[f"digest_{name}"] = digests[name]
+        crop_tables = [
+            ("scenario_use", ("scenario", "region", "use_mt"), use_rows),
             (
                 "application_rates",
                 ("country", "crop", "rate_kg_per_t", "fallback"),
-                [
-                    (country, crop, f"{rate.rate:.6f}", int(rate.fallback))
-                    for (country, crop), rate in sorted(rates.items())
-                ],
-                derived,
-            )
-        )
+                [(*key, rate.rate, int(rate.fallback)) for key, rate in sorted(rates.items())],
+            ),
+        ]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: dict[str, Path] = {}
-    for name, header, table_rows, table_provenance in tables:
-        outputs[name] = out_dir / f"{name}.csv"
-        write_csv(outputs[name], header, table_rows, table_provenance)
+    outputs = write_tables(out_dir, trade_tables, provenance)
+    outputs.update(write_tables(out_dir, crop_tables, crop_provenance))
     return outputs

@@ -2,7 +2,8 @@
 
 Tables are flat UTF-8 CSV files with "." decimals.  Lines starting with
 ``#`` carry provenance (input digests, the pipeline version) and are
-skipped on reading.
+skipped on reading.  Every table the package writes goes through
+:func:`write_tables`, and every row through one cell rule, :func:`cells`.
 """
 
 from __future__ import annotations
@@ -77,16 +78,31 @@ def read_csv(
     return rows, hashlib.sha256(data).hexdigest()[:16]
 
 
-def write_csv(
-    path: Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    provenance: Mapping[str, str] | None = None,
-) -> None:
-    """Write a CSV file with optional ``#``-prefixed provenance lines."""
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        for key, value in (provenance or {}).items():
-            handle.write(f"# {key}: {value}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+#: One table as written: its name (the CSV's stem), its header and its rows.
+Table = tuple[str, Sequence[str], Sequence[Sequence[object]]]
+
+
+def cells(row: Iterable[object]) -> list[object]:
+    """The row as written: a float with 6 decimals, ``None`` blank, any other cell as is."""
+    return [f"{cell:.6f}" if type(cell) is float else "" if cell is None else cell for cell in row]
+
+
+def write_tables(
+    outdir: Path, tables: Iterable[Table], provenance: Mapping[str, str] | None = None
+) -> dict[str, Path]:
+    """Write each table as ``outdir/<name>.csv`` under ``# key: value`` provenance lines.
+
+    Makes ``outdir`` and returns each table's path by name.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, Path] = {}
+    for name, header, rows in tables:
+        paths[name] = outdir / f"{name}.csv"
+        with paths[name].open("w", newline="", encoding="utf-8") as handle:
+            for key, value in (provenance or {}).items():
+                handle.write(f"# {key}: {value}\n")
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(map(cells, rows))
+    return paths

@@ -706,7 +706,8 @@ def test_cli_calibrate_command(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["calibrate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "trade_cost" in out
+    # the fits of the fixture, byte for byte
+    assert out == (ROOT / "tests" / "data" / "fixture_bau_calibrate.csv").read_text()
 
 
 def test_cli_reports_validation_errors_with_exit_1(tmp_path, capsys):
@@ -1026,3 +1027,34 @@ def test_cli_names_a_flows_table_without_two_years_with_exit_1(
         f"error: {path}: has {rows} rows in {years} years; "
         "the trade-cost fit needs rows in at least 2 years\n"
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "verify"])
+@pytest.mark.parametrize(
+    ("table", "column", "problem"),
+    [
+        (
+            "scenario_use.csv",
+            "use_mt",
+            "scenario 'BAU' has use_mt 0 for: west; every demand draw of such a region is 0",
+        ),
+        ("demand_series.csv", "dapmap_mt", "series for west: all values must be positive"),
+    ],
+    ids=["zero_use", "zero_series"],
+)
+def test_cli_names_the_table_that_zeroes_a_region_with_exit_1(
+    tmp_path, command, table, column, problem
+):
+    # a west demand of 0 in the scenario, or in the history the fit reads
+    def zero_west(lines):
+        index = lines[0].rstrip("\n").split(",").index(column)
+        edited = [lines[0]]
+        for line in lines[1:]:
+            cells = line.rstrip("\n").split(",")
+            if "west" in cells:
+                cells[index] = "0"
+            edited.append(",".join(cells) + "\n")
+        return edited
+
+    path, error = cli_error_on_edited_table(tmp_path, command, DATA, table, zero_west)
+    assert error == f"error: {path}: {problem}\n"

@@ -18,7 +18,7 @@ from phosmarket.pipeline import (
     run_pipeline,
     scenario_fertilizer_use,
 )
-from phosmarket.tables import quantity, read_csv, write_csv
+from phosmarket.tables import cells, quantity, read_csv, write_tables
 
 RAW = Path(__file__).parent / "data" / "raw_small"
 
@@ -275,8 +275,32 @@ def test_run_pipeline_emits_tables_with_provenance(tmp_path):
 
 
 def test_csv_roundtrip_skips_comments(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 2)], {"origin": "test"})
+    # a float gets 6 decimals, None is blank, an int or a str is written as is
+    assert cells([1, 2.5, None, "x"]) == [1, "2.500000", "", "x"]
+    outputs = write_tables(
+        tmp_path / "new", [("t", ("a", "b", "c", "d"), [(1, 2.5, None, "x")])], {"origin": "test"}
+    )
+    path = tmp_path / "new" / "t.csv"
+    assert outputs == {"t": path}
+    assert path.read_bytes() == b"# origin: test\na,b,c,d\r\n1,2.500000,,x\r\n"
     rows, digest = read_csv(path, {"b": quantity, "a": int}, 1)
-    assert rows == [(2.0, 1)]
+    assert rows == [(2.5, 1)]
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+#: sha256 of each table that ``pipeline`` writes from ``raw_small``.
+PIPELINE_OUTPUT_SHA256 = {
+    "application_rates.csv": "e7d9cb901eea2cc1831f7cdf99d2465e9850b313dea177906504e1ab1d9a3f88",
+    "flows.csv": "de8e3bf99e74e7ec5c62bfc601505fa801465017ea938bb3a8b266aee30efab7",
+    "local_supply.csv": "338878d2182d19ad0eb9c46fab7138581e70b7d98959e7a1ff1e53fb15671ad7",
+    "scenario_use.csv": "0354936d6fbf88627b35238016611a1e5846bee6d0033a2dc6892b98a3889e1c",
+}
+
+
+def test_pipeline_outputs_match_pinned_digests(tmp_path):
+    run_pipeline(RAW, tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    assert digests == PIPELINE_OUTPUT_SHA256
