@@ -51,8 +51,6 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 def smooth_cma3(series: Sequence[float]) -> list[float]:
     """Central moving average with span 3; endpoints are dropped."""
-    if len(series) < 3:
-        raise ValueError("span-3 smoothing needs at least three observations")
     return [
         (series[k - 1] + series[k] + series[k + 1]) / 3
         for k in range(1, len(series) - 1)
@@ -84,9 +82,6 @@ def fit_two_stage(
     year): ``y`` apparent DAP/MAP consumption, ``x`` total fertilizer
     consumption and ``z`` fertilizer use in application to crops.
     """
-    p = len(y)
-    if p < 3 or len(x) != p or len(z) != p:
-        raise ValueError(f"series for {region}: equal lengths >= 3 required")
     if min(min(y), min(x), min(z)) <= 0:
         raise ValueError(f"series for {region}: all values must be positive")
     zz = _dot(z, z)
@@ -166,14 +161,8 @@ def capacity_inputs(
     collects every supplier's deviations from its own mean, jointly across
     suppliers.
     """
-    if base == "mean":
-        denom = sum(global_demand_by_year) / len(global_demand_by_year)
-    elif base == "latest":
-        denom = global_demand_by_year[-1]
-    else:
-        raise ValueError("base must be 'mean' or 'latest'")
-    if denom <= 0:
-        raise ValueError("global demand base must be positive")
+    demand = global_demand_by_year
+    denom = demand[-1] if base == "latest" else sum(demand) / len(demand)
     shares: dict[str, float] = {}
     pool: list[float] = []
     for supplier, values in supply_by_year.items():
@@ -190,10 +179,6 @@ def sample_capacity(
     rng: Stream,
 ) -> tuple[int, ...]:
     """One capacity draw per supplier, in goods units (clamped at one unit)."""
-    if not deviation_pool:
-        raise CalibrationError("empty capacity deviation pool")
-    if any(share < 0 for share in share_estimates):
-        raise ValueError("share estimates must be nonnegative")
     capacities = []
     for share in share_estimates:
         delta = deviation_pool[rng.below(len(deviation_pool))]
@@ -263,12 +248,11 @@ def fit_trade_costs(
     relative cost over active years.  Each active flow outside the reference
     year pairs its cost change ``w`` against its base with its market's real
     share change ``v`` that year; ``gamma`` is the least-squares slope of
-    ``w`` on ``v`` through the origin.  ``years`` holds every year of ``flows``.
+    ``w`` on ``v`` through the origin.  ``years`` holds every year of ``flows``,
+    ``reference_year`` among them, and in each the reference market has local
+    supply and receives a positive flow
+    (:func:`~phosmarket.experiment.load_context` requires all three).
     """
-    if reference_market not in regions:
-        raise ValueError(f"unknown reference market {reference_market!r}")
-    if reference_year not in years:
-        raise ValueError(f"reference year {reference_year} outside history")
     j0 = reference_market
 
     demand: dict[tuple[str, int], float] = {}
@@ -278,11 +262,6 @@ def fit_trade_costs(
             into = sum(flows.get((s, region, year), 0.0) for s in suppliers)
             imports[(region, year)] = into
             demand[(region, year)] = local_supply.get((region, year), 0.0) + into
-    for year in years:
-        if local_supply.get((j0, year), 0.0) <= 0:
-            raise CalibrationError(
-                f"reference market {j0!r} has no local supply in {year}"
-            )
 
     # each total is positive: it holds the reference market's local supply
     total_demand = {year: sum(demand[(region, year)] for region in regions) for year in years}
@@ -300,10 +279,6 @@ def fit_trade_costs(
             for supplier in suppliers
             if (supplier, j0, year) in cost_value
         ]
-        if not into_ref:
-            raise CalibrationError(
-                f"reference market {j0!r} receives no trade flow in {year}"
-            )
         reference_level[year] = sum(into_ref) / len(into_ref)
     rel = {
         key: value - reference_level[key[2]] for key, value in cost_value.items()
@@ -413,8 +388,6 @@ def calibrate_local_costs(
     """
     if any(d < 1 for d in demands):
         raise ValueError("demands must be >= 1 unit")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
     total = sum(demands)
     a = to_minor(theta / total, scale)
     if theta > 0 and a == 0:

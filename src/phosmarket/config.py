@@ -39,7 +39,7 @@ class ExperimentConfig:
         if self.theta < 0:
             raise ConfigError("theta must be nonnegative")
         if self.capacity_share_base not in ("mean", "latest"):
-            raise ConfigError("capacity_share_base must be 'mean' or 'latest'")
+            raise ConfigError("capacity_share_base must equal 'mean' or 'latest'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

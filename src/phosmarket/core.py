@@ -29,15 +29,11 @@ Flows = tuple[tuple[int, ...], ...]
 
 def quantize(value: float, unit: float) -> int:
     """Round a physical value onto the integer goods grid (half away up)."""
-    if unit <= 0:
-        raise ValueError("unit size must be positive")
     return int(math.floor(value / unit + 0.5))
 
 
 def to_minor(value: float, scale: int) -> int:
     """Round a relative cost value to ``scale`` minor units per unit (half away up)."""
-    if scale <= 0:
-        raise ValueError("money scale must be positive")
     if value >= 0:
         return int(math.floor(value * scale + 0.5))
     return -int(math.floor(-value * scale + 0.5))

@@ -112,20 +112,43 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     suppliers = tuple(sorted({key[0] for key in flows}))
     regions = tuple(sorted({key[1] for key in flows} | {key[0] for key in local}))
     years = sorted({key[2] for key in flows})
+    # how the tables must cover the run; each error names its table or config key
     if len(years) < 2:
         raise bs.CalibrationError(
             f"{paths['flows']}: has {len(flows)} rows in {len(years)} years; the "
             "trade-cost fit needs rows in at least 2 years"
         )
+    if len(regions) < 2:
+        raise bs.CalibrationError(
+            f"{paths['flows']} and {paths['local_supply']} name only region {regions[0]!r}; "
+            "the share-change regression needs at least 2"
+        )
+    j0 = config.reference_market
+    if j0 not in regions:
+        raise bs.CalibrationError(
+            f"reference_market {j0!r} is not a region of {paths['flows']} "
+            f"or {paths['local_supply']}"
+        )
+    if config.reference_year not in years:
+        raise bs.CalibrationError(
+            f"reference_year {config.reference_year} is not a year of {paths['flows']}"
+        )
+    for year in years:  # the fit's cost levels and global demands rest on these
+        if local.get((j0, year), 0.0) <= 0:
+            raise bs.CalibrationError(
+                f"{paths['local_supply']}: reference_market {j0!r} has no local supply in {year}"
+            )
+        if not any(flows.get((supplier, j0, year), 0.0) > 0 for supplier in suppliers):
+            raise bs.CalibrationError(
+                f"{paths['flows']}: reference_market {j0!r} receives no flow in {year}"
+            )
 
     demand_fits = []
     for region in regions:
         # rows sort by year: (region, year) is the table's key
         rows = sorted(row for row in tables["demand_series"] if row[0] == region)
-        if not rows:
-            raise bs.CalibrationError(f"no demand series for region {region!r}")
         found = [row[1] for row in rows]
-        gaps = sorted(set(range(found[0], found[-1] + 1)) - set(found))
+        gaps = sorted(set(range(found[0], found[-1] + 1)) - set(found)) if found else []
         if gaps or len(rows) < 5:  # 5 rows smooth to 3 values, the fewest a fit takes
             problem = f"has no row for {gaps[0]}" if gaps else f"has {len(rows)} rows"
             raise bs.CalibrationError(
@@ -142,16 +165,20 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     z_scenario = {
         region: use for name, region, use in tables["scenario_use"] if name == config.scenario
     }
-    missing = [region for region in regions if region not in z_scenario]
-    if missing:
+    unused = [region for region in regions if z_scenario.get(region, 0.0) <= 0]
+    if unused:  # every demand draw of such a region would be 0
         raise bs.CalibrationError(
-            f"scenario {config.scenario!r} lacks fertilizer use for: {', '.join(missing)}"
+            f"{paths['scenario_use']}: scenario {config.scenario!r} has no positive use_mt "
+            f"for: {', '.join(unused)}"
         )
-    zero = [region for region in regions if z_scenario[region] == 0]
-    if zero:
+    # a demand draw below half a goods unit is redrawn (assemble_draw)
+    half_unit_mt = 0.5 * config.unit_kt / 1000.0
+    point_mt = {fit.region: fit.alpha * fit.beta * z_scenario[fit.region] for fit in demand_fits}
+    small = [f"{region} ({mt:.6g} Mt)" for region, mt in point_mt.items() if mt < half_unit_mt]
+    if small:
         raise bs.CalibrationError(
-            f"{paths['scenario_use']}: scenario {config.scenario!r} has use_mt 0 for: "
-            f"{', '.join(zero)}; every demand draw of such a region is 0"
+            f"unit_kt {config.unit_kt}: half a goods unit, {half_unit_mt:g} Mt, exceeds the "
+            f"point demand (alpha * beta * use_mt) of: {', '.join(small)}; lower unit_kt"
         )
 
     supply_by_year = {
@@ -180,7 +207,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         suppliers,
         regions,
         years,
-        config.reference_market,
+        j0,
         config.reference_year,
         theta=config.theta,
     )
@@ -374,11 +401,10 @@ def aggregate(
     """Build every report table from the results, listed in replication order.
 
     Each result's structure statistics are computed here, once
-    (:func:`~phosmarket.metrics.structure`, which raises ``ValueError`` on
-    fewer than two regions).  A summary cell is the mean or SD over the
-    replications that define the value, and ``None`` where none does.  A
-    region's entry floor is the mean over draws of its cheapest open trade
-    cost, so it is ``None`` when no pair into the region is open.
+    (:func:`~phosmarket.metrics.structure`).  A summary cell is the mean or
+    SD over the replications that define the value, and ``None`` where none
+    does.  A region's entry floor is the mean over draws of its cheapest open
+    trade cost, so it is ``None`` when no pair into the region is open.
     """
     if not results:
         raise ExperimentError("cannot aggregate a run without replications")

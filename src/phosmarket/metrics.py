@@ -32,8 +32,6 @@ class MarketStructure(NamedTuple):
 def structure(flows: Flows, inst: MarketInstance) -> MarketStructure:
     """Every structure statistic of ``flows``, summing each market and supplier once."""
     n, k = inst.n, inst.m + 1
-    if n < 2:
-        raise ValueError("diversification needs at least two markets")
     concentration, local_share = [], []
     for j, d in enumerate(inst.d):
         imports = [row[j] for row in flows]

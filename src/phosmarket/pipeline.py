@@ -45,8 +45,6 @@ class PipelineError(ValueError):
 
 def convert_to_p2o5(mass: float, kind: str) -> float:
     """Convert a product mass to P2O5 equivalent mass."""
-    if mass < 0:
-        raise PipelineError("mass must be nonnegative")
     try:
         return mass * CONVERSION_PERCENT[kind] / 100
     except KeyError:
@@ -204,8 +202,6 @@ def scenario_fertilizer_use(
     """
     parts = []
     for (country, crop), prod_kt in scenario_production.items():
-        if prod_kt < 0:
-            raise PipelineError(f"negative scenario production for {country}/{crop}")
         if prod_kt == 0:
             continue
         rate = rates.get((country, crop))

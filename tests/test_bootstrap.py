@@ -35,14 +35,7 @@ def test_cma3_linear_ramp():
     assert smooth_cma3([1, 2, 3, 4, 5]) == [2.0, 3.0, 4.0]
 
 
-def test_cma3_rejects_short_series():
-    with pytest.raises(ValueError):
-        smooth_cma3([1.0, 2.0])
-
-
 def test_fit_two_stage_validates_series():
-    with pytest.raises(ValueError, match="equal lengths >= 3 required"):
-        fit_two_stage("r", (1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError, match="all values must be positive"):
         fit_two_stage("r", (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
 
@@ -169,11 +162,6 @@ def test_capacity_inputs_shares_and_pool():
     assert sorted(pool) == [-1.0, 0.0, 0.0, 1.0]
     latest, _ = capacity_inputs({"a": [10.0, 12.0]}, [100.0, 120.0], base="latest")
     assert latest["a"] == pytest.approx(11.0 / 120.0)
-
-
-def test_sample_capacity_requires_pool():
-    with pytest.raises(CalibrationError):
-        sample_capacity(100.0, [0.1], [], seeded_stream(0))
 
 
 def test_sample_capacity_zero_variance_pool():
@@ -346,15 +334,6 @@ def test_inversion_uniform_growth_zeroes_share_changes():
     assert real_share_changes((44 / 66, 22 / 66), (40 / 60, 20 / 60), 0) == (0.0, 0.0)
     with pytest.raises(CalibrationError, match=r"\(v.v = 0\)"):  # so no slope can be fitted
         fit_trade_costs(flows, local, suppliers, regions, [1, 2], "R1", 1, theta=0.5)
-
-
-def test_inversion_requires_active_reference_market():
-    suppliers = ["A"]
-    regions = ["R1", "R2"]
-    flows = {("A", "R2", 1): 5.0}
-    local = {("R1", 1): 30.0, ("R2", 1): 15.0}
-    with pytest.raises(CalibrationError):
-        fit_trade_costs(flows, local, suppliers, regions, [1], "R1", 1, theta=0.5)
 
 
 def test_trade_cost_regression_closed_forms():

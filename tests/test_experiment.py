@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import pickle
 import re
@@ -846,32 +847,85 @@ def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
     assert "failure:" in capsys.readouterr().err
 
 
+def drop(*cells):
+    """A row filter that drops every row holding all of ``cells``."""
+    return lambda row: set(cells) <= set(row)
+
+
+def keep(*cells):
+    """A row filter that drops every row not holding all of ``cells``."""
+    return lambda row: not set(cells) <= set(row)
+
+
 @pytest.mark.parametrize(
-    ("overrides", "table", "cells", "error"),
+    ("overrides", "filters", "error"),
     [
-        (dict(reference_market="nowhere"), None, (), "unknown reference market 'nowhere'"),
-        (dict(reference_year=1999), None, (), "reference year 1999 outside history"),
-        ({}, "demand_series.csv", ("west",), "no demand series for region 'west'"),
-        ({}, "scenario_use.csv", ("west",), "scenario 'BAU' lacks fertilizer use for: west"),
-        ({}, "local_supply.csv", ("east", "2014"),
-         "reference market 'east' has no local supply in 2014"),
+        (
+            dict(reference_market="mars"),
+            {},
+            "reference_market 'mars' is not a region of {flows} or {local_supply}",
+        ),
+        (dict(reference_year=1999), {}, "reference_year 1999 is not a year of {flows}"),
+        (
+            {},
+            {"demand_series": drop("west")},
+            "{demand_series}: region 'west' has 0 rows; "
+            "it needs at least 5 rows, in consecutive years",
+        ),
+        (
+            {},
+            {"scenario_use": drop("BAU", "west")},
+            "{scenario_use}: scenario 'BAU' has no positive use_mt for: west",
+        ),
+        (
+            {},
+            {"local_supply": drop("east", "2014")},
+            "{local_supply}: reference_market 'east' has no local supply in 2014",
+        ),
+        (
+            {},
+            {"flows": drop("east", "2014")},
+            "{flows}: reference_market 'east' receives no flow in 2014",
+        ),
+        (
+            {},
+            {"flows": keep("east"), "local_supply": keep("east")},
+            "{flows} and {local_supply} name only region 'east'; "
+            "the share-change regression needs at least 2",
+        ),
+        (
+            dict(unit_kt=2000.0),
+            {},
+            "unit_kt 2000.0: half a goods unit, 1 Mt, exceeds the point demand "
+            "(alpha * beta * use_mt) of: north (0.576868 Mt), south (0.367593 Mt), "
+            "west (0.212208 Mt); lower unit_kt",
+        ),
     ],
-    ids=["reference_market", "reference_year", "demand_series", "scenario_use", "local_supply"],
+    ids=[
+        "reference_market",
+        "reference_year",
+        "demand_series",
+        "scenario_use",
+        "local_supply",
+        "reference_flow",
+        "two_regions",
+        "unit_kt",
+    ],
 )
 def test_cli_reports_inputs_that_do_not_cover_the_run_with_exit_1(
-    tmp_path, capsys, overrides, table, cells, error
+    tmp_path, capsys, overrides, filters, error
 ):
     data = tmp_path / "data"
     shutil.copytree(DATA, data)
-    if table is not None:  # drop every row that holds all of the cells
-        path = data / table
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(
-            "".join(line for line in lines if not set(cells) <= set(line.rstrip("\n").split(",")))
-        )
+    for table, dropped in filters.items():
+        path = data / f"{table}.csv"
+        header, *lines = path.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not dropped(line.rstrip("\n").split(","))]
+        path.write_text(header + "".join(kept))
     path = write_config(tmp_path, data_dir=data, **overrides)
     assert main(["simulate", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    tables = {name: data / f"{name}.csv" for name in experiment.INPUT_TABLES}
+    assert capsys.readouterr().err == f"error: {error.format(**tables)}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -911,6 +965,54 @@ def test_five_consecutive_demand_rows_suffice(tmp_path):
     context = load_context(fixture_config(tmp_path, data_dir=data))
     west = context.demand_fits[context.regions.index("west")]
     assert len(west.z) == 3
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded as a module without changing it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (variant, suppliers, money_scale, unit_kt, theta) of generated worlds, toward
+# the extremes money_scale 5 and 1000, unit_kt 5 and 20000, theta 0 and 20;
+# unit_kt None keeps the world's own unit of about 200 units in all
+GENERATED_WORLDS = [
+    (0, 2, 5, 200.0, 0.0),
+    (1, 7, 1000, 5.0, 0.0),
+    (2, 3, 1000, 20000.0, 20.0),
+    (3, 4, 1000, 50.0, 20.0),
+    (4, 5, 1000, 200.0, 0.1),
+    (5, 6, 10, 200.0, 2.0),
+    (6, 7, 5, 2000.0, 0.0),
+    (7, 7, 100, None, 2.0),
+]
+
+
+def test_generated_worlds_exit_0_with_a_verified_sample_or_1_with_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(ROOT)  # workloads reads tests/data/table1.csv by a relative path
+    workloads = load_workloads()
+    codes = []
+    for variant, suppliers, money_scale, unit_kt, theta in GENERATED_WORLDS:
+        values = workloads.write_world(variant, tmp_path / f"data{variant}", suppliers=suppliers)
+        values.update(
+            money_scale=money_scale, theta=theta, replications=4, output_dir=tmp_path / f"out{variant}"
+        )
+        if unit_kt is not None:
+            values["unit_kt"] = unit_kt
+        config = str(workloads.write_config(tmp_path / f"world{variant}.cfg", values))
+        code = main(["simulate", "--config", config])
+        error = capsys.readouterr().err
+        if code == 0:
+            assert error == ""
+            assert main(["verify", "--config", config, "--sample", "1"]) == 0
+        else:
+            assert code == 1 and error.startswith("error: ") and error.count("\n") == 1, error
+        codes.append(code)
+    assert 0 in codes and 1 in codes
 
 
 def cli_in_fresh_interpreter(*args):
@@ -1036,7 +1138,7 @@ def test_cli_names_a_flows_table_without_two_years_with_exit_1(
         (
             "scenario_use.csv",
             "use_mt",
-            "scenario 'BAU' has use_mt 0 for: west; every demand draw of such a region is 0",
+            "scenario 'BAU' has no positive use_mt for: west",
         ),
         ("demand_series.csv", "dapmap_mt", "series for west: all values must be positive"),
     ],

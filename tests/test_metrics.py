@@ -92,13 +92,6 @@ def test_diversification_undefined_when_unsold():
     assert structure(flows, inst).diversification == (None,)
 
 
-def test_diversification_requires_two_markets():
-    inst = instance(1, 1, [4], [4])
-    flows = ((4,),)
-    with pytest.raises(ValueError, match="diversification needs at least two markets"):
-        structure(flows, inst)
-
-
 def test_local_share_examples():
     inst = instance(1, 2, [4], [4, 4])
     assert structure(((0, 0),), inst).local_share == pytest.approx((1.0, 1.0))

@@ -46,8 +46,6 @@ def test_conversion_factors_exact():
     assert convert_to_p2o5(100.0, "DAPMAP_MIX") == pytest.approx(49.0)
     with pytest.raises(PipelineError):
         convert_to_p2o5(1.0, "NPK")
-    with pytest.raises(PipelineError):
-        convert_to_p2o5(-1.0, "DAP")
 
 
 def test_compile_empty_input():
