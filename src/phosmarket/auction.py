@@ -17,7 +17,8 @@ on reduced costs.  The scaling starts from a given flow and potentials
 optimum (:func:`reference_start`), which leaves little to move.  Its cost
 depends neither on the money grid nor on 2^m, and grows with the logarithm
 of the largest node imbalance rather than with the total unit count.  The
-start changes neither the markups nor the flows.  The duals come from a
+start changes neither the markups nor the flows; it also carries the
+network's arcs, which only the open pairs fix.  The duals come from a
 reverse Bellman-Ford over every node, which raises when the flow is not
 optimal.  That flow problem and the allocation's max-flow share one
 residual network of paired arcs (:class:`_Network`).  The paper's ascending
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from typing import NamedTuple, Sequence
 
 from .core import Equilibrium, Flows, MarketInstance, require_valid, validate_flows
@@ -85,10 +85,9 @@ def _units_at_or_below(base: int, a: int, cap: int, mu: int) -> int:
 
 def _min_spend(
     sources: Sequence[_Source], a: int, d: int, mu_hint: int | None = None
-) -> tuple[int, int, list[int]]:
-    """Exact minimum spend for ``d`` units across sources, its waterline and counts.
+) -> tuple[int, int]:
+    """Exact minimum spend for ``d`` units across sources, and its waterline.
 
-    The counts are each source's units strictly below the waterline.
     ``sources`` must be able to supply at least ``d`` units in total.  A hint
     is the waterline itself or one below it (a previous call's waterline
     after each base rose by at most one minor unit), so only those two values
@@ -96,7 +95,7 @@ def _min_spend(
     the integer cost grid is used.
     """
     if d <= 0:
-        return 0, 0, [0] * len(sources)
+        return 0, 0
 
     def supply(mu: int) -> int:
         total = 0
@@ -121,17 +120,14 @@ def _min_spend(
                 lo = mid + 1
         mu = lo
 
-    spend = 0
-    below = []
+    spend = bought = 0  # over the units strictly below the waterline
     for base, cap in sources:
         k = _units_at_or_below(base, a, cap, mu - 1)
         spend += base * k + a * k * k
-        below.append(k)
-    remainder = d - sum(below)
-    if remainder <= 0:
+        bought += k
+    if bought >= d:
         raise AuctionError("waterline search produced an inconsistent basket")
-    spend += remainder * mu
-    return spend, mu, below
+    return spend + (d - bought) * mu, mu
 
 
 def _market_sources(inst: MarketInstance, j: int, markups: Sequence[int]) -> list[_Source]:
@@ -147,12 +143,12 @@ def _market_sources(inst: MarketInstance, j: int, markups: Sequence[int]) -> lis
 class _MarketDemand(NamedTuple):
     """Tie-aware structure of one market's cheapest-units basket."""
 
-    mu: int
-    spend: int
+    mu: int  # the waterline
     forced: tuple[int, ...]  # per supplier, units strictly below the waterline
     tie: tuple[int, ...]  # per supplier, units exactly at the waterline
     tie_local: int
     remainder: int  # waterline units still to distribute among ties
+    spend: int | None = None  # the basket's spend, where the caller reads it
 
     def minimal_imports(self) -> tuple[int, ...]:
         """Unique minimal bundle: remainder goes local first, then by index."""
@@ -170,23 +166,33 @@ class _MarketDemand(NamedTuple):
 def _demand_structure(
     inst: MarketInstance, j: int, markups: Sequence[int], mu_hint: int | None = None
 ) -> _MarketDemand:
+    spend, mu = _min_spend(_market_sources(inst, j, markups), inst.a, inst.d[j], mu_hint)
+    return _ties(inst, j, markups, mu)._replace(spend=spend)
+
+
+def _ties(inst: MarketInstance, j: int, markups: Sequence[int], mu: int) -> _MarketDemand:
+    """Market j's units below and at its waterline ``mu`` (not a stale hint), in one pass."""
     a, d = inst.a, inst.d[j]
-    sources = _market_sources(inst, j, markups)
-    spend, mu, below = _min_spend(sources, a, d, mu_hint)
-    forced = [0] * inst.m
-    tie = [0] * inst.m
-    suppliers = [i for i in range(inst.m) if inst.t[i][j] is not None]
-    for i, (base, cap), k in zip(suppliers, sources[1:], below[1:]):
-        forced[i] = k
-        tie[i] = _units_at_or_below(base, a, cap, mu) - k
-    return _MarketDemand(
-        mu=mu,
-        spend=spend,
-        forced=tuple(forced),
-        tie=tuple(tie),
-        tie_local=_units_at_or_below(inst.c_o[j], a, d, mu) - below[0],
-        remainder=d - sum(below),
-    )
+    forced, tie = [0] * inst.m, [0] * inst.m
+    below = at = 0
+    for i in range(-1, inst.m):  # the local source, then each supplier
+        if i < 0:
+            base, cap = inst.c_o[j], d
+        else:
+            base, cap = inst.t[i][j], inst.s[i]
+            if base is None:
+                continue
+            base += markups[i]
+        low, high = _units_at_or_below(base, a, cap, mu - 1), _units_at_or_below(base, a, cap, mu)
+        below += low
+        at += high
+        if i < 0:
+            tie_local = high - low
+        else:
+            forced[i], tie[i] = low, high - low
+    if not below < d <= at:
+        raise AuctionError("stale waterline hint; price moved by more than one tick")
+    return _MarketDemand(mu, tuple(forced), tuple(tie), tie_local, d - below)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
             raise ValueError(f"positive cap on masked pair ({i}, {j})")
         if cap > 0:
             sources.append((inst.t[i][j], cap))  # type: ignore[arg-type]
-    spend, _, _ = _min_spend(sources, inst.a, inst.d[j])
+    spend, _ = _min_spend(sources, inst.a, inst.d[j])
     return local_spend(inst.d[j], j, inst) - spend
 
 
@@ -244,22 +250,41 @@ def bundle_utility(z: Sequence[int], j: int, markups: Sequence[int], inst: Marke
 
 
 class FlowStart(NamedTuple):
-    """Where :func:`solve_minimal_markups` starts its capacity scaling.
+    """Where :func:`solve_minimal_markups` starts its capacity scaling, and on which arcs.
 
-    ``flow`` holds one flow per forward arc of the market network, in the
-    order :func:`_market_network` adds them, and ``pi`` one potential per
-    node.  Any start gives the same equilibrium; one near the optimum saves
-    most of the scaling's Dijkstra runs.
+    ``flow`` holds one flow per forward arc and ``pi`` one potential per
+    node.  The arcs depend only on the open pairs, ``open[i][j]``, so their
+    ``adj`` and ``head`` (:class:`_Network`) serve every instance on them.
+    Any start gives the same equilibrium; one near the optimum saves most of
+    the scaling's Dijkstra runs.
     """
 
     flow: tuple[int, ...]
     pi: tuple[int, ...]
+    open: tuple[tuple[bool, ...], ...]
+    adj: tuple[tuple[tuple[int, int], ...], ...]
+    head: tuple[int, ...]
 
 
 def cold_start(inst: MarketInstance) -> FlowStart:
-    """Zero flow and zero potentials on the market network of ``inst``."""
-    arcs = inst.m + inst.n + sum(cost is not None for row in inst.t for cost in row)
-    return FlowStart((0,) * arcs, (0,) * (inst.m + inst.n + 1))
+    """Zero flow and zero potentials on the market network of ``inst``.
+
+    Its nodes are the suppliers ``0..m-1``, the markets ``m..m+n-1`` and a
+    source S.  Its arcs, in order, are S -> supplier i (capacity ``s_i``,
+    cost 0), then per market j S -> j (local supply, the u-th unit costs
+    ``c_oj + a(2u-1)``) and supplier i -> j on each open pair (the u-th unit
+    costs ``t_ij + a(2u-1)``).
+    """
+    m, n = inst.m, inst.n
+    net = _Network(m + n + 1)
+    for i in range(m):
+        net.add(m + n, i, 0)
+    for j, costs in enumerate(zip(*inst.t)):
+        for i in [m + n] + [i for i, cost in enumerate(costs) if cost is not None]:
+            net.add(i, m + j, 0)
+    opened = tuple(tuple(cost is not None for cost in row) for row in inst.t)
+    zero = (0,) * (len(net.head) // 2), (0,) * (m + n + 1)
+    return FlowStart(*zero, opened, tuple(map(tuple, net.adj)), tuple(net.head))
 
 
 def reference_start(inst: MarketInstance) -> FlowStart:
@@ -272,7 +297,7 @@ def reference_start(inst: MarketInstance) -> FlowStart:
     zero = cold_start(inst)
     net, excess = _market_network(inst, zero)
     pi = _min_cost_flow(net, excess, list(zero.pi), None)
-    return FlowStart(tuple(net.flow[::2]), tuple(pi))
+    return zero._replace(flow=tuple(net.flow[::2]), pi=tuple(pi))
 
 
 def solve_minimal_markups(
@@ -280,15 +305,9 @@ def solve_minimal_markups(
 ) -> Equilibrium:
     """Compute the equilibrium with the componentwise smallest markup vector.
 
-    The market is a separable convex transportation problem.  Its nodes are
-    the suppliers ``0..m-1``, the markets ``m..m+n-1`` and a source S; its
-    arcs are S -> supplier i (capacity ``s_i``, cost 0), S -> market j
-    (local supply, the u-th unit costs ``c_oj + a(2u-1)``) and supplier i ->
-    market j on open pairs (the u-th unit costs ``t_ij + a(2u-1)``).  S
-    holds ``sum(d)`` units of excess and market j a deficit of ``d_j``; the
-    sink that drains the markets is left implicit.  Each arc is stored with
-    its reverse in one :class:`_Network`.
-
+    The market is a separable convex transportation problem on the network
+    of :func:`cold_start`.  S holds ``sum(d)`` units of excess and market j
+    a deficit of ``d_j``; the sink that drains the markets is left implicit.
     :func:`_min_cost_flow` finds an optimal integer flow by capacity
     scaling, starting from ``start``: its flow clipped to this instance's
     capacities, and its potentials (:func:`cold_start` gives zero for both,
@@ -312,33 +331,41 @@ def solve_minimal_markups(
 
 
 def _market_network(inst: MarketInstance, start: FlowStart) -> tuple[_Network, list[int]]:
-    """The network of :func:`solve_minimal_markups` and its node excesses.
+    """The network of :func:`solve_minimal_markups` on ``start``'s arcs, and its node excesses.
 
-    Each forward arc carries ``start``'s flow clipped to ``[0, cap]``.
+    The instance gives each arc its capacity and costs, and each forward arc
+    carries ``start``'s flow clipped to ``[0, cap]``.  An instance with other
+    open pairs than ``start``'s is rejected.
     """
-    m, n = inst.m, inst.n
-    source = m + n
-    net = _Network(source + 1)
-    for i in range(m):
-        net.add(source, i, inst.s[i])
-    for j in range(n):
-        net.add(source, m + j, inst.d[j], inst.c_o[j], inst.a)
-        for i in range(m):
-            cost = inst.t[i][j]
-            if cost is not None:
-                net.add(i, m + j, min(inst.s[i], inst.d[j]), cost, inst.a)
-    head, cap, flow = net.head, net.cap, net.flow
-    if len(start.flow) * 2 != len(head) or len(start.pi) != source + 1:
+    m, n, s = inst.m, inst.n, inst.s
+    opened = tuple(tuple(cost is not None for cost in row) for row in inst.t)
+    if opened != start.open or len(start.pi) != m + n + 1:
         raise ValueError(
-            f"start has {len(start.flow)} arc flows and {len(start.pi)} potentials; "
-            f"the network has {len(head) // 2} arcs and {source + 1} nodes"
+            f"start has {len(start.flow)} arc flows and {len(start.pi)} potentials, for other open "
+            f"pairs or nodes than the network's {m + n + sum(map(sum, opened))} arcs and "
+            f"{m + n + 1} nodes"
         )
+    cap, base = [], [0] * (2 * m)
+    for cap_i in s:
+        cap += (cap_i, 0)
+    for d_j, c_j, costs in zip(inst.d, inst.c_o, zip(*inst.t)):
+        cap += (d_j, 0)
+        base += (c_j, -c_j)
+        for cap_i, cost in zip(s, costs):
+            if cost is not None:
+                cap += (cap_i if cap_i < d_j else d_j, 0)
+                base += (cost, -cost)
+    head, flow = start.head, [0] * len(cap)
     excess = [0] * m + [-d for d in inst.d] + [sum(inst.d)]
-    for e, f in zip(range(0, len(head), 2), start.flow):
-        f = min(max(f, 0), cap[e])
-        flow[e], flow[e + 1] = f, -f
-        excess[head[e + 1]] -= f
-        excess[head[e]] += f
+    for e, f in zip(range(0, len(cap), 2), start.flow):
+        if f > 0:
+            f = f if f < cap[e] else cap[e]
+            flow[e], flow[e + 1] = f, -f
+            excess[head[e + 1]] -= f
+            excess[head[e]] += f
+    net = _Network.__new__(_Network)  # on the start's arcs, which nothing adds to
+    net.adj, net.head, net.base, net.cap, net.flow = start.adj, head, base, cap, flow
+    net.slope = [0] * (2 * m) + [inst.a] * (len(cap) - 2 * m)
     return net, excess
 
 
@@ -424,8 +451,10 @@ def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...],
 
     A reverse Bellman-Ford over the unit residual arcs gives to_source[v] =
     dist(v -> S); the disposal arcs give every supplier a zero-cost way back
-    to S, so markups are >= 0.  Every node, S included, is relaxed, and
-    every node reaches S through a disposal arc or a reverse arc.  So the
+    to S, so markups are >= 0.  It is queue-based (Bellman-Ford-Moore): a
+    node whose distance fell relaxes the arcs into it, the reverses of its
+    own arcs, once per pass.  Every node, S included, is relaxed, and every
+    node reaches S through a disposal arc or a reverse arc.  So the
     distances settle within ``nodes`` passes, with S staying at 0, exactly
     when the flow is optimal: otherwise its residual network holds a
     negative cycle (Ahuja, Magnanti & Orlin, ch. 14) and this raises.
@@ -434,22 +463,25 @@ def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...],
     adj, base, slope, cap, flow = net.adj, net.base, net.slope, net.cap, net.flow
     nodes = len(adj)
     to_source = [0] * m + [math.inf] * n + [0]
-    for _ in range(nodes + 1):
-        changed = False
-        for u in range(nodes):
-            best = to_source[u]
-            for e, v in adj[u]:
-                if flow[e] < cap[e]:
-                    dv = base[e] + slope[e] * (2 * flow[e] + 1) + to_source[v]
-                    if dv < best:
-                        best = dv
-            if best < to_source[u]:
-                to_source[u] = best
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AuctionError("negative residual cycle; the min-cost flow is not optimal")
+    queue = [*range(m), nodes - 1]  # the nodes of finite distance, in order
+    waiting = [True] * m + [False] * n + [True]
+    queued = [1] * m + [0] * n + [1]  # at most once per pass
+    for v in queue:
+        waiting[v] = False
+        for back, u in adj[v]:
+            e = back ^ 1  # the residual arc u -> v
+            if flow[e] < cap[e]:
+                du = base[e] + slope[e] * (2 * flow[e] + 1) + to_source[v]
+                if du < to_source[u]:
+                    to_source[u] = du
+                    if not waiting[u]:
+                        if queued[u] > nodes:
+                            raise AuctionError(
+                                "negative residual cycle; the min-cost flow is not optimal"
+                            )
+                        queued[u] += 1
+                        waiting[u] = True
+                        queue.append(u)
     markups = tuple(-int(to_source[i]) for i in range(m))
     # The residual arcs out of market j undo its bought units, so -dist(j -> S)
     # is its dearest bought unit's marginal cost, markup included: its waterline.
@@ -545,21 +577,17 @@ def _allocate(
     Each of ``waterlines`` is a market's waterline at ``markups``.
     """
     m, n = inst.m, inst.n
-    structures = [_demand_structure(inst, j, markups, waterlines[j]) for j in range(n)]
+    structures = [_ties(inst, j, markups, mu) for j, mu in enumerate(waterlines)]
 
     # Fast path: the minimal demanded bundles already clear everything.
     minimal = [structure.minimal_imports() for structure in structures]
-    sold = [sum(minimal[j][i] for j in range(n)) for i in range(m)]
-    if all(sold[i] <= inst.s[i] for i in range(m)) and all(
-        sold[i] > 0 or markups[i] == 0 for i in range(m)
-    ):
-        return tuple(tuple(minimal[j][i] for j in range(n)) for i in range(m))
+    sold = map(sum, zip(*minimal))
+    if all(q <= cap and (q > 0 or p == 0) for q, cap, p in zip(sold, inst.s, markups)):
+        return tuple(zip(*minimal))
 
-    forced_total = [sum(structures[j].forced[i] for j in range(n)) for i in range(m)]
-    needs = [
-        max(0, 1 - forced_total[i]) if markups[i] > 0 else 0 for i in range(m)
-    ]
-    if any(forced_total[i] > inst.s[i] for i in range(m)):
+    forced_total = [sum(forced) for forced in zip(*(x.forced for x in structures))]
+    needs = [max(0, 1 - total) if p > 0 else 0 for total, p in zip(forced_total, markups)]
+    if any(total > cap for total, cap in zip(forced_total, inst.s)):
         raise AuctionError("forced demand exceeds capacity at terminal markups")
 
     # Transportation with lower bounds: each market distributes its waterline
@@ -596,14 +624,13 @@ def _allocate(
     if net.max_flow(ssource, ssink)[0] != required:
         raise AuctionError("no market-clearing allocation exists at terminal markups")
 
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            take = net.flow[take_edges[(j, i)]] if (j, i) in take_edges else 0
-            row.append(structures[j].forced[i] + take)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(
+            x.forced[i] + (net.flow[take_edges[j, i]] if (j, i) in take_edges else 0)
+            for j, x in enumerate(structures)
+        )
+        for i in range(m)
+    )
 
 
 class _Network:
@@ -653,18 +680,21 @@ class _Network:
         total = 0
         while True:
             via = [-1] * len(adj)
-            queue = deque([s])
-            while queue and via[t] < 0:
-                for e, v in adj[queue.popleft()]:
-                    if cap[e] > flow[e] and via[v] < 0 and v != s:
+            queue = [s]
+            for u in queue:  # breadth first, until t is reached
+                for e, v in adj[u]:
+                    if via[v] < 0 and v != s and cap[e] > flow[e]:
                         via[v] = e
                         queue.append(v)
-            if via[t] < 0:
+                if via[t] >= 0:
+                    break
+            else:
                 return total, via
             push, v = math.inf, t
             while v != s:
-                push = min(push, cap[via[v]] - flow[via[v]])
-                v = head[via[v] ^ 1]
+                e = via[v]
+                push = min(push, cap[e] - flow[e])
+                v = head[e ^ 1]
             self.augment(via, t, push)
             total += push
 

@@ -13,7 +13,8 @@ the master seed by a counter-based scheme, so replications are independent
 and insensitive to worker scheduling.  The streams are
 :class:`~phosmarket.rng.Stream` objects, pure-Python PCG64 streams that draw
 exactly what NumPy's ``default_rng`` would from the same ``SeedSequence``;
-dot products sum sequentially in index order.
+dot products sum sequentially in index order, from terms that the fits
+store for either sign of a draw's Rademacher weights (:func:`_by_sign`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import quantize, to_minor
-from .rng import SeedSequence, Stream
+from .rng import Stream, StreamSeeds, spawn
 
 
 class CalibrationError(ValueError):
@@ -29,12 +30,19 @@ class CalibrationError(ValueError):
 
 
 def replication_streams(
-    master_seed: int, replication: int, n_regions: int
+    seeds: StreamSeeds, replication: int
 ) -> tuple[list[Stream], Stream, Stream]:
-    """Independent per-purpose RNG streams for one bootstrap replication."""
-    children = SeedSequence([master_seed, replication]).spawn(n_regions + 2)
-    demand = [Stream(ss) for ss in children[:n_regions]]
-    return demand, Stream(children[n_regions]), Stream(children[n_regions + 1])
+    """One replication's demand streams, one per region, then its capacity and cost streams.
+
+    ``seeds`` is ``stream_seeds(master_seed, n_regions + 2)``.
+    """
+    *demand, capacity, costs = spawn(seeds, replication)
+    return demand, capacity, costs
+
+
+def _by_sign(plus: float, minus: float) -> tuple[float, float, float]:
+    """A term at sign 1 and -1, indexed by the sign (``x + s * y`` is ``x ± y``, bit for bit)."""
+    return (0.0, plus, minus)
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -60,8 +68,9 @@ def smooth_cma3(series: Sequence[float]) -> list[float]:
 class TwoStageFit(NamedTuple):
     """Instrumental-variables fit of the two demand equations (no intercepts).
 
-    It carries the region and its smoothed instrument series ``z``, the only
-    parts of the series that a bootstrap draw reads.
+    A draw simulates ``x*_k = alpha z_k + s2_k u2_k`` and ``y*_k = beta x*_k
+    + s1_k u1_k`` and reads ``zx_terms[k][s2_k] = z_k x*_k`` and
+    ``zy_terms[k][s2_k][s1_k] = z_k y*_k`` (:func:`_by_sign`).
     """
 
     region: str
@@ -71,6 +80,8 @@ class TwoStageFit(NamedTuple):
     u1: tuple[float, ...]
     u2: tuple[float, ...]
     zz: float  # z . z, reused by every bootstrap draw
+    zx_terms: tuple[tuple[float, float, float], ...]
+    zy_terms: tuple[tuple[float, tuple[float, float, float], tuple[float, float, float]], ...]
 
 
 def fit_two_stage(
@@ -92,15 +103,15 @@ def fit_two_stage(
         raise CalibrationError(f"{region}: degenerate first stage (z.x = 0)")
     alpha = zx / zz
     beta = _dot(z, y) / zx
-    return TwoStageFit(
-        region=region,
-        z=tuple(z),
-        alpha=alpha,
-        beta=beta,
-        u1=tuple(yk - beta * xk for yk, xk in zip(y, x)),
-        u2=tuple(xk - alpha * zk for xk, zk in zip(x, z)),
-        zz=zz,
-    )
+    u1 = tuple(yk - beta * xk for yk, xk in zip(y, x))
+    u2 = tuple(xk - alpha * zk for xk, zk in zip(x, z))
+    zx_terms, zy_terms = [], []
+    for zk, u1k, u2k in zip(z, u1, u2):
+        plus, minus = alpha * zk + u2k, alpha * zk - u2k  # x*_k at s2 = 1 and -1
+        zx_terms.append(_by_sign(zk * plus, zk * minus))
+        zy = [_by_sign(zk * (beta * xk + u1k), zk * (beta * xk - u1k)) for xk in (plus, minus)]
+        zy_terms.append(_by_sign(*zy))
+    return TwoStageFit(region, tuple(z), alpha, beta, u1, u2, zz, tuple(zx_terms), tuple(zy_terms))
 
 
 #: Rejected demand draws allowed before a replication's draw is an error.
@@ -120,20 +131,17 @@ def wild_bootstrap_demand(
     and redrawn, at most :data:`MAX_REDRAWS` times; returns the draw and the
     number of rejections before it.
     """
-    z, u1, u2 = fit.z, fit.u1, fit.u2
-    alpha, beta, zz = fit.alpha, fit.beta, fit.zz
-    p = len(z)
+    zx_terms, zy_terms = fit.zx_terms, fit.zy_terms
+    p = len(zx_terms)
     for rejected in range(MAX_REDRAWS + 1):
-        w2 = rng.signs(p)
-        w1 = rng.signs(p)
+        w = rng.signs(2 * p)  # the weights on u2, then those on u1
         # z . x* and z . y* of the simulated series, each summed in index order.
         zx_star = zy_star = 0.0
-        for zk, s2, u2k, s1, u1k in zip(z, w2, u2, w1, u1):
-            xk = alpha * zk + s2 * u2k
-            zx_star += zk * xk
-            zy_star += zk * (beta * xk + s1 * u1k)
+        for zx, zy, s2, s1 in zip(zx_terms, zy_terms, w, w[p:]):
+            zx_star += zx[s2]
+            zy_star += zy[s2][s1]
         if zx_star != 0.0:
-            alpha_star = zx_star / zz
+            alpha_star = zx_star / fit.zz
             beta_star = zy_star / zx_star
             draw = beta_star * alpha_star * z_scenario
             if draw > 0.0 and draw >= min_value:
@@ -180,10 +188,9 @@ def sample_capacity(
 ) -> tuple[int, ...]:
     """One capacity draw per supplier, in goods units (clamped at one unit)."""
     capacities = []
-    for share in share_estimates:
-        delta = deviation_pool[rng.below(len(deviation_pool))]
-        sign = rng.below(2) * 2 - 1
-        value = share * global_demand_draw + sign * delta
+    draws = iter(rng.below([len(deviation_pool), 2] * len(share_estimates)))
+    for share, k, sign in zip(share_estimates, draws, draws):  # a deviation and its sign each
+        value = share * global_demand_draw + (sign * 2 - 1) * deviation_pool[k]
         capacities.append(max(1, quantize(value, 1.0) if value > 0 else 0))
     return tuple(capacities)
 
@@ -213,7 +220,9 @@ class TradeCostFit(NamedTuple):
     pairs closed to trade; ``ref_shares`` is each market's share of global
     demand in the reference year and ``reference`` the reference market's
     index.  ``v`` pools the history's real share changes, ``gamma`` is the
-    slope of cost changes on them and ``residuals`` its residuals.
+    slope of cost changes on them and ``residuals`` its residuals.  A draw
+    resamples ``w*_k = gamma v_k + s_k r_k`` and reads ``vw_terms[k][s_k] =
+    v_k w*_k`` (:func:`_by_sign`).
     """
 
     base_costs: tuple[tuple[float | None, ...], ...]
@@ -223,6 +232,8 @@ class TradeCostFit(NamedTuple):
     residuals: tuple[float, ...]
     v: tuple[float, ...]
     vv: float  # v . v, reused by every bootstrap draw
+    vw_terms: tuple[tuple[float, float, float], ...]
+    open_pairs: int  # base costs that are not None
 
 
 def fit_trade_costs(
@@ -323,6 +334,7 @@ def fit_trade_costs(
     if vv == 0.0:
         raise CalibrationError("degenerate share-change regressor (v.v = 0)")
     gamma = _dot(v, w) / vv
+    residuals = tuple(a - gamma * b for a, b in zip(w, v))
     return TradeCostFit(
         base_costs=tuple(
             tuple(base.get((supplier, region)) for region in regions)
@@ -331,9 +343,13 @@ def fit_trade_costs(
         ref_shares=ref_shares,
         reference=reference,
         gamma=gamma,
-        residuals=tuple(a - gamma * b for a, b in zip(w, v)),
+        residuals=residuals,
         v=tuple(v),
         vv=vv,
+        vw_terms=tuple(
+            _by_sign(vk * (gamma * vk + r), vk * (gamma * vk - r)) for vk, r in zip(v, residuals)
+        ),
+        open_pairs=len(base),
     )
 
 
@@ -350,21 +366,24 @@ def sample_trade_costs(
     """
     total = sum(demands)
     changes = real_share_changes([d / total for d in demands], fit.ref_shares, fit.reference)
-    v, residuals = fit.v, fit.residuals
-    signs = rng.signs(len(residuals))
-    w_star = [fit.gamma * vk + sign * r for vk, sign, r in zip(v, signs, residuals)]
-    gamma_star = _dot(v, w_star) / fit.vv
+    residuals = fit.residuals
+    vw_star = 0.0  # v . w*, summed in index order
+    for terms, sign in zip(fit.vw_terms, rng.signs(len(residuals))):
+        vw_star += terms[sign]
+    gamma_star = vw_star / fit.vv
+    shifts = [gamma_star * change for change in changes]
 
+    draws = iter(rng.below([len(residuals), 2] * fit.open_pairs))
+    pairs = zip(draws, draws)  # a residual and its sign per open pair
     rows: list[tuple[int | None, ...]] = []
     for base_row in fit.base_costs:
         row: list[int | None] = []
-        for j, base in enumerate(base_row):
+        for base, shift in zip(base_row, shifts):
             if base is None:
                 row.append(None)
                 continue
-            eps = residuals[rng.below(len(residuals))]
-            noise = (rng.below(2) * 2 - 1) * eps
-            value = base + gamma_star * changes[j] + noise
+            k, sign = next(pairs)
+            value = base + shift + (sign * 2 - 1) * residuals[k]
             row.append(max(0, to_minor(value, scale)))
         rows.append(tuple(row))
     return tuple(rows)

@@ -38,6 +38,7 @@ from .auction import (
 )
 from .config import ConfigError, ExperimentConfig
 from .core import Flows, MarketInstance, quantize
+from .rng import StreamSeeds, stream_seeds
 from .tables import Table, quantity, read_csv, write_tables
 
 #: Each harmonized input table's columns with the parsers of their cells,
@@ -74,14 +75,13 @@ class BootstrapDraw(NamedTuple):
 class ExperimentContext(NamedTuple):
     """Immutable, picklable state shared by all replications of one run.
 
-    ``start`` is the optimal flow and potentials of replication 0's draw,
-    solved cold; every replication's solve warm-starts from it.  It is a
-    pure function of (inputs, config, seed), computed before any worker
-    forks, so reports do not depend on the worker count.  Every command
-    that loads a context, ``calibrate`` and ``verify`` included, solves
-    that draw, and so fails where ``simulate`` would.  ``demand_fits`` holds
-    one two-stage fit per region, in ``regions`` order; a fit carries its
-    region's instrument series, which is all a demand draw reads of it.
+    Every field is a run constant, computed before any worker forks, so
+    reports do not depend on the worker count.  ``start`` is the optimal
+    flow and potentials of replication 0's ``draw``, solved cold; every
+    solve warm-starts from it, and replication 0 reuses the draw.  Every
+    command that loads a context, ``calibrate`` and ``verify`` included,
+    solves that draw, and so fails where ``simulate`` would.
+    ``demand_fits`` holds one two-stage fit per region, in ``regions`` order.
     """
 
     config: ExperimentConfig
@@ -93,6 +93,8 @@ class ExperimentContext(NamedTuple):
     deviation_pool: tuple[float, ...]  # capacity deviations, goods units
     cost_fit: bs.TradeCostFit  # all that a trade-cost draw reads
     input_digests: tuple[tuple[str, str], ...]
+    seeds: StreamSeeds
+    draw: BootstrapDraw
     start: FlowStart
 
 
@@ -222,29 +224,24 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
         deviation_pool=tuple(dev / config.unit_kt for dev in pool_kt),
         cost_fit=cost_fit,
         input_digests=tuple(sorted(digests.items())),
-        start=FlowStart((), ()),  # replaced below; assembling a draw does not read it
+        seeds=stream_seeds(config.seed, len(regions) + 2),
+        draw=None,  # both replaced below; assembling a draw reads neither
+        start=None,
     )
-    return context._replace(start=reference_start(assemble_draw(context, 0).instance()))
+    draw = assemble_draw(context, 0)
+    return context._replace(draw=draw, start=reference_start(draw.instance()))
 
 
 def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw:
     """Sample every exogenous input for one replication."""
     config = context.config
-    n = len(context.regions)
-    demand_rngs, capacity_rng, cost_rng = bs.replication_streams(
-        config.seed, replication, n
-    )
-    unit_mt = config.unit_kt / 1000.0
+    demand_rngs, capacity_rng, cost_rng = bs.replication_streams(context.seeds, replication)
+    min_mt = 0.5 * (config.unit_kt / 1000.0)  # half a goods unit
 
     d_units = []
     rejections = 0
-    for j in range(n):
-        draw, rejected = bs.wild_bootstrap_demand(
-            context.demand_fits[j],
-            context.z_scenario[j],
-            demand_rngs[j],
-            min_value=0.5 * unit_mt,
-        )
+    for fit, z_scenario, rng in zip(context.demand_fits, context.z_scenario, demand_rngs):
+        draw, rejected = bs.wild_bootstrap_demand(fit, z_scenario, rng, min_value=min_mt)
         rejections += rejected
         d_units.append(quantize(draw * 1000.0, config.unit_kt))
     capacities = bs.sample_capacity(
@@ -276,7 +273,7 @@ class ReplicationResult(NamedTuple):
 
 
 def run_replication(context: ExperimentContext, replication: int) -> ReplicationResult:
-    draw = assemble_draw(context, replication)
+    draw = context.draw if replication == 0 else assemble_draw(context, replication)
     inst = draw.instance()
     equilibrium = solve_minimal_markups(inst, context.start)
     witnesses = verify_equilibrium(inst, equilibrium)

@@ -9,11 +9,18 @@ skipped on reading.  Every table the package writes goes through
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL, ~3 ms per launch
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without it
+        from hashlib import sha256
 
 
 def quantity(cell: str) -> float:
@@ -75,7 +82,7 @@ def read_csv(
         if first != line:
             raise ValueError(f"{path}, line {line}: repeats the key of line {first}")
         rows.append(tuple(row))
-    return rows, hashlib.sha256(data).hexdigest()[:16]
+    return rows, sha256(data).hexdigest()[:16]
 
 
 #: One table as written: its name (the CSV's stem), its header and its rows.

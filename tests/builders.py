@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from phosmarket.rng import SeedSequence, Stream
+import numpy as np
+
+from phosmarket.rng import Stream
 
 
 def seeded_stream(seed: int) -> Stream:
     """The stream of ``np.random.default_rng(seed)``."""
-    return Stream(SeedSequence(seed))
+    return Stream(np.random.SeedSequence(seed).generate_state(8).tolist())

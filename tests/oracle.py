@@ -21,6 +21,13 @@ summing the flows it reads afresh, where
 real market-share change in the two forms the trade-cost model needs it: per
 flow of the history, and per market from one draw's demand units.
 :func:`~phosmarket.bootstrap.real_share_changes` must equal both.
+
+:func:`demand_draw_loop` and :func:`trade_cost_loop` compute every term of
+a draw from the fit's series and draw each bounded integer alone, where the
+samplers read the fits' per-sign terms and draw their integers in batches.
+:func:`built_market_network` builds the solver's network arc by arc for one
+instance, where :func:`~phosmarket.auction._market_network` fills the arcs
+of a start's pattern.
 """
 
 from __future__ import annotations
@@ -30,12 +37,22 @@ from typing import Iterator, Sequence
 
 from phosmarket.auction import (
     AuctionError,
+    FlowStart,
     _market_sources,
     _markup_bound,
     _min_spend,
+    _Network,
     local_spend,
 )
-from phosmarket.core import Equilibrium, Flows, MarketInstance, require_valid
+from phosmarket.bootstrap import (
+    MAX_REDRAWS,
+    CalibrationError,
+    TradeCostFit,
+    TwoStageFit,
+    real_share_changes,
+)
+from phosmarket.core import Equilibrium, Flows, MarketInstance, require_valid, to_minor
+from phosmarket.rng import Stream
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -311,3 +328,84 @@ def draw_share_changes(
     return tuple(
         (d_units[j] / total_units) / ref_growth - ref_shares[j] for j in range(len(d_units))
     )
+
+
+# ---------------------------------------------------------------------------
+# The samplers' draws, every term computed in the draw
+
+
+def demand_draw_loop(
+    fit: TwoStageFit, z_scenario: float, rng: Stream, *, min_value: float
+) -> tuple[float, int]:
+    """:func:`~phosmarket.bootstrap.wild_bootstrap_demand`, simulating each series value."""
+    z, u1, u2 = fit.z, fit.u1, fit.u2
+    alpha, beta, zz = fit.alpha, fit.beta, fit.zz
+    p = len(z)
+    for rejected in range(MAX_REDRAWS + 1):
+        w2 = rng.signs(p)
+        w1 = rng.signs(p)
+        zx_star = zy_star = 0.0
+        for zk, s2, u2k, s1, u1k in zip(z, w2, u2, w1, u1):
+            xk = alpha * zk + s2 * u2k
+            zx_star += zk * xk
+            zy_star += zk * (beta * xk + s1 * u1k)
+        if zx_star != 0.0:
+            alpha_star = zx_star / zz
+            beta_star = zy_star / zx_star
+            draw = beta_star * alpha_star * z_scenario
+            if draw > 0.0 and draw >= min_value:
+                return draw, rejected
+    raise CalibrationError("demand redraw budget exceeded")
+
+
+def trade_cost_loop(
+    fit: TradeCostFit, demands: Sequence[int], rng: Stream, *, scale: int
+) -> tuple[tuple[int | None, ...], ...]:
+    """:func:`~phosmarket.bootstrap.sample_trade_costs`, resampling each cost change."""
+    total = sum(demands)
+    changes = real_share_changes([d / total for d in demands], fit.ref_shares, fit.reference)
+    v, residuals = fit.v, fit.residuals
+    signs = rng.signs(len(residuals))
+    w_star = [fit.gamma * vk + sign * r for vk, sign, r in zip(v, signs, residuals)]
+    vw = 0.0
+    for vk, wk in zip(v, w_star):
+        vw += vk * wk
+    gamma_star = vw / fit.vv
+    rows = []
+    for base_row in fit.base_costs:
+        row: list[int | None] = []
+        for j, base in enumerate(base_row):
+            if base is None:
+                row.append(None)
+                continue
+            eps = residuals[rng.below([len(residuals)])[0]]
+            noise = (rng.below([2])[0] * 2 - 1) * eps
+            row.append(max(0, to_minor(base + gamma_star * changes[j] + noise, scale)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# The solver's network, built arc by arc
+
+
+def built_market_network(inst: MarketInstance, start: FlowStart) -> tuple[_Network, list[int]]:
+    """The market network of ``inst`` with ``start``'s flows clipped to each arc."""
+    m, n = inst.m, inst.n
+    source = m + n
+    net = _Network(source + 1)
+    for i in range(m):
+        net.add(source, i, inst.s[i])
+    for j in range(n):
+        net.add(source, m + j, inst.d[j], inst.c_o[j], inst.a)
+        for i in range(m):
+            cost = inst.t[i][j]
+            if cost is not None:
+                net.add(i, m + j, min(inst.s[i], inst.d[j]), cost, inst.a)
+    excess = [0] * m + [-d for d in inst.d] + [sum(inst.d)]
+    for e, f in zip(range(0, len(net.head), 2), start.flow):
+        f = min(max(f, 0), net.cap[e])
+        net.flow[e], net.flow[e + 1] = f, -f
+        excess[net.head[e + 1]] -= f
+        excess[net.head[e]] += f
+    return net, excess

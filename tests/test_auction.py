@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracle import (
     EnumerationBudgetError,
     brute_force_equilibrium,
+    built_market_network,
     enumerating_auction,
     enumerating_certificate,
     import_spend,
@@ -21,7 +22,6 @@ from oracle import (
 from phosmarket import auction
 from phosmarket.core import Equilibrium, MarketInstance
 from phosmarket.auction import (
-    FlowStart,
     bundle_utility,
     certify_minimal_markups,
     cold_start,
@@ -552,9 +552,9 @@ def test_warm_starts_on_one_arc_pattern_agree_with_cold_solve_and_auction(seed):
     first = random_instance(rng, **sizes)
     second = random_instance(rng, mask=[[c is not None for c in row] for row in first.t], **sizes)
     zero = cold_start(second)
-    arbitrary = FlowStart(
-        tuple(int(f) for f in rng.integers(-5, 50, len(zero.flow))),
-        tuple(int(p) for p in rng.integers(-500, 500, len(zero.pi))),
+    arbitrary = zero._replace(
+        flow=tuple(int(f) for f in rng.integers(-5, 50, len(zero.flow))),
+        pi=tuple(int(p) for p in rng.integers(-500, 500, len(zero.pi))),
     )
     eq = run_english_auction(second)
     assert solve_minimal_markups(second, zero) == eq
@@ -570,6 +570,74 @@ def test_start_of_another_arc_pattern_is_rejected():
     zero = cold_start(inst)
     with pytest.raises(ValueError, match="2 potentials"):
         solve_minimal_markups(inst, zero._replace(pi=zero.pi[:2]))
+
+
+def test_start_of_another_open_pair_pattern_with_as_many_arcs_is_rejected():
+    inst = make([3, 3], [2, 4], 1, [20, 20], [[1, None], [9, 1]])
+    other = inst._replace(t=((None, 1), (9, 1)))
+    start = reference_start(inst)
+    assert len(cold_start(other).flow) == len(start.flow) == 7
+    with pytest.raises(ValueError, match="7 arc flows and 5 potentials, for other open pairs"):
+        solve_minimal_markups(other, start)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_market_network_fills_its_start_arcs_like_a_network_built_arc_by_arc(seed):
+    # Starts on the instance's open pairs: zero, another instance's optimum
+    # (its flows may exceed this instance's capacities) and arbitrary flows.
+    rng = np.random.default_rng(seed)
+    sizes = dict(m_max=5, n_max=5, s_max=30, d_max=40, cost_max=60, a_max=3)
+    first = random_instance(rng, **sizes)
+    inst = random_instance(rng, mask=[[c is not None for c in row] for row in first.t], **sizes)
+    zero = cold_start(inst)
+    arbitrary = zero._replace(flow=tuple(int(f) for f in rng.integers(-5, 50, len(zero.flow))))
+    for start in (zero, reference_start(first), arbitrary):
+        net, excess = auction._market_network(inst, start)
+        built, built_excess = built_market_network(inst, start)
+        assert [list(arcs) for arcs in net.adj] == built.adj
+        for name in ("head", "cap", "base", "slope", "flow"):
+            assert list(getattr(net, name)) == getattr(built, name), name
+        assert excess == built_excess
+
+
+# ---------------------------------------------------------------------------
+# Comparative statics of the production solver, warm-started on one arc pattern
+
+
+def statics_instance(seed):
+    """A random instance, its reference start, its markups and a random supplier and market."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, m_max=5, n_max=4, s_max=8, d_max=10, cost_max=40, a_max=3)
+    start = reference_start(inst)
+    i, j = int(rng.integers(inst.m)), int(rng.integers(inst.n))
+    return rng, inst, start, solve_minimal_markups(inst, start).markups, i, j
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_one_more_unit_of_capacity_never_raises_a_markup(seed):
+    # Topkis: the auction's objective has increasing differences in (p_i, s_i).
+    _, inst, start, markups, i, _ = statics_instance(seed)
+    more = inst._replace(s=tuple(cap + (k == i) for k, cap in enumerate(inst.s)))
+    assert all(q <= p for p, q in zip(markups, solve_minimal_markups(more, start).markups))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_one_more_unit_of_demand_never_lowers_a_markup(seed):
+    _, inst, start, markups, _, j = statics_instance(seed)
+    more = inst._replace(d=tuple(d + (k == j) for k, d in enumerate(inst.d)))
+    assert all(q >= p for p, q in zip(markups, solve_minimal_markups(more, start).markups))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_relabeling_the_suppliers_permutes_the_markups(seed):
+    rng, inst, _, markups, _, _ = statics_instance(seed)
+    order = [int(i) for i in rng.permutation(inst.m)]
+    relabeled = inst._replace(s=tuple(inst.s[i] for i in order), t=tuple(inst.t[i] for i in order))
+    assert cold_solve(relabeled).markups == tuple(markups[i] for i in order)
 
 
 def seeded_and_searched_waterlines(inst, start):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from builders import seeded_stream
-from oracle import draw_share_changes, history_share_change
+from oracle import demand_draw_loop, draw_share_changes, history_share_change, trade_cost_loop
 from phosmarket.bootstrap import (
     CalibrationError,
     TradeCostFit,
@@ -21,6 +21,7 @@ from phosmarket.bootstrap import (
     smooth_cma3,
     wild_bootstrap_demand,
 )
+from phosmarket.rng import stream_seeds
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +139,87 @@ def test_wild_bootstrap_matches_numpy_reference():
     assert draws == pytest.approx(expected, rel=1e-13, abs=0)
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(3, 12),
+    noise=st.floats(0.01, 3.0),
+    z_scenario=st.floats(-1.0, 5.0),
+)
+@example(seed=5, p=6, noise=1.0, z_scenario=2.0)  # 15 redraws in 10 draws
+def test_demand_draws_equal_the_loop_that_simulates_each_series_value(seed, p, noise, z_scenario):
+    # The fit's per-sign terms are the loop's products for either sign, bit
+    # for bit, and so are the draws, rejections and the stream state left.
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.5, 2.0, p)
+    x = 3.0 * z + rng.normal(0.0, noise, p)
+    y = 2.0 * x + rng.normal(0.0, noise, p)
+    assume(min(x) > 0 and min(y) > 0)
+    fit = fit_two_stage("r", tuple(y.tolist()), tuple(x.tolist()), tuple(z.tolist()))
+    for k, (zk, u1k, u2k) in enumerate(zip(fit.z, fit.u1, fit.u2)):
+        for s2 in (1, -1):
+            xk = fit.alpha * zk + s2 * u2k
+            assert fit.zx_terms[k][s2] == zk * xk
+            for s1 in (1, -1):
+                assert fit.zy_terms[k][s2][s1] == zk * (fit.beta * xk + s1 * u1k)
+    # draws below the point prediction are redrawn
+    min_value = fit.alpha * fit.beta * z_scenario
+    ours, theirs = seeded_stream(seed), seeded_stream(seed)
+    for _ in range(10):
+        try:
+            expected = demand_draw_loop(fit, z_scenario, theirs, min_value=min_value)
+        except CalibrationError:
+            with pytest.raises(CalibrationError, match="redraw budget exceeded"):
+                wild_bootstrap_demand(fit, z_scenario, ours, min_value=min_value)
+            break
+        assert wild_bootstrap_demand(fit, z_scenario, ours, min_value=min_value) == expected
+    assert (ours._state, ours._high) == (theirs._state, theirs._high)
+
+
+def random_history(rng, m, n, years=3):
+    """Flows and local supply in which every supplier serves region 0 each year."""
+    flows = {}
+    for i in range(m):
+        for j in range(n):
+            if j == 0 or rng.random() < 0.7:
+                for year in range(years):
+                    if j == 0 or rng.random() < 0.8:
+                        flows[(f"s{i}", f"r{j}", year)] = float(rng.uniform(1.0, 50.0))
+    local = {(f"r{j}", year): float(rng.uniform(5.0, 80.0)) for j in range(n) for year in range(years)}
+    suppliers, regions = [f"s{i}" for i in range(m)], [f"r{j}" for j in range(n)]
+    return flows, local, suppliers, regions, list(range(years))
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(2, 5))
+def test_trade_cost_draws_equal_the_loop_that_resamples_each_cost_change(seed, m, n):
+    rng = np.random.default_rng(seed)
+    flows, local, suppliers, regions, years = random_history(rng, m, n)
+    try:
+        fit = fit_trade_costs(flows, local, suppliers, regions, years, "r0", 1, theta=0.5)
+    except CalibrationError:
+        assume(False)
+    for vk, r, terms in zip(fit.v, fit.residuals, fit.vw_terms):
+        assert [terms[s] for s in (1, -1)] == [vk * (fit.gamma * vk + s * r) for s in (1, -1)]
+    assert fit.open_pairs == sum(cost is not None for row in fit.base_costs for cost in row)
+    ours, theirs = seeded_stream(seed), seeded_stream(seed)
+    for _ in range(5):
+        demands = [int(d) for d in rng.integers(1, 200, n)]
+        expected = trade_cost_loop(fit, demands, theirs, scale=1000)
+        assert sample_trade_costs(fit, demands, ours, scale=1000) == expected
+    assert (ours._state, ours._high) == (theirs._state, theirs._high)
+
+
 def test_replication_streams_are_deterministic_and_distinct():
-    d1, c1, t1 = replication_streams(99, 5, 3)
-    d2, c2, t2 = replication_streams(99, 5, 3)
-    assert [g.below(1000) for g in d1] == [g.below(1000) for g in d2]
-    assert c1.below(1000) == c2.below(1000)
-    d3, _, _ = replication_streams(99, 6, 3)
-    seq1 = [g.below(10_000) for g in replication_streams(99, 5, 3)[0]]
-    seq3 = [g.below(10_000) for g in d3]
+    seeds = stream_seeds(99, 3 + 2)
+    d1, c1, t1 = replication_streams(seeds, 5)
+    d2, c2, t2 = replication_streams(seeds, 5)
+    assert len(d1) == 3
+    assert [g.below([1000]) for g in d1] == [g.below([1000]) for g in d2]
+    assert c1.below([1000]) == c2.below([1000])
+    d3, _, _ = replication_streams(seeds, 6)
+    seq1 = [g.below([10_000]) for g in replication_streams(seeds, 5)[0]]
+    seq3 = [g.below([10_000]) for g in d3]
     assert seq1 != seq3
 
 
@@ -384,6 +458,8 @@ def zero_residual_fit(base_costs, ref_shares):
         residuals=(0.0, 0.0),
         v=(1.0, 2.0),
         vv=5.0,
+        vw_terms=((0.0, -2.0, -2.0), (0.0, -8.0, -8.0)),  # v_k * (gamma * v_k +- 0)
+        open_pairs=sum(cost is not None for row in base_costs for cost in row),
     )
 
 
