@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import sys
 from pathlib import Path
 
@@ -110,6 +111,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Everything alive now (the modules, their classes, the parsed arguments)
+    # lives until the process exits, so the collector need not traverse it
+    # again: not in the interpreter's exit-time collections, and not in a
+    # forked worker, where each traversal would write GC headers into pages
+    # shared with the parent.  The collector stays on for the run's own objects.
+    # Only the first call freezes: at a later call in the same process, the
+    # earlier runs' uncollected garbage is alive too, and would never be freed.
+    if not gc.get_freeze_count():
+        gc.freeze()
     handlers = {
         "pipeline": _cmd_pipeline,
         "calibrate": _cmd_calibrate,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -34,8 +35,12 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.money_scale < 1:
             raise ConfigError("money_scale must be >= 1")
+        if not math.isfinite(self.unit_kt):
+            raise ConfigError("unit_kt must be finite")
         if self.unit_kt <= 0:
             raise ConfigError("unit_kt must be positive")
+        if not math.isfinite(self.theta):
+            raise ConfigError("theta must be finite")
         if self.theta < 0:
             raise ConfigError("theta must be nonnegative")
         if self.capacity_share_base not in ("mean", "latest"):

@@ -640,6 +640,29 @@ def test_relabeling_the_suppliers_permutes_the_markups(seed):
     assert cold_solve(relabeled).markups == tuple(markups[i] for i in order)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_a_higher_local_cost_never_lowers_a_markup(seed):
+    # Dearer local units only make every import more attractive.
+    rng, inst, start, markups, _, j = statics_instance(seed)
+    rise = int(rng.integers(1, 20))
+    dearer = inst._replace(c_o=tuple(c + rise * (k == j) for k, c in enumerate(inst.c_o)))
+    assert all(q >= p for p, q in zip(markups, solve_minimal_markups(dearer, start).markups))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_relabeling_the_markets_leaves_the_markups_unchanged(seed):
+    rng, inst, _, markups, _, _ = statics_instance(seed)
+    order = [int(j) for j in rng.permutation(inst.n)]
+    relabeled = inst._replace(
+        d=tuple(inst.d[j] for j in order),
+        c_o=tuple(inst.c_o[j] for j in order),
+        t=tuple(tuple(row[j] for j in order) for row in inst.t),
+    )
+    assert cold_solve(relabeled).markups == markups
+
+
 def seeded_and_searched_waterlines(inst, start):
     """The waterlines the solver passes ``_allocate``, and ``_min_spend``'s searched ones."""
     seeded = []

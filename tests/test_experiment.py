@@ -725,6 +725,16 @@ def test_cli_simulate_rejects_negative_seed_with_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["unit_kt", "theta"])
+def test_cli_simulate_rejects_a_non_finite_value_with_exit_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, replications=2)
+    path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", path.read_text()))
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {key} must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_rejects_sample_below_1_with_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, replications=2)
     for sample in ("0", "-3"):
@@ -787,6 +797,27 @@ def test_cli_simulate_on_one_worker_does_not_import_pickle(tmp_path):
 
 def test_cli_simulate_on_two_workers_does_not_import_multiprocessing(tmp_path):
     simulate_in_fresh_interpreter(tmp_path, "multiprocessing", workers=2)
+
+
+def test_cli_freezes_what_the_launch_holds_and_leaves_the_collector_on(tmp_path):
+    simulate = (
+        f"main(['simulate', '--config', {str(DATA / 'fixture_bau.cfg')!r}, "
+        f"'--replications', '5', '--output-dir', {str(tmp_path / 'out')!r}])"
+    )
+    code = (
+        "import gc\n"
+        "from phosmarket.cli import main\n"
+        f"assert {simulate} == 0\n"
+        "frozen = gc.get_freeze_count()\n"
+        "assert frozen > 0, 'nothing frozen'\n"
+        "assert gc.isenabled(), 'collector disabled'\n"
+        # a later call in the same process must not freeze the first run's garbage
+        f"assert {simulate} == 0\n"
+        "assert gc.get_freeze_count() == frozen, 'the second call froze more'\n"
+    )
+    done = run_in_fresh_interpreter(code)
+    assert done.returncode == 0, done.stderr
+    assert len(read_rows(tmp_path / "out" / "replications.csv")) == 5
 
 
 def test_cli_simulate_fails_when_a_worker_dies_and_leaves_none_running(tmp_path):
