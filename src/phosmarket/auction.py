@@ -171,11 +171,15 @@ def _demand_structure(
 
 
 def _ties(inst: MarketInstance, j: int, markups: Sequence[int], mu: int) -> _MarketDemand:
-    """Market j's units below and at its waterline ``mu`` (not a stale hint), in one pass."""
-    a, d = inst.a, inst.d[j]
-    forced, tie = [0] * inst.m, [0] * inst.m
+    """Market j's units below and at its waterline ``mu`` (not a stale hint), in one pass.
+
+    Each source's counts are :func:`_units_at_or_below` at ``mu - 1`` and at
+    ``mu``, computed side by side.
+    """
+    a, d, m = inst.a, inst.d[j], inst.m
+    forced, tie = [0] * m, [0] * m
     below = at = 0
-    for i in range(-1, inst.m):  # the local source, then each supplier
+    for i in range(-1, m):  # the local source, then each supplier
         if i < 0:
             base, cap = inst.c_o[j], d
         else:
@@ -183,7 +187,12 @@ def _ties(inst: MarketInstance, j: int, markups: Sequence[int], mu: int) -> _Mar
             if base is None:
                 continue
             base += markups[i]
-        low, high = _units_at_or_below(base, a, cap, mu - 1), _units_at_or_below(base, a, cap, mu)
+        if a:
+            low, high = (mu - 1 - base + a) // (2 * a), (mu - base + a) // (2 * a)
+            low = 0 if low < 0 else cap if low > cap else low
+            high = 0 if high < 0 else cap if high > cap else high
+        else:
+            low, high = (cap if base < mu else 0), (cap if base <= mu else 0)
         below += low
         at += high
         if i < 0:
@@ -338,34 +347,38 @@ def _market_network(inst: MarketInstance, start: FlowStart) -> tuple[_Network, l
     open pairs than ``start``'s is rejected.
     """
     m, n, s = inst.m, inst.n, inst.s
-    opened = tuple(tuple(cost is not None for cost in row) for row in inst.t)
+    opened = tuple([tuple([cost is not None for cost in row]) for row in inst.t])
     if opened != start.open or len(start.pi) != m + n + 1:
         raise ValueError(
             f"start has {len(start.flow)} arc flows and {len(start.pi)} potentials, for other open "
             f"pairs or nodes than the network's {m + n + sum(map(sum, opened))} arcs and "
             f"{m + n + 1} nodes"
         )
-    cap, base = [], [0] * (2 * m)
-    for cap_i in s:
-        cap += (cap_i, 0)
+    # each forward arc's capacity and unit cost; its reverse arc follows it
+    forward_cap, forward_base = list(s), [0] * m
     for d_j, c_j, costs in zip(inst.d, inst.c_o, zip(*inst.t)):
-        cap += (d_j, 0)
-        base += (c_j, -c_j)
+        forward_cap.append(d_j)
+        forward_base.append(c_j)
         for cap_i, cost in zip(s, costs):
             if cost is not None:
-                cap += (cap_i if cap_i < d_j else d_j, 0)
-                base += (cost, -cost)
-    head, flow = start.head, [0] * len(cap)
+                forward_cap.append(cap_i if cap_i < d_j else d_j)
+                forward_base.append(cost)
+    arcs = 2 * len(forward_cap)
+    cap, base, flow = [0] * arcs, [0] * arcs, [0] * arcs
+    cap[::2] = forward_cap
+    base[::2] = forward_base
+    base[1::2] = [-cost for cost in forward_base]
+    head = start.head
     excess = [0] * m + [-d for d in inst.d] + [sum(inst.d)]
-    for e, f in zip(range(0, len(cap), 2), start.flow):
+    for e, f, cap_e in zip(range(0, arcs, 2), start.flow, forward_cap):
         if f > 0:
-            f = f if f < cap[e] else cap[e]
+            f = f if f < cap_e else cap_e
             flow[e], flow[e + 1] = f, -f
             excess[head[e + 1]] -= f
             excess[head[e]] += f
     net = _Network.__new__(_Network)  # on the start's arcs, which nothing adds to
     net.adj, net.head, net.base, net.cap, net.flow = start.adj, head, base, cap, flow
-    net.slope = [0] * (2 * m) + [inst.a] * (len(cap) - 2 * m)
+    net.slope = [0] * (2 * m) + [inst.a] * (arcs - 2 * m)
     return net, excess
 
 
@@ -404,10 +417,12 @@ def _min_cost_flow(
                 excess[u] -= delta
                 excess[v] += delta
         while True:
+            heap = [(0, u) for u in range(nodes) if excess[u] >= delta]
+            if not heap:
+                break
             dist = [inf] * nodes
             via = [-1] * nodes  # the arc that reached each node
             settled = [False] * nodes
-            heap = [(0, u) for u in range(nodes) if excess[u] >= delta]
             for _, u in heap:
                 dist[u] = 0
             target = -1
@@ -468,10 +483,12 @@ def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...],
     queued = [1] * m + [0] * n + [1]  # at most once per pass
     for v in queue:
         waiting[v] = False
+        dv = to_source[v]
         for back, u in adj[v]:
             e = back ^ 1  # the residual arc u -> v
-            if flow[e] < cap[e]:
-                du = base[e] + slope[e] * (2 * flow[e] + 1) + to_source[v]
+            f = flow[e]
+            if f < cap[e]:
+                du = base[e] + slope[e] * (2 * f + 1) + dv
                 if du < to_source[u]:
                     to_source[u] = du
                     if not waiting[u]:
@@ -482,10 +499,10 @@ def _market_duals(inst: MarketInstance, net: _Network) -> tuple[tuple[int, ...],
                         queued[u] += 1
                         waiting[u] = True
                         queue.append(u)
-    markups = tuple(-int(to_source[i]) for i in range(m))
+    markups = tuple([-int(dist) for dist in to_source[:m]])
     # The residual arcs out of market j undo its bought units, so -dist(j -> S)
     # is its dearest bought unit's marginal cost, markup included: its waterline.
-    waterlines = [-to_source[m + j] for j in range(n)]
+    waterlines = [-dist for dist in to_source[m : m + n]]
     return markups, waterlines  # type: ignore[return-value]
 
 
@@ -680,22 +697,32 @@ class _Network:
         total = 0
         while True:
             via = [-1] * len(adj)
+            via[s] = len(head)  # reached, through no arc
             queue = [s]
             for u in queue:  # breadth first, until t is reached
                 for e, v in adj[u]:
-                    if via[v] < 0 and v != s and cap[e] > flow[e]:
+                    if via[v] < 0 and cap[e] > flow[e]:
                         via[v] = e
+                        if v == t:
+                            break
                         queue.append(v)
                 if via[t] >= 0:
                     break
             else:
+                via[s] = -1
                 return total, via
             push, v = math.inf, t
             while v != s:
                 e = via[v]
-                push = min(push, cap[e] - flow[e])
+                if cap[e] - flow[e] < push:
+                    push = cap[e] - flow[e]
                 v = head[e ^ 1]
-            self.augment(via, t, push)
+            v = t
+            while v != s:
+                e = via[v]
+                flow[e] += push
+                flow[e ^ 1] -= push
+                v = head[e ^ 1]
             total += push
 
 
@@ -732,18 +759,22 @@ def _buys_cheapest_units(
     """
     a, d, c = inst.a, inst.d[j], inst.c_o[j]
     local = d - sum(z)
-    # Marginal costs of each source's last bought unit and of its next one.
-    last = [c + a * (2 * local - 1)] if local else []
-    following = [c + a * (2 * local + 1)] if local < d else []
-    for i, q in enumerate(z):
-        cost = inst.t[i][j]
+    # The dearest of the sources' last bought units, and the cheapest of their next ones.
+    dearest = c + a * (2 * local - 1) if local else None
+    cheapest = c + a * (2 * local + 1) if local < d else None
+    for q, row, p, cap in zip(z, inst.t, markups, inst.s):
+        cost = row[j]
         if cost is not None:
-            cost += markups[i]
+            cost += p
             if q:
-                last.append(cost + a * (2 * q - 1))
-            if q < inst.s[i]:
-                following.append(cost + a * (2 * q + 1))
-    return bool(last) and (not following or max(last) <= min(following))
+                last = cost + a * (2 * q - 1)
+                if dearest is None or last > dearest:
+                    dearest = last
+            if q < cap:
+                following = cost + a * (2 * q + 1)
+                if cheapest is None or following < cheapest:
+                    cheapest = following
+    return dearest is not None and (cheapest is None or dearest <= cheapest)
 
 
 def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
@@ -761,17 +792,16 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
         witnesses.append("malformed markup vector")
     if witnesses:
         return witnesses
-    for j in range(inst.n):
-        bundle = tuple(row[j] for row in eq.flows)
+    for j, bundle in enumerate(zip(*eq.flows)):
         if _buys_cheapest_units(inst, j, eq.markups, bundle):
             continue
         attained = bundle_utility(bundle, j, eq.markups, inst)
         best = demand_bundle(j, eq.markups, inst).utility
         if attained != best:
             witnesses.append(f"market {j} gets utility {attained}, maximum is {best}")
-    for i in range(inst.m):
-        if sum(eq.flows[i]) == 0 and eq.markups[i] > 0:
-            witnesses.append(f"supplier {i} unsold at positive markup {eq.markups[i]}")
+    for i, (row, p) in enumerate(zip(eq.flows, eq.markups)):
+        if p > 0 and not any(row):
+            witnesses.append(f"supplier {i} unsold at positive markup {p}")
     return witnesses
 
 

@@ -188,9 +188,9 @@ def sample_capacity(
 ) -> tuple[int, ...]:
     """One capacity draw per supplier, in goods units (clamped at one unit)."""
     capacities = []
-    draws = iter(rng.below([len(deviation_pool), 2] * len(share_estimates)))
+    draws = iter(rng.pairs(len(deviation_pool), len(share_estimates)))
     for share, k, sign in zip(share_estimates, draws, draws):  # a deviation and its sign each
-        value = share * global_demand_draw + (sign * 2 - 1) * deviation_pool[k]
+        value = share * global_demand_draw + (deviation_pool[k] if sign else -deviation_pool[k])
         capacities.append(max(1, quantize(value, 1.0) if value > 0 else 0))
     return tuple(capacities)
 
@@ -210,7 +210,7 @@ def real_share_changes(
     predicted cost shift read share changes through this one rule.
     """
     growth = shares[reference] / ref_shares[reference]
-    return tuple(share / growth - ref for share, ref in zip(shares, ref_shares))
+    return tuple([share / growth - ref for share, ref in zip(shares, ref_shares)])
 
 
 class TradeCostFit(NamedTuple):
@@ -373,18 +373,19 @@ def sample_trade_costs(
     gamma_star = vw_star / fit.vv
     shifts = [gamma_star * change for change in changes]
 
-    draws = iter(rng.below([len(residuals), 2] * fit.open_pairs))
-    pairs = zip(draws, draws)  # a residual and its sign per open pair
+    draws = rng.pairs(len(residuals), fit.open_pairs)
+    pairs = zip(draws[::2], draws[1::2])  # a residual and its sign per open pair
+    noise = iter([residuals[k] if sign else -residuals[k] for k, sign in pairs])
     rows: list[tuple[int | None, ...]] = []
     for base_row in fit.base_costs:
         row: list[int | None] = []
         for base, shift in zip(base_row, shifts):
             if base is None:
                 row.append(None)
-                continue
-            k, sign = next(pairs)
-            value = base + shift + (sign * 2 - 1) * residuals[k]
-            row.append(max(0, to_minor(value, scale)))
+            else:
+                value = base + shift + next(noise)
+                # max(0, to_minor(value, scale)): floor and int agree above 0
+                row.append(int(value * scale + 0.5) if value > 0 else 0)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -405,7 +406,7 @@ def calibrate_local_costs(
     ``theta == 0`` gives flat local marginal costs (``a == 0``); a positive
     ``theta`` that rounds to ``a == 0`` on the money grid is an error.
     """
-    if any(d < 1 for d in demands):
+    if not demands or min(demands) < 1:
         raise ValueError("demands must be >= 1 unit")
     total = sum(demands)
     a = to_minor(theta / total, scale)
@@ -415,7 +416,7 @@ def calibrate_local_costs(
             f"constant to 0 at money_scale {scale} (flat local costs); raise "
             "money_scale or theta, or coarsen the goods unit"
         )
-    c_o = tuple(scale - a * d for d in demands)
+    c_o = tuple([scale - a * d for d in demands])
     if any(c <= 0 for c in c_o):
         raise CalibrationError(
             f"theta={theta} leaves a nonpositive local cost; lower theta "

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .auction import AuctionError
-from .config import load_config
+from .config import ConfigError, load_config
 from .experiment import (
     ExperimentError,
     emit_tables,
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", type=Path, required=True)
     p_sim.add_argument("--seed", type=int, help="override the master seed")
     p_sim.add_argument("--replications", type=int, help="override the replication count")
-    p_sim.add_argument("--output-dir", type=Path, help="override the output directory")
+    p_sim.add_argument("--output-dir", help="override the output directory")
     p_sim.add_argument("--workers", type=int, help="override the worker count")
 
     p_ver = sub.add_parser(
@@ -75,10 +75,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.output_dir == "":  # Path("") would be the current directory
+        raise ConfigError("--output-dir: empty value")
     config = load_config(args.config).with_overrides(
         seed=args.seed,
         replications=args.replications,
-        output_dir=args.output_dir,
+        output_dir=None if args.output_dir is None else Path(args.output_dir),
         workers=args.workers,
     )
     report = run_experiment(config)

@@ -78,8 +78,11 @@ def load_config(path: Path) -> ExperimentConfig:
         first = key_lines.setdefault(key, lineno)
         if first != lineno:
             raise ConfigError(f"{path}:{lineno}: repeats key {key!r} of line {first}")
+        value = value.strip()
+        if not value:  # Path("") is the current directory, and str("") no name
+            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         try:
-            values[key] = parser(value.strip())
+            values[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     missing = [key for key in _REQUIRED if key not in values]

@@ -110,17 +110,16 @@ def validate_flows(flows: Flows, inst: MarketInstance) -> list[str]:
     m, n = inst.m, inst.n
     if len(flows) != m or any(len(row) != n for row in flows):
         return ["flow matrix must be m x n"]
-    for i in range(m):
-        for j in range(n):
-            q = flows[i][j]
+    for i, (row, costs, cap) in enumerate(zip(flows, inst.t, inst.s)):
+        for j, (q, cost) in enumerate(zip(row, costs)):
             if q < 0:
                 issues.append(f"negative flow on pair ({i}, {j})")
-            if q > 0 and inst.t[i][j] is None:
+            if q > 0 and cost is None:
                 issues.append(f"flow crosses masked pair ({i}, {j})")
-        if sum(flows[i]) > inst.s[i]:
+        if sum(row) > cap:
             issues.append(f"capacity exceeded (supplier {i})")
-    for j in range(n):
-        if sum(row[j] for row in flows) > inst.d[j]:
+    for j, (imports, d) in enumerate(zip(zip(*flows), inst.d)):
+        if sum(imports) > d:
             issues.append(f"imports exceed demand (market {j})")
     return issues
 

@@ -69,7 +69,7 @@ class BootstrapDraw(NamedTuple):
     rejections: int
 
     def instance(self) -> MarketInstance:
-        return MarketInstance(s=self.s, d=self.d, a=self.a, c_o=self.c_o, t=self.t)
+        return MarketInstance(self.s, self.d, self.a, self.c_o, self.t)
 
 
 class ExperimentContext(NamedTuple):
@@ -253,15 +253,7 @@ def assemble_draw(context: ExperimentContext, replication: int) -> BootstrapDraw
     a, c_o = bs.calibrate_local_costs(
         d_units, theta=config.theta, scale=config.money_scale
     )
-    return BootstrapDraw(
-        replication=replication,
-        d=tuple(d_units),
-        s=capacities,
-        t=costs,
-        a=a,
-        c_o=c_o,
-        rejections=rejections,
-    )
+    return BootstrapDraw(replication, tuple(d_units), capacities, costs, a, c_o, rejections)
 
 
 class ReplicationResult(NamedTuple):
@@ -343,9 +335,7 @@ def run_experiment(config: ExperimentConfig) -> ScenarioReport:
                     f"worker process {pid} ended without reporting its replications "
                     f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
                 )
-            import pickle  # here, so that neither a replication nor a 1-worker run waits for it
-
-            part, failure = pickle.loads(data)
+            part, failure = _pickling()[1](data)
             if failure is not None:
                 raise failure
             results += part
@@ -378,18 +368,31 @@ def _run_child(context: ExperimentContext, block: range, write_fd: int) -> NoRet
                 results.append(run_replication(context, b))
         except Exception as exc:  # raised by the parent, if no earlier block failed
             results, failure = [], exc
-        import pickle
-
+        dumps, loads = _pickling()
         if failure is not None:
             try:
-                pickle.loads(pickle.dumps(failure))
+                loads(dumps(failure))
             except Exception:
                 failure = ExperimentError(f"replication {b} failed: {failure!r}")
         with open(write_fd, "wb") as pipe:
-            pickle.dump((results, failure), pipe)
+            pipe.write(dumps((results, failure)))
         status = 0
     finally:
         os._exit(status)
+
+
+def _pickling():
+    """``dumps`` and ``loads`` for the pipes of a forked run.
+
+    Imported at the first use, so that neither a replication nor a 1-worker
+    run waits for them.  The C accelerator ``_pickle`` alone imports in about
+    a third of the time of ``pickle``, which wraps it.
+    """
+    try:
+        from _pickle import dumps, loads
+    except ImportError:  # an interpreter built without it
+        from pickle import dumps, loads
+    return dumps, loads
 
 
 def aggregate(
@@ -402,6 +405,8 @@ def aggregate(
     SD over the replications that define the value, and ``None`` where none
     does.  A region's entry floor is the mean over draws of its cheapest open
     trade cost, so it is ``None`` when no pair into the region is open.
+    Every draw of a run opens the same pairs: the solver's start rejects an
+    instance with others.
     """
     if not results:
         raise ExperimentError("cannot aggregate a run without replications")
@@ -414,37 +419,34 @@ def aggregate(
     structures = (metrics.structure(r.flows, r.draw.instance()) for r in results)
     stats = metrics.MarketStructure(*zip(*structures))  # each field: one entry per result
     demand_mt = [[d * unit_mt for d in r.draw.d] for r in results]
+    # each pair's costs over the draws, pair (i, j) at i * n + j, and those into each region
+    by_pair = list(zip(*[list(chain.from_iterable(r.draw.t)) for r in results]))
+    into = [by_pair[j :: len(regions)] for j in range(len(regions))]
     # each draw's cheapest open trade cost into each region, None where no pair is open
     floors = [
-        [
-            min(costs) / scale if costs else None
-            for costs in ([c for c in into if c is not None] for into in zip(*r.draw.t))
-        ]
-        for r in results
+        [min(costs) / scale for costs in zip(*opened)] if opened else [None] * len(results)
+        for opened in ([costs for costs in column if costs[0] is not None] for column in into)
     ]
-    for name, key, columns, per_result in (
-        ("demand", "region", ("mean_mt", "sd_mt"), demand_mt),
-        ("concentration", "region", ("mean", "sd"), stats.concentration),
-        ("local_share", "region", ("mean", "sd"), stats.local_share),
-        ("global_share", "supplier", ("mean", "sd"), stats.global_share),
-        ("diversification", "supplier", ("mean", "sd", "defined"), stats.diversification),
+    for name, key, columns, by_label in (
+        ("demand", "region", ("mean_mt", "sd_mt"), zip(*demand_mt)),
+        ("concentration", "region", ("mean", "sd"), zip(*stats.concentration)),
+        ("local_share", "region", ("mean", "sd"), zip(*stats.local_share)),
+        ("global_share", "supplier", ("mean", "sd"), zip(*stats.global_share)),
+        ("diversification", "supplier", ("mean", "sd", "defined"), zip(*stats.diversification)),
         ("entry_floor", "region", ("mean_min_cost",), floors),
     ):
         labels = regions if key == "region" else suppliers
         rows = tuple(
             (label, *metrics.summary(values)[: len(columns)])
-            for label, values in zip(labels, zip(*per_result))
+            for label, values in zip(labels, by_label)
         )
         tables.append((name, (key, *columns), rows))
 
     cost_rows = []
-    for j, region in enumerate(regions):
-        # each draw's costs into the region, None on pairs closed to trade
-        into = [[row[j] for row in r.draw.t] for r in results]
+    for region, column in zip(regions, into):
         cells: list[object] = [region]
-        for i in range(len(suppliers)):
-            scaled = [costs[i] / scale for costs in into if costs[i] is not None]
-            cells += metrics.summary(scaled)[:2]
+        for costs in column:  # empty where the pair is closed
+            cells += metrics.summary([cost / scale for cost in costs if cost is not None])[:2]
         cost_rows.append(tuple(cells))
     cost_header = [f"{supplier}_{stat}" for supplier in suppliers for stat in ("mean", "sd")]
     tables.append(("trade_costs", ("region", *cost_header), tuple(cost_rows)))

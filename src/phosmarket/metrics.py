@@ -32,20 +32,22 @@ class MarketStructure(NamedTuple):
 def structure(flows: Flows, inst: MarketInstance) -> MarketStructure:
     """Every structure statistic of ``flows``, summing each market and supplier once."""
     n, k = inst.n, inst.m + 1
+    floor_k, span_k = 1 / k, 1 - 1 / k  # the concentration of equal shares, and its range
     concentration, local_share = [], []
-    for j, d in enumerate(inst.d):
-        imports = [row[j] for row in flows]
+    for d, imports in zip(inst.d, zip(*flows)):
         local = d - sum(imports)
-        shares_sq = (local / d) ** 2 + sum((q / d) ** 2 for q in imports)
-        concentration.append((shares_sq - 1 / k) / (1 - 1 / k))
+        shares_sq = (local / d) ** 2 + sum([(q / d) ** 2 for q in imports])
+        concentration.append((shares_sq - floor_k) / span_k)
         local_share.append(local / d)
-    sold = [sum(row) for row in flows]
+    sold = list(map(sum, flows))
     diversification = tuple(
-        None if total == 0 else 1 - (sum((q / cap) ** 2 for q in row) - 1 / n) / (1 - 1 / n)
-        for cap, row, total in zip(inst.s, flows, sold)
+        [
+            None if total == 0 else 1 - (sum([(q / cap) ** 2 for q in row]) - 1 / n) / (1 - 1 / n)
+            for cap, row, total in zip(inst.s, flows, sold)
+        ]
     )
     total_demand = sum(inst.d)
-    global_share = tuple(total / total_demand for total in sold)
+    global_share = tuple([total / total_demand for total in sold])
     return MarketStructure(tuple(concentration), tuple(local_share), diversification, global_share)
 
 
@@ -61,4 +63,4 @@ def summary(values: Iterable[float | None]) -> tuple[float | None, float | None,
     mean = sum(defined) / b
     if b == 1:
         return mean, 0.0, b
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in defined) / (b - 1)), b
+    return mean, math.sqrt(sum([(v - mean) ** 2 for v in defined]) / (b - 1)), b

@@ -9,4 +9,5 @@ from phosmarket.rng import Stream
 
 def seeded_stream(seed: int) -> Stream:
     """The stream of ``np.random.default_rng(seed)``."""
-    return Stream(np.random.SeedSequence(seed).generate_state(8).tolist())
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    return Stream(state["state"], state["inc"])

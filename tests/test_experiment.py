@@ -735,6 +735,29 @@ def test_cli_simulate_rejects_a_non_finite_value_with_exit_1(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["output_dir", "data_dir", "scenario", "seed"])
+def test_cli_simulate_rejects_an_empty_value_with_exit_1(tmp_path, capsys, monkeypatch, key):
+    # Path("") is the current directory: an empty output_dir would write the
+    # report there, and an empty data_dir would read the tables from there
+    path = write_config(tmp_path, replications=2)
+    lines = path.read_text().splitlines()
+    line = next(k for k, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} =  "
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: empty value for {key!r}\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_cli_simulate_rejects_an_empty_output_dir_option_with_exit_1(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, replications=2)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(path), "--output-dir", ""]) == 1
+    assert capsys.readouterr().err == "error: --output-dir: empty value\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_cli_verify_rejects_sample_below_1_with_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, replications=2)
     for sample in ("0", "-3"):
@@ -1004,6 +1027,24 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_paper_scale_variants_match_their_recorded_golden_digests(tmp_path, monkeypatch, seed):
+    # The generated 9-region, 7-supplier world pins what the fixture cannot:
+    # the m = 7 solve, the allocation's max-flow path and the 220-sign
+    # trade-cost draw.  perfbench/run.py writes the inputs and checks the
+    # report against perfbench/golden.json; neither file is changed.
+    monkeypatch.chdir(ROOT)  # workloads reads tests/data/table1.csv by a relative path
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports workloads
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    inputs = run.prepare("paper_scale", seed, tmp_path)
+    assert (inputs.replications, load_config(inputs.config).workers) == (6, 1)
+    assert main(["simulate", "--config", str(inputs.config)]) == 0
+    assert run.check_report(inputs) == []
 
 
 # (variant, suppliers, money_scale, unit_kt, theta) of generated worlds, toward

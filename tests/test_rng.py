@@ -96,6 +96,18 @@ def test_lemire_rejection_redraws_like_numpy(seed):
     assert (unrejected._state, unrejected._high) != (stream._state, stream._high)
 
 
+@given(seed=SEEDS, calls=CALLS, k=BOUNDS, count=st.integers(0, 40))
+@example(seed=0, calls=[], k=LEMIRE_REJECTS, count=40)  # pairs whose first draw is redrawn
+@example(seed=0, calls=[("signs", 1)], k=1000, count=3)  # a buffered half goes first
+@example(seed=0, calls=[], k=1, count=3)  # a one-value range draws nothing
+@settings(max_examples=100, deadline=None)
+def test_pairs_draw_what_below_draws(seed, calls, k, count):
+    stream, rng = seeded_stream(seed), np.random.default_rng(seed)
+    assert_same_draws(stream, rng, calls)
+    assert stream.pairs(k, count) == oracle_draw(rng, "below", [k, 2] * count)
+    assert_same_state(stream, rng)
+
+
 def test_one_value_range_draws_nothing():
     stream, rng = seeded_stream(5), np.random.default_rng(5)
     assert_same_draws(stream, rng, [("below", [1, 1]), ("below", [1]), ("signs", 1), ("below", [1])])
