@@ -1,4 +1,4 @@
-"""Buyer valuation, demand, and the solvers for minimal markups.
+"""Spending schedules, demand, and the solvers for minimal markups.
 
 Buyers on each market face quadratic spending schedules: the k-th locally
 produced unit costs ``c_oj + a*(2k - 1)`` at the margin and the u-th unit from
@@ -33,8 +33,9 @@ take their flows from :func:`_allocate`.  The flow's market potentials are
 the waterlines at the minimal markups and seed :func:`_allocate`.
 
 :func:`verify_equilibrium` returns one witness per violated condition, so an
-empty list means an equilibrium; it accepts a market's purchase by an
-exchange certificate on the instance alone before comparing utilities.
+empty list means an equilibrium; it accepts a market's purchase only when the
+market buys its cheapest units, markups included, which an exchange
+certificate checks on the instance alone (:func:`_buys_cheapest_units`).
 :func:`certify_minimal_markups` proves markups minimal at full scale by two
 such cuts: no one-tick step of the auction's objective, which is
 L-natural-convex (Murota 2003, *Discrete Convex Analysis*, ch. 7), lowers it.
@@ -205,29 +206,7 @@ def _ties(inst: MarketInstance, j: int, markups: Sequence[int], mu: int) -> _Mar
 
 
 # ---------------------------------------------------------------------------
-# Valuation and demand correspondence
-
-
-def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
-    """Maximum savings from substituting local goods with capped imports.
-
-    Equals the exhaustive maximum of
-    ``e_oj(d_j) - e_oj(d_j - sum z) - sum e_ij(z_i)`` over all bundles with
-    ``z_i <= xcap_i`` and total at most ``d_j``; computed as the local-only
-    spend minus the cheapest-units spend with import caps ``xcap``.
-    """
-    if len(xcap) != inst.m:
-        raise ValueError("cap vector length must equal supplier count")
-    sources: list[_Source] = [(inst.c_o[j], inst.d[j])]
-    for i, cap in enumerate(xcap):
-        if not 0 <= cap <= inst.s[i]:
-            raise ValueError(f"cap {cap} outside [0, {inst.s[i]}] (supplier {i})")
-        if cap > 0 and inst.t[i][j] is None:
-            raise ValueError(f"positive cap on masked pair ({i}, {j})")
-        if cap > 0:
-            sources.append((inst.t[i][j], cap))  # type: ignore[arg-type]
-    spend, _ = _min_spend(sources, inst.a, inst.d[j])
-    return local_spend(inst.d[j], j, inst) - spend
+# Demand correspondence
 
 
 class DemandBundle(NamedTuple):
@@ -238,7 +217,12 @@ class DemandBundle(NamedTuple):
 
 
 def demand_bundle(j: int, markups: Sequence[int], inst: MarketInstance) -> DemandBundle:
-    """Minimal payoff-maximizing bundle (ties go local first, then low index)."""
+    """Minimal payoff-maximizing bundle (ties go local first, then low index).
+
+    Nothing in the package calls it: it stays for ``perfbench/layers.py``,
+    whose ``needs_maxflow`` reads the minimal bundles, and leaves with that
+    metric, together with :class:`DemandBundle` and :func:`local_spend`.
+    """
     if len(markups) != inst.m:
         raise ValueError("markup vector length must equal supplier count")
     if any(p < 0 for p in markups):
@@ -247,11 +231,6 @@ def demand_bundle(j: int, markups: Sequence[int], inst: MarketInstance) -> Deman
     z = structure.minimal_imports()
     utility = local_spend(inst.d[j], j, inst) - structure.spend
     return DemandBundle(z=z, utility=utility)
-
-
-def bundle_utility(z: Sequence[int], j: int, markups: Sequence[int], inst: MarketInstance) -> int:
-    """Payoff of an arbitrary bundle: valuation minus markup payments."""
-    return valuation(z, j, inst) - sum(p * q for p, q in zip(markups, z))
 
 
 # ---------------------------------------------------------------------------
@@ -732,30 +711,27 @@ class _Network:
 
 def _buys_cheapest_units(
     inst: MarketInstance, j: int, markups: Sequence[int], z: Sequence[int]
-) -> bool:
-    """Exchange certificate that market j's purchase is a cheapest-units basket.
+) -> tuple[int, int] | None:
+    """``None`` when market j buys its cheapest units, else the costs that show it does not.
 
     Market j buys ``z_i`` units from supplier i and ``d_j - sum(z)`` locally.
-    The certificate holds when no unbought next unit (local, or imported on an
-    open pair below capacity, markup included) is cheaper than the dearest
-    bought unit.  For ``markups >= 0`` it proves ``bundle_utility(z, ...) ==
-    demand_bundle(...).utility``:
+    It buys its cheapest units when no unbought next unit (local, or imported
+    on an open pair below capacity, markup included) is cheaper than the
+    dearest bought unit.  Otherwise this returns the marginal costs, markups
+    included, of the dearest bought unit and of the cheapest unbought one.
+    The exchange certificate is necessary and sufficient:
 
     - Marginal costs rise within each source (``a >= 0``), so any other basket
       of ``d_j`` units swaps some bought units, each no dearer than the
       dearest, for as many unbought ones, each no cheaper than its source's
-      next unit.  So the spend is the minimum ``E`` (separable convex costs
-      with a fixed total: Ibaraki & Katoh 1988, *Resource Allocation
-      Problems*, ch. 4), and the demanded utility is ``e_oj(d_j) - E``.
-    - ``bundle_utility(z)`` is ``e_oj(d_j)`` minus the cheapest markup-free
-      spend of any ``w <= z`` topped up locally, minus ``p.z``.  Taking
-      ``w = z`` bounds it below by ``e_oj(d_j) - E``.  For the cheapest ``w``,
-      ``p >= 0`` gives ``p.z >= p.w``, so it is at most ``e_oj(d_j)`` minus
-      the spend of ``w`` with markups, and that spend is at least ``E``.
+      next unit.  So a basket that passes spends the minimum (separable
+      convex costs with a fixed total: Ibaraki & Katoh 1988, *Resource
+      Allocation Problems*, ch. 4), and for ``markups >= 0`` it maximizes
+      the market's payoff.
+    - A basket that fails spends more: the two units lie in different
+      sources, and swapping the dearer for the cheaper lowers its spend.
 
-    It reads only the instance, sharing no code with the solvers.  When it
-    fails the basket may still be optimal (imports disposed of at zero
-    markup), so the caller then decides exactly.
+    It reads only the instance, sharing no code with the solvers.
     """
     a, d, c = inst.a, inst.d[j], inst.c_o[j]
     local = d - sum(z)
@@ -774,7 +750,9 @@ def _buys_cheapest_units(
                 following = cost + a * (2 * q + 1)
                 if cheapest is None or following < cheapest:
                     cheapest = following
-    return dearest is not None and (cheapest is None or dearest <= cheapest)
+    if dearest is None or cheapest is None or dearest <= cheapest:
+        return None
+    return dearest, cheapest
 
 
 def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
@@ -782,10 +760,10 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
 
     Malformed flows or markups (shape, sign, closed pairs, capacity, market
     size: :func:`~phosmarket.core.validate_flows`) are reported alone.
-    Otherwise each market must maximize its payoff and no supplier may go
-    unsold at a positive markup.  A market whose purchase passes
-    :func:`_buys_cheapest_units` maximizes its payoff; any other is checked
-    exactly against :func:`demand_bundle`.
+    Otherwise each market must buy its cheapest units: no unbought unit may
+    be cheaper than the dearest bought one, markups included
+    (:func:`_buys_cheapest_units`).  And no supplier may go unsold at a
+    positive markup.
     """
     witnesses = validate_flows(eq.flows, inst)
     if len(eq.markups) != inst.m or any(p < 0 for p in eq.markups):
@@ -793,12 +771,12 @@ def verify_equilibrium(inst: MarketInstance, eq: Equilibrium) -> list[str]:
     if witnesses:
         return witnesses
     for j, bundle in enumerate(zip(*eq.flows)):
-        if _buys_cheapest_units(inst, j, eq.markups, bundle):
-            continue
-        attained = bundle_utility(bundle, j, eq.markups, inst)
-        best = demand_bundle(j, eq.markups, inst).utility
-        if attained != best:
-            witnesses.append(f"market {j} gets utility {attained}, maximum is {best}")
+        exchange = _buys_cheapest_units(inst, j, eq.markups, bundle)
+        if exchange is not None:
+            dearer, cheaper = exchange
+            witnesses.append(
+                f"market {j} buys a unit at {dearer} while a unit at {cheaper} goes unbought"
+            )
     for i, (row, p) in enumerate(zip(eq.flows, eq.markups)):
         if p > 0 and not any(row):
             witnesses.append(f"supplier {i} unsold at positive markup {p}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -83,6 +84,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         output_dir=None if args.output_dir is None else Path(args.output_dir),
         workers=args.workers,
     )
+    # the report is written once every replication has run: reject a place it cannot go now
+    output_dir = Path(config.output_dir)
+    for existing in (output_dir, *output_dir.parents):
+        if os.path.lexists(existing):  # a dangling link too
+            if not existing.is_dir():
+                raise ConfigError(f"output_dir {output_dir}: {existing} is not a directory")
+            break
     report = run_experiment(config)
     outputs = emit_tables(report, config.output_dir)
     print(f"scenario {config.scenario}: {config.replications} replications")

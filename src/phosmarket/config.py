@@ -62,9 +62,13 @@ _REQUIRED = tuple(field.name for field in fields(ExperimentConfig) if field.defa
 
 def load_config(path: Path) -> ExperimentConfig:
     """Parse a ``key = value`` file, one entry per line, each key once, ``#`` comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
     values: dict[str, object] = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -103,7 +103,7 @@ def load_context(config: ExperimentConfig) -> ExperimentContext:
     paths = {name: Path(config.data_dir) / f"{name}.csv" for name in INPUT_TABLES}
     for path in paths.values():
         if not path.exists():
-            raise ExperimentError(f"missing input table {path}")
+            raise ConfigError(f"data_dir {config.data_dir}: missing input table {path}")
     tables, digests = {}, {}
     for name, (schema, key) in INPUT_TABLES.items():
         tables[name], digests[name] = read_csv(paths[name], schema, key)

@@ -6,6 +6,11 @@ it shares nothing with the production solver but the instance type and
 :func:`~phosmarket.auction.local_spend`.  Its cost grows exponentially with
 the supplier count; the tests use it on instances with a few units.
 
+:func:`valuation` and :func:`bundle_utility` give a market's payoff from
+any import bundle, free disposal included, by the waterline search; the
+demand tests compare them with enumeration and with
+:func:`~phosmarket.auction.demand_bundle`.
+
 :func:`enumerating_auction` and :func:`enumerating_certificate` take the
 ascending auction's ticks and the minimality certificate's two tests by
 evaluating the auction's objective (:func:`lyapunov`) one tick away along
@@ -42,6 +47,7 @@ from phosmarket.auction import (
     _markup_bound,
     _min_spend,
     _Network,
+    _Source,
     local_spend,
 )
 from phosmarket.bootstrap import (
@@ -67,6 +73,33 @@ def import_spend(z: int, i: int, j: int, inst: MarketInstance) -> int:
     if not 0 <= z <= inst.s[i]:
         raise ValueError(f"import {z} outside [0, {inst.s[i]}]")
     return z * (inst.a * z + cost)
+
+
+def valuation(xcap: Sequence[int], j: int, inst: MarketInstance) -> int:
+    """Maximum savings from substituting local goods with capped imports.
+
+    Equals the exhaustive maximum of
+    ``e_oj(d_j) - e_oj(d_j - sum z) - sum e_ij(z_i)`` over all bundles with
+    ``z_i <= xcap_i`` and total at most ``d_j``; computed as the local-only
+    spend minus the cheapest-units spend with import caps ``xcap``.
+    """
+    if len(xcap) != inst.m:
+        raise ValueError("cap vector length must equal supplier count")
+    sources: list[_Source] = [(inst.c_o[j], inst.d[j])]
+    for i, cap in enumerate(xcap):
+        if not 0 <= cap <= inst.s[i]:
+            raise ValueError(f"cap {cap} outside [0, {inst.s[i]}] (supplier {i})")
+        if cap > 0 and inst.t[i][j] is None:
+            raise ValueError(f"positive cap on masked pair ({i}, {j})")
+        if cap > 0:
+            sources.append((inst.t[i][j], cap))  # type: ignore[arg-type]
+    spend, _ = _min_spend(sources, inst.a, inst.d[j])
+    return local_spend(inst.d[j], j, inst) - spend
+
+
+def bundle_utility(z: Sequence[int], j: int, markups: Sequence[int], inst: MarketInstance) -> int:
+    """Payoff of an arbitrary bundle: valuation minus markup payments."""
+    return valuation(z, j, inst) - sum(p * q for p, q in zip(markups, z))
 
 
 def _bundles(inst: MarketInstance, j: int) -> list[tuple[int, ...]]:
@@ -166,7 +199,14 @@ def _select_flows(
     markups: tuple[int, ...],
     argmax: list[list[tuple[int, ...]]],
 ) -> Flows | None:
-    """Pick one argmax bundle per market meeting capacity and clearance."""
+    """Pick one argmax bundle per market meeting capacity and clearance.
+
+    The values allow free disposal, so an argmax bundle may hold imports
+    that the market leaves unused at zero markup.  Dropping them gives an
+    argmax bundle of cheapest units that is componentwise smaller, so it
+    comes first in :func:`_bundles`' order and fits wherever the other
+    does: the search never picks a bundle with unused imports.
+    """
     m, n = inst.m, inst.n
     chosen: list[tuple[int, ...]] = []
     seen: set[tuple[int, tuple[int, ...], frozenset[int]]] = set()

@@ -22,6 +22,7 @@ from oracle import (
     _select_flows,
     brute_force_equilibrium,
     import_spend,
+    valuation,
 )
 from phosmarket.auction import (
     _markup_bound,
@@ -29,7 +30,6 @@ from phosmarket.auction import (
     local_spend,
     run_english_auction,
     solve_minimal_markups,
-    valuation,
     verify_equilibrium,
 )
 from phosmarket.bootstrap import fit_two_stage, wild_bootstrap_demand

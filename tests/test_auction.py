@@ -13,16 +13,17 @@ from oracle import (
     EnumerationBudgetError,
     brute_force_equilibrium,
     built_market_network,
+    bundle_utility,
     enumerating_auction,
     enumerating_certificate,
     import_spend,
     smallest_minimizer,
     step_values,
+    valuation,
 )
 from phosmarket import auction
 from phosmarket.core import Equilibrium, MarketInstance
 from phosmarket.auction import (
-    bundle_utility,
     certify_minimal_markups,
     cold_start,
     demand_bundle,
@@ -30,7 +31,6 @@ from phosmarket.auction import (
     reference_start,
     run_english_auction,
     solve_minimal_markups,
-    valuation,
     verify_equilibrium,
 )
 from phosmarket.config import load_config
@@ -341,27 +341,36 @@ def test_cheapest_units_certificate_proves_maximal_utility(seed):
     for j in range(inst.n):
         best = demand_bundle(j, markups, inst)
         # The minimal demanded bundle is a cheapest-units basket, so it passes.
-        assert auction._buys_cheapest_units(inst, j, markups, best.z)
+        assert auction._buys_cheapest_units(inst, j, markups, best.z) is None
         for z in [random_bundle(rng, inst, j) for _ in range(4)]:
-            if auction._buys_cheapest_units(inst, j, markups, z):
+            if auction._buys_cheapest_units(inst, j, markups, z) is None:
                 assert bundle_utility(z, j, markups, inst) == best.utility
 
 
-def test_certificate_defers_free_disposal_to_the_exact_check():
-    # At zero markup, an imported unit the market leaves unused costs it
-    # nothing: the basket is not a cheapest one, but its utility is maximal.
-    inst = make([2], [1], 0, [5], [[9]])
-    assert not auction._buys_cheapest_units(inst, 0, (0,), (1,))
-    assert bundle_utility((1,), 0, (0,), inst) == demand_bundle(0, (0,), inst).utility
-    assert verify_equilibrium(inst, Equilibrium((0,), ((1,),))) == []
+def test_verifier_witnesses_an_import_left_unused_at_zero_markup():
+    # At zero markup, an imported unit the market would leave unused costs
+    # it nothing, so its payoff is maximal; but the flow ships the unit and
+    # every statistic counts it, so the verifier rejects the dearer import.
+    for inst, (dearer, cheaper) in (
+        (make([2], [1], 0, [5], [[9]]), (9, 5)),
+        (make([1], [2], 0, [10], [[50]]), (50, 10)),
+    ):
+        assert bundle_utility((1,), 0, (0,), inst) == demand_bundle(0, (0,), inst).utility
+        assert auction._buys_cheapest_units(inst, 0, (0,), (1,)) == (dearer, cheaper)
+        assert verify_equilibrium(inst, Equilibrium((0,), ((1,),))) == [
+            f"market 0 buys a unit at {dearer} while a unit at {cheaper} goes unbought"
+        ]
 
 
 def test_verifier_flags_suboptimal_bundle():
     inst = make([1], [1, 1], 0, [10, 8], [[2, 3]])
-    # at zero markups, market 0 strictly prefers importing
+    # at zero markups, both markets strictly prefer importing
     lazy = ((0, 0),)
     report = verify_equilibrium(inst, Equilibrium((0,), lazy))
-    assert any("gets utility" in w for w in report)
+    assert report == [
+        "market 0 buys a unit at 10 while a unit at 2 goes unbought",
+        "market 1 buys a unit at 8 while a unit at 3 goes unbought",
+    ]
 
 
 # ---------------------------------------------------------------------------

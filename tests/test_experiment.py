@@ -1,6 +1,7 @@
 """Configuration parsing, draw assembly, report emission and the CLI."""
 
 import dataclasses
+import errno
 import hashlib
 import importlib.util
 import os
@@ -253,8 +254,7 @@ def test_dual_solver_matches_auction_on_fixture_draws():
 
 
 def test_fixture_replications_pass_the_cheapest_units_certificate():
-    # Every market of a production replication is settled by the certificate,
-    # without the exact utility comparison.
+    # Every market of a production replication buys its cheapest units.
     config = load_config(DATA / "fixture_bau.cfg")
     context = load_context(dataclasses.replace(config, data_dir=DATA))
     for b in range(60):
@@ -262,7 +262,7 @@ def test_fixture_replications_pass_the_cheapest_units_certificate():
         eq = solve_minimal_markups(inst, context.start)
         for j in range(inst.n):
             bundle = tuple(row[j] for row in eq.flows)
-            assert auction._buys_cheapest_units(inst, j, eq.markups, bundle), (b, j)
+            assert auction._buys_cheapest_units(inst, j, eq.markups, bundle) is None, (b, j)
 
 
 def test_single_replication_report_has_zero_sd(tmp_path):
@@ -523,7 +523,8 @@ def test_aggregate_rejects_an_empty_run(tmp_path):
 
 def test_missing_input_table_is_reported(tmp_path):
     config = fixture_config(tmp_path, data_dir=tmp_path / "nowhere")
-    with pytest.raises(ExperimentError, match="missing input table"):
+    error = f"data_dir {tmp_path / 'nowhere'}: missing input table {tmp_path / 'nowhere'}/"
+    with pytest.raises(ConfigError, match=re.escape(error)):
         load_context(config)
 
 
@@ -612,8 +613,8 @@ def move_a_unit_to_a_dearer_supplier(inst, eq):
 
 @pytest.mark.parametrize("corrupt", [raise_first_markup, move_a_unit_to_a_dearer_supplier])
 def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypatch, capsys, corrupt):
-    # The certificate fails on the corrupted equilibrium; the exact utility
-    # check behind it must still reject the run.
+    # The corrupted equilibrium leaves some market buying a dearer unit than
+    # one it could have bought, and the verifier names both.
     path = write_config(tmp_path)
     monkeypatch.setattr(
         experiment,
@@ -623,7 +624,28 @@ def test_cli_simulate_rejects_a_wrong_equilibrium_with_exit_2(tmp_path, monkeypa
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "failed verification" in err
-    assert re.search(r"market \d+ gets utility -?\d+, maximum is -?\d+", err)
+    assert re.search(r"market \d+ buys a unit at -?\d+ while a unit at -?\d+ goes unbought", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_rejects_an_import_dearer_than_unbought_local_supply_with_exit_2(
+    tmp_path, monkeypatch, capsys
+):
+    # One market, one supplier: at zero markup the market would not use the
+    # import that costs 50 while a local unit at 10 goes unbought, but the
+    # flow ships it, and every statistic would count it.
+    def one_market(context, replication):
+        return experiment.BootstrapDraw(replication, (2,), (1,), ((50,),), 0, (10,), 0)
+
+    monkeypatch.setattr(experiment, "assemble_draw", one_market)
+    monkeypatch.setattr(
+        experiment, "solve_minimal_markups", lambda inst, start: Equilibrium((0,), ((1,),))
+    )
+    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == (
+        "failure: replication 0 failed verification: "
+        "market 0 buys a unit at 50 while a unit at 10 goes unbought\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -895,10 +917,54 @@ def test_cli_simulate_exits_1_when_inventory_constant_rounds_to_zero(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys):
-    path = write_config(tmp_path, data_dir=tmp_path / "missing")
+def test_cli_reports_runtime_failures_with_exit_2(tmp_path, capsys, monkeypatch):
+    def disk_full(outdir, tables):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(experiment, "write_tables", disk_full)
+    path = write_config(tmp_path, replications=2)
     assert main(["simulate", "--config", str(path)]) == 2
-    assert "failure:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"failure: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_cli_names_a_missing_config_file_with_exit_1(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    for command in ("simulate", "calibrate", "verify"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: config file {path}: No such file or directory\n"
+
+
+def test_cli_names_a_missing_input_table_and_data_dir_with_exit_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(DATA, data)
+    (data / "flows.csv").unlink()
+    path = write_config(tmp_path, data_dir=data)
+    for command in ("simulate", "calibrate", "verify"):
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: data_dir {data}: missing input table {data / 'flows.csv'}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+@pytest.mark.parametrize("taken_by", ["file", "file_above", "dangling_link"])
+def test_cli_simulate_rejects_an_output_dir_on_a_file_with_exit_1(
+    tmp_path, capsys, where, taken_by
+):
+    # Checked before the run: otherwise every replication runs, and only the
+    # report's write fails on the file.
+    taken = tmp_path / "taken"
+    if taken_by == "dangling_link":
+        taken.symlink_to(tmp_path / "nowhere")
+    else:
+        taken.write_text("keep\n")
+    output_dir = taken / "report" if taken_by == "file_above" else taken
+    args = ["--output-dir", str(output_dir)] if where == "option" else []
+    path = write_config(tmp_path, output_dir=tmp_path / "out" if args else output_dir)
+    assert main(["simulate", "--config", str(path), *args]) == 1
+    assert capsys.readouterr().err == f"error: output_dir {output_dir}: {taken} is not a directory\n"
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["run.cfg", "taken"]
+    assert taken.is_symlink() if taken_by == "dangling_link" else taken.read_text() == "keep\n"
 
 
 def drop(*cells):
